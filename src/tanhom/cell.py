@@ -15,12 +15,12 @@ cell average, i.e. the mean of the density over element centers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .artifacts import fmt, read_csv, write_csv
 from .errors import ShapeMismatch, UnsupportedBoundary, UnsupportedSolver
 from .grid import UniformGrid
 from .integrand import ExtendedIntegrand, Integrand, finite_difference_grad
@@ -356,12 +356,16 @@ def _run_solver(
     )
 
 
-def energy_of_field(f: Integrand, spec: CellProblemSpec, phi: CorrectorField) -> float:
-    """Cell average of f(y, xi + grad phi) over element centers."""
+def _field_energy(eval_fn: Callable, spec: CellProblemSpec, phi: CorrectorField) -> float:
     grid = _check_conforms(spec, phi)
     G = grid.center_gradient(phi.coeffs)
     amb = spec.xi + np.einsum("md,mn...->...dn", phi.basis, G)
-    return float(np.mean(f.eval(grid.centers(), amb)))
+    return float(np.mean(eval_fn(grid.centers(), amb)))
+
+
+def energy_of_field(f: Integrand, spec: CellProblemSpec, phi: CorrectorField) -> float:
+    """Cell average of f(y, xi + grad phi) over element centers."""
+    return _field_energy(f.eval, spec, phi)
 
 
 def solve_cell(f: Integrand, spec: CellProblemSpec) -> CellSolveResult:
@@ -426,17 +430,11 @@ def solve_cell_unconstrained(
     else:
         objective = fixed_s_objective(fext.eval, fext.grad_xi)
 
-    def exact_value(phi: CorrectorField) -> float:
-        grid = _check_conforms(spec, phi)
-        G = grid.center_gradient(phi.coeffs)
-        amb = spec.xi + np.einsum("md,mn...->...dn", phi.basis, G)
-        return float(np.mean(fext.eval(grid.centers(), s, amb)))
-
     return _run_solver(
         spec,
         objective,
         quadratic=fext.quadratic,
-        exact_value=exact_value,
+        exact_value=lambda phi: _field_energy(lambda y, xi: fext.eval(y, s, xi), spec, phi),
         smoothed_factory=smoothed_factory,
     )
 
@@ -473,29 +471,22 @@ def tile_corrector(phi: CorrectorField, k: int) -> CorrectorField:
 
 def write_corrector_csv(phi: CorrectorField, path) -> None:
     """Dump nodal values: one row per node, multi-index then coordinates."""
-    ndim = phi.ndim
     m = phi.coeffs.shape[0]
-    header = [f"i{k}" for k in range(ndim)] + [f"c{k}" for k in range(m)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for idx in np.ndindex(phi.coeffs.shape[1:]):
-            row = [str(i) for i in idx] + [
-                f"{phi.coeffs[(ch,) + idx]:.17g}" for ch in range(m)
-            ]
-            writer.writerow(row)
+    header = [f"i{k}" for k in range(phi.ndim)] + [f"c{k}" for k in range(m)]
+    rows = (
+        [str(i) for i in idx] + [fmt(phi.coeffs[(ch,) + idx]) for ch in range(m)]
+        for idx in np.ndindex(phi.coeffs.shape[1:])
+    )
+    write_csv(path, header, rows)
 
 
 def read_corrector_csv(path) -> np.ndarray:
     """Read a corrector dump back into a (m, *nodes) array."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+    header, data = read_csv(path)
     ndim = sum(1 for h in header if h.startswith("i"))
     m = len(header) - ndim
-    idx = np.array([[int(v) for v in row[:ndim]] for row in rows])
-    vals = np.array([[float(v) for v in row[ndim:]] for row in rows])
+    idx = data[:, :ndim].astype(int)
+    vals = data[:, ndim:]
     shape = tuple(idx.max(axis=0) + 1)
     out = np.zeros((m,) + shape)
     for ch in range(m):

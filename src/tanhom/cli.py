@@ -1,21 +1,21 @@
 """Batch front-end: JSON config in, CSV/JSON artifacts out.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 a solver failed to
-converge, 3 partial results (some table entries failed), 4 a verification
-suite failed.  Identical config and seed produce byte-identical CSV output.
+converge, 3 partial results (some entries of the density table, built or
+loaded, failed), 4 a verification suite failed.  Identical config and seed
+produce byte-identical CSV output.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import fmt, write_csv, write_json
 from .cell import solve_cell, write_corrector_csv
 from .config import GammaSection, RunConfig, parse_run_config
 from .density import (
@@ -35,16 +35,6 @@ from .gamma import GammaExperimentConfig, run_gamma_experiment, write_field_csv
 from .integrand import verify_hypotheses
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _log(verbose: bool, message: str) -> None:
     if verbose:
         print(message, file=sys.stderr)
@@ -57,7 +47,7 @@ def cmd_cell(cfg: RunConfig, out: Path, verbose: bool) -> int:
     _log(verbose, f"solving cell problem on (0,{spec.t})^{spec.ndim} at n={spec.nodes_per_period}")
     result = solve_cell(cfg.integrand, spec)
     write_corrector_csv(result.corrector, out / "corrector.csv")
-    _write_json(
+    write_json(
         out / "cell_result.json",
         {
             "value": result.value,
@@ -72,7 +62,7 @@ def cmd_cell(cfg: RunConfig, out: Path, verbose: bool) -> int:
             "xi": [[float(v) for v in row] for row in spec.xi],
         },
     )
-    print(f"cell value: {_fmt(result.value)} (converged={result.converged})")
+    print(f"cell value: {fmt(result.value)} (converged={result.converged})")
     return 0 if result.converged else 2
 
 
@@ -88,10 +78,9 @@ def cmd_density(cfg: RunConfig, out: Path, verbose: bool) -> int:
         sec.s_count,
         sec.lattice,
         sec.options,
-        workers=cfg.workers,
     )
     table.save(out / "density_table.csv", out / "density_table.json")
-    failures = int(np.count_nonzero(~np.isfinite(table.values)))
+    failures = table.failed_entries
     print(
         f"density table: {table.values.size} entries, {failures} failed, "
         f"sandwich ok: {table.check_sandwich()[0]}"
@@ -157,7 +146,7 @@ def cmd_verify(cfg: RunConfig, out: Path, verbose: bool) -> int:
     for suite, ok, detail in lines:
         all_ok = all_ok and ok
         print(f"{suite:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
-    _write_json(
+    write_json(
         out / "verify_report.json",
         {suite: {"passed": ok, "detail": detail} for suite, ok, detail in lines},
     )
@@ -181,7 +170,6 @@ def _gamma_table(cfg: RunConfig, sec: GammaSection, config_dir: Path, verbose: b
         sec.table_s_count,
         sec.table_lattice,
         sec.table_options,
-        workers=cfg.workers,
     )
 
 
@@ -204,27 +192,28 @@ def cmd_gamma(cfg: RunConfig, out: Path, verbose: bool, config_dir: Path) -> int
         dp_theta_count=sec.dp_theta_count,
         dp_band=sec.dp_band,
         dp_margin=sec.dp_margin,
-        workers=cfg.workers,
     )
     _log(verbose, f"running {len(sec.epsilons)} oscillating minimizations plus the homogenized one")
     report = run_gamma_experiment(experiment)
-    _write_json(out / "gamma_report.json", report.to_dict())
-    with open(out / "gamma_gaps.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epsilon", "gap"])
-        for eps, gap in zip(report.epsilons, report.gaps):
-            writer.writerow([_fmt(eps), _fmt(gap)])
-    if sec.dump_fields:
-        from .gamma import minimize_f_eps, minimize_f_hom
-
-        for eps in sec.epsilons:
-            run = minimize_f_eps(experiment, eps)
-            write_field_csv(run.field, out / f"field_eps_{round(1 / eps)}.csv")
-        write_field_csv(minimize_f_hom(experiment).field, out / "field_hom.csv")
-    print(
-        f"gamma experiment: hom energy {_fmt(report.hom_energy)}, "
-        f"final gap {_fmt(report.final_gap)}, trend {report.trend_fraction:.2f}"
+    failed = table.failed_entries
+    if failed:
+        report.warnings.append(f"density table has {failed} failed entries")
+    write_json(out / "gamma_report.json", report.to_dict())
+    write_csv(
+        out / "gamma_gaps.csv",
+        ["epsilon", "gap"],
+        ([fmt(eps), fmt(gap)] for eps, gap in zip(report.epsilons, report.gaps)),
     )
+    if sec.dump_fields:
+        for eps, field in zip(sec.epsilons, report.eps_fields):
+            write_field_csv(field, out / f"field_eps_{round(1 / eps)}.csv")
+        write_field_csv(report.hom_field, out / "field_hom.csv")
+    print(
+        f"gamma experiment: hom energy {fmt(report.hom_energy)}, "
+        f"final gap {fmt(report.final_gap)}, trend {report.trend_fraction:.2f}"
+    )
+    if failed:
+        return 3
     ok = all(report.eps_converged) and report.hom_converged
     return 0 if ok else 2
 
@@ -236,7 +225,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
-    parser.add_argument("--workers", type=int, default=None, help="worker pool size")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--verbose", action="store_true", help="progress on stderr")
     args = parser.parse_args(argv)
@@ -255,10 +243,6 @@ def main(argv=None) -> int:
         cfg = parse_run_config(raw)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.workers is not None:
-            cfg.workers = args.workers
-        elif os.environ.get("HOMOG_WORKERS"):
-            cfg.workers = int(os.environ["HOMOG_WORKERS"])
 
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -7,14 +7,14 @@ path so batch scripts fail loudly instead of silently ignoring typos.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
 from .cell import BOUNDARIES, PERIODIC
 from .density import CoefficientLattice, TfOptions
-from .errors import ConfigError
+from .errors import ConfigError, check_keys
 from .gamma import OptimizerOptions
 from .integrand import Integrand, integrand_from_config
 from .manifold import EmbeddedManifold, circle_point, manifold_from_config
@@ -22,25 +22,12 @@ from .manifold import EmbeddedManifold, circle_point, manifold_from_config
 COMMANDS = ("cell", "density", "verify", "gamma")
 VERIFY_SUITES = ("hypotheses", "equivalence", "quasiconvexity", "growth_lipschitz")
 
-
-def _check_keys(obj: Any, path: str, required: set[str], optional: set[str]) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path or 'config'} must be a JSON object")
-    unknown = set(obj) - required - optional
-    if unknown:
-        key = sorted(unknown)[0]
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"unknown key {where!r}")
-    missing = required - set(obj)
-    if missing:
-        key = sorted(missing)[0]
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"missing required key {where!r}")
-    return obj
+# Config keys that set a TfOptions field of the same name.
+TF_KEYS = {f.name for f in fields(TfOptions)}
 
 
 def _parse_point(M: EmbeddedManifold, cfg: Any, path: str) -> np.ndarray:
-    _check_keys(cfg, path, set(), {"theta", "point"})
+    check_keys(cfg, path, set(), {"theta", "point"})
     if "theta" in cfg and "point" in cfg:
         raise ConfigError(f"{path}: give either 'theta' or 'point', not both")
     if "theta" in cfg:
@@ -53,15 +40,12 @@ def _parse_point(M: EmbeddedManifold, cfg: Any, path: str) -> np.ndarray:
 
 
 def _parse_lattice(cfg: Any, path: str) -> CoefficientLattice:
-    _check_keys(cfg, path, {"min", "max", "count"}, set())
+    check_keys(cfg, path, {"min", "max", "count"}, set())
     return CoefficientLattice(float(cfg["min"]), float(cfg["max"]), int(cfg["count"]))
 
 
 def _parse_tf_options(cfg: dict, path: str, defaults: TfOptions) -> TfOptions:
-    allowed = {"t_list", "n", "boundary", "rel_tol", "solver", "tol_grad", "max_iters", "huber_mu"}
-    extra = set(cfg) - allowed
-    if extra:
-        raise ConfigError(f"unknown key {path}.{sorted(extra)[0]!r}")
+    """TfOptions from the TF_KEYS of an already key-checked section."""
     boundary = cfg.get("boundary", defaults.boundary)
     if boundary not in BOUNDARIES:
         raise ConfigError(f"{path}.boundary must be one of {list(BOUNDARIES)}")
@@ -131,17 +115,16 @@ class RunConfig:
     manifold: EmbeddedManifold
     integrand: Integrand
     seed: int
-    workers: int
     section: Any = field(default=None)
 
 
 def parse_run_config(raw: Any) -> RunConfig:
     """Validate a raw JSON object into a typed run configuration."""
-    _check_keys(
+    check_keys(
         raw,
         "",
         {"command", "manifold", "integrand"},
-        {"seed", "workers", "cell", "density", "verify", "gamma"},
+        {"seed", "cell", "density", "verify", "gamma"},
     )
     command = raw["command"]
     if command not in COMMANDS:
@@ -152,9 +135,8 @@ def parse_run_config(raw: Any) -> RunConfig:
     M = manifold_from_config(raw["manifold"])
     f = integrand_from_config(raw["integrand"])
     seed = int(raw.get("seed", 0))
-    workers = int(raw.get("workers", 1))
 
-    cfg = RunConfig(command=command, manifold=M, integrand=f, seed=seed, workers=workers)
+    cfg = RunConfig(command=command, manifold=M, integrand=f, seed=seed)
     section = raw.get(command, {})
     if command == "cell":
         cfg.section = _parse_cell(section, M, f)
@@ -168,11 +150,11 @@ def parse_run_config(raw: Any) -> RunConfig:
 
 
 def _parse_cell(section: Any, M: EmbeddedManifold, f: Integrand) -> CellSection:
-    _check_keys(
+    check_keys(
         section,
         "cell",
         {"s", "xi_coeffs"},
-        {"t", "n", "boundary", "solver", "tol_grad", "max_iters", "huber_mu"},
+        TF_KEYS - {"t_list", "rel_tol"} | {"t"},
     )
     s = _parse_point(M, section["s"], "cell.s")
     coeffs = np.asarray(section["xi_coeffs"], dtype=float)
@@ -183,27 +165,26 @@ def _parse_cell(section: Any, M: EmbeddedManifold, f: Integrand) -> CellSection:
         raise ConfigError(
             f"cell.xi_coeffs must be a {M.intrinsic_dim} x {N} array, got {coeffs.shape}"
         )
-    opt_keys = {k: v for k, v in section.items() if k not in ("s", "xi_coeffs")}
-    opt_keys["t_list"] = [opt_keys.pop("t", 1)]
-    opts = _parse_tf_options(opt_keys, "cell", TfOptions(t_list=(1,), n=16))
+    opts = _parse_tf_options(
+        {**section, "t_list": [section.get("t", 1)]}, "cell", TfOptions(t_list=(1,), n=16)
+    )
     return CellSection(s=s, xi_coeffs=coeffs, options=opts)
 
 
 def _parse_density(section: Any) -> DensitySection:
-    _check_keys(
+    check_keys(
         section,
         "density",
         {"s_count", "lattice"},
-        {"t_list", "n", "boundary", "rel_tol", "solver", "tol_grad", "max_iters", "huber_mu"},
+        TF_KEYS,
     )
     lattice = _parse_lattice(section["lattice"], "density.lattice")
-    opt_keys = {k: v for k, v in section.items() if k not in ("s_count", "lattice")}
-    opts = _parse_tf_options(opt_keys, "density", TfOptions(t_list=(1,), n=16, boundary=PERIODIC))
+    opts = _parse_tf_options(section, "density", TfOptions(t_list=(1,), n=16, boundary=PERIODIC))
     return DensitySection(s_count=int(section["s_count"]), lattice=lattice, options=opts)
 
 
 def _parse_verify(section: Any) -> VerifySection:
-    _check_keys(
+    check_keys(
         section,
         "verify",
         {"suites"},
@@ -215,15 +196,8 @@ def _parse_verify(section: Any) -> VerifySection:
             "coeff_radius",
             "equivalence_tol",
             "delta0",
-            "t_list",
-            "n",
-            "boundary",
-            "rel_tol",
-            "solver",
-            "tol_grad",
-            "max_iters",
-            "huber_mu",
-        },
+        }
+        | TF_KEYS,
     )
     suites = tuple(section["suites"])
     for suite in suites:
@@ -231,12 +205,7 @@ def _parse_verify(section: Any) -> VerifySection:
             raise ConfigError(f"unknown verify suite {suite!r}")
     if not suites:
         raise ConfigError("verify.suites must not be empty")
-    opt_keys = {
-        k: v
-        for k, v in section.items()
-        if k in ("t_list", "n", "boundary", "rel_tol", "solver", "tol_grad", "max_iters", "huber_mu")
-    }
-    opts = _parse_tf_options(opt_keys, "verify", TfOptions(t_list=(1,), n=16, boundary=PERIODIC))
+    opts = _parse_tf_options(section, "verify", TfOptions(t_list=(1,), n=16, boundary=PERIODIC))
     return VerifySection(
         suites=suites,
         sample_count=int(section.get("sample_count", 1000)),
@@ -255,7 +224,7 @@ def _parse_verify(section: Any) -> VerifySection:
 
 
 def _parse_gamma(section: Any) -> GammaSection:
-    _check_keys(
+    check_keys(
         section,
         "gamma",
         {"epsilons"},
@@ -281,11 +250,11 @@ def _parse_gamma(section: Any) -> GammaSection:
     table_lattice = CoefficientLattice(-3.0, 3.0, 97)
     table_options = TfOptions(t_list=(1,), n=16, boundary=PERIODIC)
     if table_cfg:
-        _check_keys(
+        check_keys(
             table_cfg,
             "gamma.table",
             set(),
-            {"path", "s_count", "lattice", "t_list", "n", "boundary", "rel_tol", "solver", "tol_grad", "max_iters", "huber_mu"},
+            {"path", "s_count", "lattice"} | TF_KEYS,
         )
         if "path" in table_cfg:
             if len(table_cfg) > 1:
@@ -296,13 +265,10 @@ def _parse_gamma(section: Any) -> GammaSection:
                 table_s_count = int(table_cfg["s_count"])
             if "lattice" in table_cfg:
                 table_lattice = _parse_lattice(table_cfg["lattice"], "gamma.table.lattice")
-            opt_keys = {
-                k: v for k, v in table_cfg.items() if k not in ("s_count", "lattice")
-            }
-            table_options = _parse_tf_options(opt_keys, "gamma.table", table_options)
+            table_options = _parse_tf_options(table_cfg, "gamma.table", table_options)
 
     opt_cfg = section.get("optimizer", {})
-    _check_keys(
+    check_keys(
         opt_cfg,
         "gamma.optimizer",
         set(),

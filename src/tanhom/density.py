@@ -12,12 +12,13 @@ multilinearly; coefficients outside the table clamp with a warning count.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
+from .artifacts import fmt, read_csv, write_csv, write_json
 from .cell import (
     DIRICHLET,
     PERIODIC,
@@ -25,7 +26,7 @@ from .cell import (
     solve_cell,
     solve_cell_unconstrained,
 )
-from .errors import GrowthViolation, NotTangent, ShapeMismatch
+from .errors import GrowthViolation, MalformedArtifact, NotTangent, ShapeMismatch
 from .grid import UniformGrid
 from .integrand import Integrand, StepProfile, make_fbar, make_g_extension
 from .manifold import EmbeddedManifold, Sphere, circle_point
@@ -321,7 +322,7 @@ def check_growth_lipschitz(
     def sandwich(v: float, norm: float, s, xi) -> tuple[float, float]:
         lo = f.alpha * norm**f.p - v
         hi = v - f.beta * (1.0 + norm**f.p)
-        if lo > 0.0 or hi > 0.0:
+        if not (lo <= 0.0 and hi <= 0.0):  # a NaN value fails too
             raise GrowthViolation(
                 f"homogenized value {v:.6g} escapes the sandwich at |xi| = {norm:.4g}",
                 sample=(s, xi),
@@ -413,6 +414,11 @@ class DensityTable:
     def n_columns(self) -> int:
         return len(self.coeff_axes)
 
+    @property
+    def failed_entries(self) -> int:
+        """Entries whose solve failed: recorded errors or non-finite values."""
+        return max(len(self.entry_errors), int(np.count_nonzero(~np.isfinite(self.values))))
+
     def coeff_range(self) -> list[tuple[float, float]]:
         return [(float(ax[0]), float(ax[-1])) for ax in self.coeff_axes]
 
@@ -489,22 +495,16 @@ class DensityTable:
 
     # -- serialization --------------------------------------------------------
 
-    def csv_rows(self):
-        header = ["s0", "s1"]
-        header += [f"z{c}" for c in range(self.n_columns)]
-        header += ["value", "converged"]
-        yield header
+    def _csv_rows(self):
         shape = self.values.shape[1:]
         for i, theta in enumerate(self.thetas):
             point = circle_point(theta)
-            for idx in np.ndindex(shape) if shape else [()]:
-                row = [f"{point[0]:.17g}", f"{point[1]:.17g}"]
-                row += [f"{self.coeff_axes[c][idx[c]]:.17g}" for c in range(len(idx))]
-                row += [
-                    f"{self.values[(i,) + idx]:.17g}",
-                    "1" if self.converged[(i,) + idx] else "0",
-                ]
-                yield row
+            for idx in np.ndindex(shape):
+                yield (
+                    [fmt(point[0]), fmt(point[1])]
+                    + [fmt(self.coeff_axes[c][idx[c]]) for c in range(len(idx))]
+                    + [fmt(self.values[(i,) + idx]), "1" if self.converged[(i,) + idx] else "0"]
+                )
 
     def metadata(self) -> dict:
         return {
@@ -525,45 +525,41 @@ class DensityTable:
         }
 
     def save(self, csv_path, json_path) -> None:
-        import csv as _csv
-        import json as _json
-
-        with open(csv_path, "w", newline="") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
-            for row in self.csv_rows():
-                writer.writerow(row)
-        with open(json_path, "w") as fh:
-            _json.dump(self.metadata(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        header = ["s0", "s1"] + [f"z{c}" for c in range(self.n_columns)] + ["value", "converged"]
+        write_csv(csv_path, header, self._csv_rows())
+        write_json(json_path, self.metadata())
 
     @classmethod
     def load(cls, csv_path, json_path) -> "DensityTable":
-        import csv as _csv
-        import json as _json
+        """Read a saved table back, checking every CSV row against the metadata grid.
 
+        Raises ``MalformedArtifact`` when the row count, the column count or
+        any ``s0, s1, z*`` coordinate (to 1e-12) disagrees with the grid.
+        """
         with open(json_path) as fh:
-            meta = _json.load(fh)
+            meta = json.load(fh)
         axes = tuple(np.asarray(ax, dtype=float) for ax in meta["coeff_axes"])
         s_count = int(meta["s_count"])
         shape = (s_count,) + tuple(len(ax) for ax in axes)
-        values = np.full(shape, np.nan)
-        converged = np.zeros(shape, dtype=bool)
-        with open(csv_path, newline="") as fh:
-            reader = _csv.reader(fh)
-            next(reader)
-            flat_vals = []
-            flat_conv = []
-            for row in reader:
-                flat_vals.append(float(row[-2]))
-                flat_conv.append(row[-1] == "1")
-        values.flat[: len(flat_vals)] = flat_vals
-        converged.flat[: len(flat_conv)] = flat_conv
         thetas = 2.0 * np.pi * np.arange(s_count) / s_count
+        grids = [g.ravel() for g in np.meshgrid(thetas, *axes, indexing="ij")]
+        expected = np.column_stack([np.cos(grids[0]), np.sin(grids[0])] + grids[1:])
+        _, data = read_csv(csv_path)
+        if data.shape != (expected.shape[0], expected.shape[1] + 2):
+            raise MalformedArtifact(
+                f"{csv_path}: {data.shape[0]} rows of {data.shape[1]} columns, the "
+                f"metadata grid needs {expected.shape[0]} rows of {expected.shape[1] + 2}"
+            )
+        off_grid = ~np.all(np.abs(data[:, :-2] - expected) <= 1e-12, axis=1)
+        if off_grid.any():
+            raise MalformedArtifact(
+                f"{csv_path}: row {int(np.argmax(off_grid)) + 1} is not at its grid point"
+            )
         return cls(
             thetas=thetas,
             coeff_axes=axes,
-            values=values,
-            converged=converged,
+            values=np.ascontiguousarray(data[:, -2].reshape(shape)),
+            converged=(data[:, -1] == 1.0).reshape(shape),
             rel_changes=np.zeros(shape),
             p=float(meta["p"]),
             alpha=float(meta["alpha"]),
@@ -583,13 +579,12 @@ def build_density_table(
     s_count: int,
     lattice: CoefficientLattice,
     opts: TfOptions | None = None,
-    workers: int = 1,
 ) -> DensityTable:
     """Sample the homogenized density on a uniform angle x coefficient grid.
 
-    Entries are independent ``tf_hom`` calls in a deterministic order; a
-    worker pool only changes wall time, never content.  Per-entry failures
-    are recorded (value NaN, converged False) without aborting the sweep.
+    Entries are independent ``tf_hom`` calls in a deterministic order.
+    Per-entry failures are recorded (value NaN, converged False) without
+    aborting the sweep.
     """
     if not isinstance(M, Sphere) or M.ambient_dim != 2:
         raise ValueError("density tables are defined on the circle S^1")
@@ -607,36 +602,18 @@ def build_density_table(
     rel_changes = np.full(shape, np.nan)
     errors: list[str] = []
 
-    tasks = [
-        (i, idx) for i in range(s_count) for idx in np.ndindex(shape[1:])
-    ]
-
-    def run(task):
-        i, idx = task
+    for i in range(s_count):
         s = circle_point(thetas[i])
-        coeffs = np.array([[axes[c][idx[c]] for c in range(N)]])
-        xi = M.tangent_from_coeffs(s, coeffs)
-        return tf_hom(f, M, s, xi, opts)
-
-    def store(task, outcome):
-        i, idx = task
-        if isinstance(outcome, Exception):
-            errors.append(f"entry theta_index={i} idx={idx}: {outcome}")
-            return
-        values[(i,) + idx] = outcome.value
-        converged[(i,) + idx] = outcome.converged and outcome.solver_converged
-        rel_changes[(i,) + idx] = outcome.rel_change
-
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(lambda tk: _capture(run, tk), tasks)
-            )
-        for task, outcome in zip(tasks, outcomes):
-            store(task, outcome)
-    else:
-        for task in tasks:
-            store(task, _capture(run, task))
+        for idx in np.ndindex(shape[1:]):
+            try:
+                coeffs = np.array([[axes[c][idx[c]] for c in range(N)]])
+                outcome = tf_hom(f, M, s, M.tangent_from_coeffs(s, coeffs), opts)
+            except Exception as exc:  # recorded per entry, sweep continues
+                errors.append(f"entry theta_index={i} idx={idx}: {exc}")
+                continue
+            values[(i,) + idx] = outcome.value
+            converged[(i,) + idx] = outcome.converged and outcome.solver_converged
+            rel_changes[(i,) + idx] = outcome.rel_change
 
     return DensityTable(
         thetas=thetas,
@@ -654,10 +631,3 @@ def build_density_table(
         boundary=opts.boundary,
         entry_errors=errors,
     )
-
-
-def _capture(fn, arg):
-    try:
-        return fn(arg)
-    except Exception as exc:  # recorded per entry, sweep continues
-        return exc

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config key check."""
+
+from typing import Any
 
 
 class TanhomError(Exception):
@@ -54,3 +56,27 @@ class ShapeMismatch(TanhomError):
 
 class ConfigError(TanhomError):
     """A run configuration is malformed."""
+
+
+class MalformedArtifact(TanhomError):
+    """A file read back from disk is unreadable or disagrees with its metadata."""
+
+
+def check_keys(obj: Any, path: str, required: set[str], optional: set[str]) -> dict:
+    """Reject a config object that is not a dict, has unknown keys or misses required ones.
+
+    Errors name the offending key by its dotted ``path``.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'config'} must be a JSON object")
+    unknown = set(obj) - required - optional
+    if unknown:
+        key = sorted(unknown)[0]
+        where = f"{path}.{key}" if path else key
+        raise ConfigError(f"unknown key {where!r}")
+    missing = required - set(obj)
+    if missing:
+        key = sorted(missing)[0]
+        where = f"{path}.{key}" if path else key
+        raise ConfigError(f"missing required key {where!r}")
+    return obj

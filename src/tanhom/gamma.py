@@ -17,11 +17,11 @@ error; projected descent alone only certifies stationarity.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import fmt, read_csv, write_csv
 from .density import DensityTable
 from .errors import DegeneratePoint, ShapeMismatch
 from .grid import UniformGrid
@@ -73,7 +73,6 @@ class GammaExperimentConfig:
     dp_theta_count: int = 2001
     dp_band: int = 80
     dp_margin: float = 0.3
-    workers: int = 1
 
     def __post_init__(self):
         if not (isinstance(self.manifold, Sphere) and self.manifold.ambient_dim == 2):
@@ -442,7 +441,11 @@ def dp_minimize_hom(
 
 @dataclass
 class GammaReport:
-    """Minimum energies across the period sequence versus the homogenized one."""
+    """Minimum energies across the period sequence versus the homogenized one.
+
+    ``eps_fields`` and ``hom_field`` hold the minimizing fields; they stay out
+    of ``to_dict``.
+    """
 
     epsilons: tuple[float, ...]
     eps_energies: list[float]
@@ -456,6 +459,8 @@ class GammaReport:
     hom_converged: bool
     clamp_count: int
     warnings: list[str]
+    eps_fields: list[np.ndarray] = field(default_factory=list, repr=False)
+    hom_field: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def final_gap(self) -> float:
@@ -488,13 +493,7 @@ def run_gamma_experiment(config: GammaExperimentConfig) -> GammaReport:
     if config.table is None:
         raise ValueError("run_gamma_experiment needs a density table")
 
-    if config.workers > 1 and len(config.epsilons) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            eps_runs = list(
-                pool.map(lambda e: minimize_f_eps(config, e), config.epsilons)
-            )
-    else:
-        eps_runs = [minimize_f_eps(config, e) for e in config.epsilons]
+    eps_runs = [minimize_f_eps(config, e) for e in config.epsilons]
     hom_run = minimize_f_hom(config)
 
     gaps = [abs(r.energy - hom_run.energy) for r in eps_runs]
@@ -534,39 +533,32 @@ def run_gamma_experiment(config: GammaExperimentConfig) -> GammaReport:
         hom_converged=hom_run.converged,
         clamp_count=hom_run.clamp_count,
         warnings=warnings,
+        eps_fields=[r.field for r in eps_runs],
+        hom_field=hom_run.field,
     )
 
 
 def write_field_csv(field: np.ndarray, path) -> None:
     """Dump a nodal field: node coordinates then point components per row."""
-    import csv as _csv
-
     d = field.shape[0]
     node_shape = field.shape[1:]
     ndim = len(node_shape)
     axes = [np.linspace(0.0, 1.0, n) for n in node_shape]
     header = [f"x{k}" for k in range(ndim)] + [f"u{k}" for k in range(d)]
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for idx in np.ndindex(node_shape):
-            row = [f"{axes[k][idx[k]]:.17g}" for k in range(ndim)]
-            row += [f"{field[(c,) + idx]:.17g}" for c in range(d)]
-            writer.writerow(row)
+    rows = (
+        [fmt(axes[k][idx[k]]) for k in range(ndim)]
+        + [fmt(field[(c,) + idx]) for c in range(d)]
+        for idx in np.ndindex(node_shape)
+    )
+    write_csv(path, header, rows)
 
 
 def read_field_csv(path) -> np.ndarray:
     """Read a nodal field dump back into a (d, *nodes) array."""
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+    header, data = read_csv(path)
     ndim = sum(1 for h in header if h.startswith("x"))
     d = len(header) - ndim
-    coords = np.array([[float(v) for v in row[:ndim]] for row in rows])
-    values = np.array([[float(v) for v in row[ndim:]] for row in rows])
+    coords, values = data[:, :ndim], data[:, ndim:]
     counts = [len(np.unique(coords[:, k])) for k in range(ndim)]
     field = values.T.reshape((d, *counts))
     return field

@@ -21,9 +21,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    ConfigError,
     HypothesisViolated,
     InvalidProfile,
     UnsupportedGrowth,
+    check_keys,
 )
 from .manifold import EmbeddedManifold
 
@@ -469,6 +471,20 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
+def _require_finite(values, y, xi) -> np.ndarray:
+    """``values`` as floats; a non-finite entry raises with its (y, xi) sample.
+
+    Every check below compares with ``>``, which a NaN would pass silently.
+    """
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        sample = (y, xi) if values.ndim == 0 else (y[i], xi[i])
+        raise HypothesisViolated(f"non-finite density value {values.flat[i]}", sample=sample)
+    return values
+
+
 def verify_hypotheses(f: Integrand, sample_count: int, seed: int) -> HypothesisReport:
     """Sampled check of periodicity, the growth sandwich and the Lipschitz bound.
 
@@ -486,7 +502,7 @@ def verify_hypotheses(f: Integrand, sample_count: int, seed: int) -> HypothesisR
     xi_norm = np.maximum(np.sqrt(np.sum(xi * xi, axis=(-2, -1))), 1e-12)
     xi = xi * (radii / xi_norm)[:, None, None]
 
-    vals = np.asarray(f.eval(y, xi), dtype=float)
+    vals = _require_finite(f.eval(y, xi), y, xi)
     scale = 1.0 + np.abs(vals)
 
     per_res = 0.0
@@ -494,7 +510,7 @@ def verify_hypotheses(f: Integrand, sample_count: int, seed: int) -> HypothesisR
     for i in range(N):
         shift = np.zeros(N)
         shift[i] = 1.0
-        res = np.abs(np.asarray(f.eval(y + shift, xi)) - vals) / scale
+        res = np.abs(_require_finite(f.eval(y + shift, xi), y + shift, xi) - vals) / scale
         if float(res.max()) > per_res:
             per_res = float(res.max())
             per_worst = int(np.argmax(res))
@@ -528,7 +544,7 @@ def verify_hypotheses(f: Integrand, sample_count: int, seed: int) -> HypothesisR
         xi2 = xi + rng.standard_normal(xi.shape) * rng.uniform(
             0.0, 2.0, size=(sample_count, 1, 1)
         )
-        diff = np.abs(np.asarray(f.eval(y, xi2)) - vals)
+        diff = np.abs(_require_finite(f.eval(y, xi2), y, xi2) - vals)
         dist = np.sqrt(np.sum((xi2 - xi) ** 2, axis=(-2, -1)))
         excess = diff - f.lipschitz_L * dist
         lip_margin = float(np.max(excess / (1.0 + diff)))
@@ -570,24 +586,24 @@ def verify_extension_bounds(
         s = M.random_point(rng)
         coeffs = rng.uniform(-3.0, 3.0, size=(M.intrinsic_dim, N))
         xi_t = M.tangent_from_coeffs(s, coeffs)
-        v_ext = float(ext.eval(y, s, xi_t))
-        v_base = float(ext.base.eval(y, xi_t))
+        v_ext = float(_require_finite(ext.eval(y, s, xi_t), y, xi_t))
+        v_base = float(_require_finite(ext.base.eval(y, xi_t), y, xi_t))
         restriction = max(restriction, abs(v_ext - v_base))
 
         xi = rng.standard_normal((d, N)) * rng.uniform(0.0, 5.0)
-        v = float(ext.eval(y, s, xi))
+        v = float(_require_finite(ext.eval(y, s, xi), y, xi))
         xi_p = float(np.sum(xi * xi) ** (ext.p / 2.0))
         growth_lo = max(growth_lo, ext.alpha * xi_p - v)
         growth_hi = max(growth_hi, v - ext.beta * (1.0 + xi_p))
 
         if ext.s_lipschitz is not None:
             s2 = s + rng.standard_normal(d) * rng.uniform(0.0, 0.5)
-            dv = abs(float(ext.eval(y, s2, xi)) - v)
+            dv = abs(float(_require_finite(ext.eval(y, s2, xi), y, xi)) - v)
             bound = ext.s_lipschitz * np.linalg.norm(s2 - s) * np.sqrt(np.sum(xi * xi))
             lip_s = max(lip_s, dv - bound)
         if ext.xi_lipschitz is not None:
             xi2 = xi + rng.standard_normal((d, N)) * rng.uniform(0.0, 2.0)
-            dv = abs(float(ext.eval(y, s, xi2)) - v)
+            dv = abs(float(_require_finite(ext.eval(y, s, xi2), y, xi2)) - v)
             bound = ext.xi_lipschitz * np.linalg.norm(xi2 - xi)
             lip_xi = max(lip_xi, dv - bound)
 
@@ -614,34 +630,19 @@ def verify_extension_bounds(
 
 def integrand_from_config(cfg: dict) -> Integrand:
     """Build an integrand from its JSON description."""
-    from .errors import ConfigError
-
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("integrand config must be an object with a 'kind' key")
-    kind = cfg["kind"]
+    kind = check_keys(cfg, "integrand", {"kind"}, {"a", "b", "c", "N", "d"})["kind"]
 
     def profile(key):
-        sub = cfg.get(key)
-        if not isinstance(sub, dict):
-            raise ConfigError(f"integrand config needs a profile object {key!r}")
-        extra = set(sub) - {"breaks", "values"}
-        if extra:
-            raise ConfigError(f"unknown key {sorted(extra)[0]!r} in profile {key!r}")
+        sub = check_keys(cfg[key], f"integrand.{key}", {"values"}, {"breaks"})
         return StepProfile(tuple(sub.get("breaks", ())), tuple(sub["values"]))
 
     if kind == "laminate":
-        extra = set(cfg) - {"kind", "a", "b", "N"}
-        if extra:
-            raise ConfigError(f"unknown key {sorted(extra)[0]!r} in integrand config")
+        check_keys(cfg, "integrand", {"kind", "a", "b"}, {"N"})
         return make_laminate_quadratic(profile("a"), profile("b"), int(cfg.get("N", 1)))
     if kind == "isotropic_quadratic":
-        extra = set(cfg) - {"kind", "N", "d"}
-        if extra:
-            raise ConfigError(f"unknown key {sorted(extra)[0]!r} in integrand config")
+        check_keys(cfg, "integrand", {"kind"}, {"N", "d"})
         return make_isotropic_quadratic(int(cfg.get("N", 1)), int(cfg.get("d", 2)))
     if kind == "norm_linear":
-        extra = set(cfg) - {"kind", "c", "N", "d"}
-        if extra:
-            raise ConfigError(f"unknown key {sorted(extra)[0]!r} in integrand config")
+        check_keys(cfg, "integrand", {"kind", "c"}, {"N", "d"})
         return make_norm_linear(profile("c"), int(cfg.get("N", 1)), int(cfg.get("d", 2)))
     raise ConfigError(f"unknown integrand kind {kind!r}")

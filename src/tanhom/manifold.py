@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePoint
+from .errors import ConfigError, DegeneratePoint, check_keys
 
 # Tolerance for "this point lies on the manifold" checks: far above solver
 # round-off, far below any discretization error we produce.
@@ -32,8 +32,8 @@ class EmbeddedManifold:
 
     Subclasses provide ``project``, ``distance``, ``tangent_projector``,
     ``tangent_basis`` and the descriptor attributes ``kind``, ``ambient_dim``,
-    ``intrinsic_dim``, ``tubular_radius``.  Instances are immutable and safe
-    to share across workers.
+    ``intrinsic_dim``, ``tubular_radius``.  Instances are immutable value
+    objects.
     """
 
     kind: str
@@ -116,25 +116,6 @@ class EmbeddedManifold:
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    # Batched variants over a trailing ambient axis; subclasses override with
-    # vectorized formulas, the defaults loop.
-
-    def project_batch(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        flat = points.reshape(-1, self.ambient_dim)
-        out = np.stack([self.project(p) for p in flat])
-        return out.reshape(points.shape)
-
-    def tangent_project_batch(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        vectors = np.asarray(vectors, dtype=float)
-        flat_p = points.reshape(-1, self.ambient_dim)
-        flat_v = vectors.reshape(-1, self.ambient_dim)
-        out = np.stack(
-            [self.tangent_projector(p) @ v for p, v in zip(flat_p, flat_v)]
-        )
-        return out.reshape(vectors.shape)
-
 
 @dataclass(frozen=True)
 class Sphere(EmbeddedManifold):
@@ -178,6 +159,9 @@ class Sphere(EmbeddedManifold):
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         v = rng.standard_normal(self.ambient_dim)
         return self.project(v)
+
+    # Batched variants over a trailing ambient axis, used by the convergence
+    # experiment on the circle.
 
     def project_batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -283,23 +267,11 @@ def circle_theta(points: np.ndarray) -> np.ndarray:
 
 def manifold_from_config(cfg: dict) -> EmbeddedManifold:
     """Build a manifold from its JSON description, e.g. {"kind": "sphere", "d": 2}."""
-    from .errors import ConfigError
-
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("manifold config must be an object with a 'kind' key")
-    kind = cfg["kind"]
+    kind = check_keys(cfg, "manifold", {"kind"}, {"d", "k"})["kind"]
     if kind == "sphere":
-        extra = set(cfg) - {"kind", "d"}
-        if extra:
-            raise ConfigError(f"unknown key {sorted(extra)[0]!r} in manifold config")
-        if "d" not in cfg:
-            raise ConfigError("sphere config needs the ambient dimension 'd'")
+        check_keys(cfg, "manifold", {"kind", "d"}, set())
         return Sphere(int(cfg["d"]))
     if kind == "circle_product":
-        extra = set(cfg) - {"kind", "k"}
-        if extra:
-            raise ConfigError(f"unknown key {sorted(extra)[0]!r} in manifold config")
-        if "k" not in cfg:
-            raise ConfigError("circle_product config needs the factor count 'k'")
+        check_keys(cfg, "manifold", {"kind", "k"}, set())
         return CircleProduct(int(cfg["k"]))
     raise ConfigError(f"unknown manifold kind {kind!r}")

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from tanhom import cli
+from tanhom import cli, gamma
 from tanhom.cell import read_corrector_csv
 from tanhom.config import RunConfig, VerifySection, parse_run_config
-from tanhom.density import TfOptions
+from tanhom.density import CoefficientLattice, TfOptions, build_density_table
 from tanhom.errors import ConfigError
-from tanhom.integrand import Integrand, make_laminate_quadratic
+from tanhom.gamma import read_field_csv
+from tanhom.integrand import Integrand, make_laminate_quadratic, make_isotropic_quadratic
 from tanhom.manifold import Sphere
 
 LAMINATE = {
@@ -157,7 +158,6 @@ def test_verify_misdeclared_alpha_exits_4(tmp_path):
         manifold=Sphere(2),
         integrand=overstated,
         seed=0,
-        workers=1,
         section=VerifySection(
             suites=("hypotheses", "growth_lipschitz"),
             sample_count=100,
@@ -271,6 +271,62 @@ def test_gamma_table_roundtrip_via_path(tmp_path):
     assert code == 0
 
 
+def test_gamma_dump_fields_minimizes_once(tmp_path, monkeypatch):
+    calls = {"f_eps": 0, "f_hom": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(gamma, "minimize_f_eps", counted("f_eps", gamma.minimize_f_eps))
+    monkeypatch.setattr(gamma, "minimize_f_hom", counted("f_hom", gamma.minimize_f_hom))
+    config = {
+        "command": "gamma",
+        "manifold": SPHERE,
+        "integrand": {"kind": "isotropic_quadratic", "N": 1, "d": 2},
+        "gamma": {
+            "dim": 1,
+            "mesh_nodes": 33,
+            "epsilons": [0.5, 0.25],
+            "table": {"s_count": 8, "lattice": {"min": -2.5, "max": 2.5, "count": 21}, "n": 4},
+            "run_dp": False,
+            "dump_fields": True,
+        },
+    }
+    code, out = run_cli(tmp_path, config)
+    assert code == 0
+    assert calls == {"f_eps": 2, "f_hom": 1}
+    for name in ("field_eps_2.csv", "field_eps_4.csv", "field_hom.csv"):
+        assert read_field_csv(out / name).shape == (2, 33)
+
+
+def test_gamma_partial_table_exits_3(tmp_path):
+    f = make_isotropic_quadratic(1, 2)
+    opts = TfOptions(t_list=(1,), n=4, boundary="periodic")
+    table = build_density_table(f, Sphere(2), 8, CoefficientLattice(-2.5, 2.5, 21), opts)
+    table.values[5, 0] = np.nan  # an angle the descent never visits
+    table.save(tmp_path / "table.csv", tmp_path / "table.json")
+    config = {
+        "command": "gamma",
+        "manifold": SPHERE,
+        "integrand": {"kind": "isotropic_quadratic", "N": 1, "d": 2},
+        "gamma": {
+            "dim": 1,
+            "mesh_nodes": 33,
+            "epsilons": [0.25],
+            "table": {"path": "table"},
+            "run_dp": False,
+        },
+    }
+    code, out = run_cli(tmp_path, config)
+    assert code == 3
+    report = json.loads((out / "gamma_report.json").read_text())
+    assert any("1 failed entries" in w for w in report["warnings"])
+
+
 def test_parse_run_config_rejects_mismatched_section():
     with pytest.raises(ConfigError):
         parse_run_config(
@@ -285,24 +341,16 @@ def test_parse_run_config_rejects_mismatched_section():
         parse_run_config({"command": "teleport", "manifold": SPHERE, "integrand": LAMINATE})
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch):
+def test_workers_key_rejected():
     config = {
-        "command": "density",
+        "command": "cell",
         "manifold": SPHERE,
-        "integrand": {**LAMINATE, "N": 1},
-        "density": {"s_count": 4, "lattice": {"min": -1, "max": 1, "count": 3}, "n": 8},
+        "integrand": LAMINATE,
+        "workers": 2,
+        "cell": {"s": {"theta": 0.0}, "xi_coeffs": [[1.0, 0.0]]},
     }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
-    out_env = tmp_path / "out_env"
-    out_flag = tmp_path / "out_flag"
-    monkeypatch.setenv("HOMOG_WORKERS", "3")
-    assert cli.main(["--config", str(cfg_path), "--out", str(out_env)]) == 0
-    # The explicit flag takes precedence over the environment.
-    assert cli.main(["--config", str(cfg_path), "--out", str(out_flag), "--workers", "1"]) == 0
-    assert (out_env / "density_table.csv").read_bytes() == (
-        out_flag / "density_table.csv"
-    ).read_bytes()
+    with pytest.raises(ConfigError, match="workers"):
+        parse_run_config(config)
 
 
 def test_seed_flag_overrides_config(tmp_path):

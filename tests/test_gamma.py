@@ -168,17 +168,6 @@ def test_run_gamma_experiment_report(s1, laminate1):
     assert set(d) >= {"epsilons", "gaps", "hom_energy", "dp_energy"}
 
 
-def test_run_gamma_experiment_workers_match(s1, laminate1):
-    table = build_table(laminate1, s1, s_count=16, count=21, n=8)
-    base = dict(
-        manifold=s1, integrand=laminate1, epsilons=(0.25, 0.125), table=table,
-        dim=1, mesh_nodes=65, optimizer=FAST_OPT, run_dp=False,
-    )
-    r1 = run_gamma_experiment(GammaExperimentConfig(**base, workers=1))
-    r2 = run_gamma_experiment(GammaExperimentConfig(**base, workers=2))
-    assert r1.eps_energies == r2.eps_energies
-
-
 def test_two_dimensional_smoke(s1, profile_a, profile_b):
     f2 = make_laminate_quadratic(profile_a, profile_b, 2)
     table = build_table(f2, s1, s_count=12, zmax=3.0, count=9, n=8)

@@ -193,6 +193,28 @@ def test_verify_hypotheses_overstated_alpha():
     assert err.value.sample is not None
 
 
+NAN_DENSITY = Integrand(
+    eval=lambda y, xi: np.full(np.shape(xi)[:-2], np.nan),
+    grad_xi=lambda y, xi: 2.0 * np.asarray(xi),
+    p=2,
+    alpha=1.0,
+    beta=1.0,
+    dims=(1, 2),
+    quadratic=True,
+)
+
+
+def test_verify_hypotheses_rejects_nan():
+    # Every `>` test against NaN is False; a NaN density must still fail.
+    with pytest.raises(HypothesisViolated, match="non-finite"):
+        verify_hypotheses(NAN_DENSITY, 50, seed=4)
+
+
+def test_verify_extension_bounds_rejects_nan(s1):
+    with pytest.raises(HypothesisViolated, match="non-finite"):
+        verify_extension_bounds(make_fbar(NAN_DENSITY, s1), 20, seed=4)
+
+
 def test_integrand_validation():
     with pytest.raises(ValueError):
         Integrand(eval=lambda y, xi: 0.0, p=1, alpha=1.0, beta=1.0, dims=(1, 2))
