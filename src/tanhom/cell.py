@@ -15,15 +15,16 @@ cell average, i.e. the mean of the density over element centers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .artifacts import fmt, read_csv, write_csv
-from .errors import ShapeMismatch, UnsupportedBoundary, UnsupportedSolver
+from .errors import NotTangent, ShapeMismatch, UnsupportedBoundary
 from .grid import UniformGrid
-from .integrand import ExtendedIntegrand, Integrand, finite_difference_grad
+from .integrand import ExtendedIntegrand, Integrand
 from .manifold import EmbeddedManifold
 from .optim import cg_quadratic, lbfgs
 
@@ -31,12 +32,18 @@ DIRICHLET = "dirichlet0"
 PERIODIC = "periodic"
 BOUNDARIES = (DIRICHLET, PERIODIC)
 
-SOLVER_CG = "cg"
-SOLVER_QN = "quasi_newton"
-SOLVER_AUTO = "auto"
-
 # Per-column tangency tolerance for cell problem data.
 TANGENT_TOL = 1e-9
+
+
+def check_solve_settings(nodes_per_period: int, boundary: str, tol_grad: float) -> None:
+    """Raise ``ValueError`` for settings no cell solve accepts."""
+    if nodes_per_period < 2:
+        raise ValueError("need at least 2 nodes per period")
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"boundary must be one of {BOUNDARIES}")
+    if tol_grad <= 0:
+        raise ValueError("tol_grad must be positive")
 
 
 @dataclass(frozen=True)
@@ -44,9 +51,10 @@ class CellProblemSpec:
     """Data of one corrector cell problem.
 
     ``s`` is the base point on the manifold and ``xi`` a d x N matrix whose
-    columns are tangent at ``s`` (checked to 1e-9 per column).  ``solver``
-    picks conjugate gradients (quadratic densities only) or the quasi-Newton
-    path; ``auto`` selects from the integrand's quadratic flag.
+    columns are tangent at ``s`` (checked to 1e-9 per column).  The solver
+    follows the integrand: conjugate gradients for densities declared
+    quadratic, limited-memory quasi-Newton descent otherwise, with smoothing
+    continuation down to ``huber_mu`` for linear growth.
     """
 
     manifold: EmbeddedManifold
@@ -55,7 +63,6 @@ class CellProblemSpec:
     t: int = 1
     nodes_per_period: int = 16
     boundary: str = DIRICHLET
-    solver: str = SOLVER_AUTO
     tol_grad: float = 1e-8
     max_iters: int | None = None
     huber_mu: float = 1e-4
@@ -66,14 +73,7 @@ class CellProblemSpec:
         if int(self.t) != self.t or self.t < 1:
             raise ValueError("cube side t must be a positive integer")
         object.__setattr__(self, "t", int(self.t))
-        if self.nodes_per_period < 2:
-            raise ValueError("need at least 2 nodes per period")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}")
-        if self.solver not in (SOLVER_AUTO, SOLVER_CG, SOLVER_QN):
-            raise ValueError(f"unknown solver {self.solver!r}")
-        if self.tol_grad <= 0:
-            raise ValueError("tol_grad must be positive")
+        check_solve_settings(self.nodes_per_period, self.boundary, self.tol_grad)
         self.manifold.check_point(self.s)
         if self.xi.ndim != 2 or self.xi.shape[0] != self.manifold.ambient_dim:
             raise ShapeMismatch(
@@ -81,8 +81,6 @@ class CellProblemSpec:
             )
         res = self.manifold.tangency_residual(self.s, self.xi)
         if res > TANGENT_TOL:
-            from .errors import NotTangent
-
             raise NotTangent(
                 f"xi has a normal component of relative size {res:.3e} at s"
             )
@@ -170,13 +168,7 @@ def _check_conforms(spec: CellProblemSpec, phi: CorrectorField) -> UniformGrid:
     if phi.basis.shape[1] != spec.manifold.ambient_dim:
         raise ShapeMismatch("corrector basis does not live in the ambient space")
     if spec.boundary == DIRICHLET:
-        mask = np.zeros(expected, dtype=bool)
-        for ax in range(len(expected)):
-            sl = [slice(None)] * len(expected)
-            sl[ax] = 0
-            mask[tuple(sl)] = True
-            sl[ax] = -1
-            mask[tuple(sl)] = True
+        mask = grid.boundary_mask()
         if phi.coeffs.size and np.max(np.abs(phi.coeffs[:, mask])) > 0.0:
             raise ShapeMismatch("zero-boundary corrector has nonzero boundary values")
     return grid
@@ -281,76 +273,62 @@ def _continuation_schedule(mu_target: float) -> list[float]:
 
 def _run_solver(
     spec: CellProblemSpec,
-    objective: _CellObjective,
+    make_objective: Callable[[float], _CellObjective],
     quadratic: bool,
+    smoothing: bool,
     exact_value: Callable[[CorrectorField], float],
-    smoothed_factory: Callable[[float], _CellObjective] | None = None,
 ) -> CellSolveResult:
-    solver = spec.solver
-    if solver == SOLVER_AUTO:
-        solver = SOLVER_CG if quadratic else SOLVER_QN
-    if solver == SOLVER_CG and not quadratic:
-        raise UnsupportedSolver(
-            "conjugate gradients requires an integrand declared quadratic"
-        )
+    """Minimize ``make_objective(spec.huber_mu)`` from the zero corrector.
 
-    if solver == SOLVER_CG:
+    Quadratic densities go to conjugate gradients.  Everything else goes to
+    quasi-Newton descent; with ``smoothing`` (linear growth) it first solves
+    the objectives ``make_objective(mu)`` for a decreasing sequence of mu,
+    warm starting each stage from the previous one.
+    """
+    objective = make_objective(spec.huber_mu)
+    x = np.zeros(objective.n_unknowns)
+    g0 = objective.grad(x)
+    if quadratic:
         max_iters = spec.max_iters or max(1000, 2 * objective.n_unknowns)
-        x0 = np.zeros(objective.n_unknowns)
-        g0 = objective.grad(x0)
 
         def apply_h(v):
             return objective.grad(v) - g0
 
         project = None if objective.dirichlet else objective.project_gauge
         res = cg_quadratic(apply_h, g0, spec.tol_grad, max_iters, project=project)
-    elif smoothed_factory is None:
-        max_iters = spec.max_iters or 5000
-        x0 = np.zeros(objective.n_unknowns)
-        res = lbfgs(objective.value_and_grad, x0, spec.tol_grad, max_iters)
     else:
-        # Nonsmooth densities: solve a sequence of decreasingly smoothed
-        # objectives, warm starting each stage from the previous one.  The
-        # stopping target is anchored at the zero corrector of the final
-        # objective, matching the contract of the smooth paths.
+        # The stopping target is anchored at the zero corrector of the final
+        # objective, the contract of the conjugate-gradient path.
         max_iters = spec.max_iters or 5000
-        x = np.zeros(objective.n_unknowns)
-        g0 = objective.grad(x)
         final_target = spec.tol_grad * (1.0 + float(np.linalg.norm(g0)))
         stage_target = max(100.0 * final_target, 1e-6)
+        stages = _continuation_schedule(spec.huber_mu)[:-1] if smoothing else []
         total_iters = 0
-        for mu in _continuation_schedule(spec.huber_mu)[:-1]:
-            stage = smoothed_factory(mu)
+        for mu in stages:
             stage_res = lbfgs(
-                stage.value_and_grad,
-                x,
-                spec.tol_grad,
-                min(800, max_iters),
-                target_norm=stage_target,
+                make_objective(mu).value_and_grad, x, stage_target, min(800, max_iters)
             )
             x = stage_res.x
             total_iters += stage_res.iterations
-        res = lbfgs(
-            objective.value_and_grad,
-            x,
-            spec.tol_grad,
-            max_iters,
-            target_norm=final_target,
-        )
+        res = lbfgs(objective.value_and_grad, x, final_target, max_iters)
         res.iterations += total_iters
 
     corrector = _field_from_packed(objective, spec, res.x)
+    value = exact_value(corrector)
+    converged = res.converged and math.isfinite(value)
     warning = None
     if not res.converged:
         warning = (
             f"solver stopped after {res.iterations} iterations with gradient "
             f"norm {res.grad_norm:.3e} above tolerance"
         )
+    elif not converged:
+        warning = f"cell energy is not finite ({value})"
     return CellSolveResult(
-        value=exact_value(corrector),
+        value=value,
         corrector=corrector,
         iterations=res.iterations,
-        converged=res.converged,
+        converged=converged,
         grad_norm=res.grad_norm,
         warning=warning,
     )
@@ -373,7 +351,8 @@ def solve_cell(f: Integrand, spec: CellProblemSpec) -> CellSolveResult:
 
     Deterministic: the corrector starts from zero.  The reported value is the
     exact (unsmoothed) energy of the returned corrector, so it is always an
-    upper bound for the discrete minimum.
+    upper bound for the discrete minimum.  A non-finite value is reported
+    unconverged.
     """
     N, d = f.dims
     if spec.xi.shape != (d, N):
@@ -381,23 +360,12 @@ def solve_cell(f: Integrand, spec: CellProblemSpec) -> CellSolveResult:
             f"xi has shape {spec.xi.shape}, integrand expects {(d, N)}"
         )
     basis = spec.manifold.tangent_basis(spec.s)
-    smoothed_factory = None
-    if f.p == 1:
-        eval_fn, grad_fn = f.solver_forms(spec.huber_mu)
-        smoothed_factory = lambda mu: _CellObjective(spec, basis, *f.solver_forms(mu))
-    else:
-        eval_fn = f.eval
-        if f.grad_xi is not None:
-            grad_fn = f.grad_xi
-        else:
-            grad_fn = lambda y, xi: finite_difference_grad(f, y, xi)
-    objective = _CellObjective(spec, basis, eval_fn, grad_fn)
     return _run_solver(
         spec,
-        objective,
+        lambda mu: _CellObjective(spec, basis, *f.solver_forms(mu)),
         quadratic=f.quadratic,
+        smoothing=f.p == 1,
         exact_value=lambda phi: energy_of_field(f, spec, phi),
-        smoothed_factory=smoothed_factory,
     )
 
 
@@ -418,24 +386,18 @@ def solve_cell_unconstrained(
     basis = np.eye(d)
     s = spec.s
 
-    def fixed_s_objective(ev, gr) -> _CellObjective:
+    def fixed_s_objective(mu: float) -> _CellObjective:
+        ev, gr = fext.solver_forms(mu)
         return _CellObjective(
             spec, basis, lambda y, xi: ev(y, s, xi), lambda y, xi: gr(y, s, xi)
         )
 
-    smoothed_factory = None
-    if fext.p == 1:
-        objective = fixed_s_objective(*fext.solver_forms(spec.huber_mu))
-        smoothed_factory = lambda mu: fixed_s_objective(*fext.solver_forms(mu))
-    else:
-        objective = fixed_s_objective(fext.eval, fext.grad_xi)
-
     return _run_solver(
         spec,
-        objective,
+        fixed_s_objective,
         quadratic=fext.quadratic,
+        smoothing=fext.p == 1,
         exact_value=lambda phi: _field_energy(lambda y, xi: fext.eval(y, s, xi), spec, phi),
-        smoothed_factory=smoothed_factory,
     )
 
 

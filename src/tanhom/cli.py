@@ -1,14 +1,15 @@
 """Batch front-end: JSON config in, CSV/JSON artifacts out.
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 a solver failed to
-converge, 3 partial results (some entries of the density table, built or
-loaded, failed), 4 a verification suite failed.  Identical config and seed
-produce byte-identical CSV output.
+Exit codes: 0 success, 1 configuration error (malformed config or invalid
+values) or I/O error, 2 a solver failed to converge, 3 partial results (some
+entries of the density table, built or loaded, failed), 4 a verification
+suite failed.  Identical config and seed produce byte-identical CSV output.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from .errors import (
     HypothesisViolated,
     TanhomError,
 )
-from .gamma import GammaExperimentConfig, run_gamma_experiment, write_field_csv
+from .gamma import run_gamma_experiment, write_field_csv
 from .integrand import verify_hypotheses
 
 
@@ -41,9 +42,7 @@ def _log(verbose: bool, message: str) -> None:
 
 
 def cmd_cell(cfg: RunConfig, out: Path, verbose: bool) -> int:
-    sec = cfg.section
-    xi = cfg.manifold.tangent_from_coeffs(sec.s, sec.xi_coeffs)
-    spec = sec.options.cell_spec(cfg.manifold, sec.s, xi, sec.options.t_list[0])
+    spec = cfg.section
     _log(verbose, f"solving cell problem on (0,{spec.t})^{spec.ndim} at n={spec.nodes_per_period}")
     result = solve_cell(cfg.integrand, spec)
     write_corrector_csv(result.corrector, out / "corrector.csv")
@@ -176,24 +175,8 @@ def _gamma_table(cfg: RunConfig, sec: GammaSection, config_dir: Path, verbose: b
 def cmd_gamma(cfg: RunConfig, out: Path, verbose: bool, config_dir: Path) -> int:
     sec = cfg.section
     table = _gamma_table(cfg, sec, config_dir, verbose)
-    experiment = GammaExperimentConfig(
-        manifold=cfg.manifold,
-        integrand=cfg.integrand,
-        epsilons=sec.epsilons,
-        table=table,
-        dim=sec.dim,
-        mesh_nodes=sec.mesh_nodes,
-        theta0=sec.theta0,
-        theta1=sec.theta1,
-        optimizer=sec.optimizer,
-        huber_mu=sec.huber_mu,
-        run_dp=sec.run_dp,
-        dp_elements=sec.dp_elements,
-        dp_theta_count=sec.dp_theta_count,
-        dp_band=sec.dp_band,
-        dp_margin=sec.dp_margin,
-    )
-    _log(verbose, f"running {len(sec.epsilons)} oscillating minimizations plus the homogenized one")
+    experiment = dataclasses.replace(sec.experiment, table=table)
+    _log(verbose, f"running {len(experiment.epsilons)} oscillating minimizations plus the homogenized one")
     report = run_gamma_experiment(experiment)
     failed = table.failed_entries
     if failed:
@@ -205,7 +188,7 @@ def cmd_gamma(cfg: RunConfig, out: Path, verbose: bool, config_dir: Path) -> int
         ([fmt(eps), fmt(gap)] for eps, gap in zip(report.epsilons, report.gaps)),
     )
     if sec.dump_fields:
-        for eps, field in zip(sec.epsilons, report.eps_fields):
+        for eps, field in zip(report.epsilons, report.eps_fields):
             write_field_csv(field, out / f"field_eps_{round(1 / eps)}.csv")
         write_field_csv(report.hom_field, out / "field_hom.csv")
     print(

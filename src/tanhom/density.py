@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -23,6 +24,7 @@ from .cell import (
     DIRICHLET,
     PERIODIC,
     CellProblemSpec,
+    check_solve_settings,
     solve_cell,
     solve_cell_unconstrained,
 )
@@ -40,7 +42,6 @@ class TfOptions:
     n: int = 16
     boundary: str = DIRICHLET
     rel_tol: float = 5e-3
-    solver: str = "auto"
     tol_grad: float = 1e-8
     max_iters: int | None = None
     huber_mu: float = 1e-4
@@ -49,6 +50,7 @@ class TfOptions:
         object.__setattr__(self, "t_list", tuple(int(t) for t in self.t_list))
         if not self.t_list:
             raise ValueError("t_list must not be empty")
+        check_solve_settings(self.n, self.boundary, self.tol_grad)
 
     def cell_spec(self, M, s, xi, t) -> CellProblemSpec:
         return CellProblemSpec(
@@ -58,7 +60,6 @@ class TfOptions:
             t=t,
             nodes_per_period=self.n,
             boundary=self.boundary,
-            solver=self.solver,
             tol_grad=self.tol_grad,
             max_iters=self.max_iters,
             huber_mu=self.huber_mu,
@@ -97,7 +98,8 @@ def tf_hom(
 
     Runs the cell solver for every cube size in ``opts.t_list`` and returns
     the last value.  If the relative change between the last two sizes
-    exceeds ``rel_tol`` the result is flagged unconverged but still returned.
+    exceeds ``rel_tol``, or the value is not finite, the result is flagged
+    unconverged but still returned.
     No extrapolation is applied; a flat trace is the expected signature for
     the convex shipped examples.
     """
@@ -116,7 +118,7 @@ def tf_hom(
         value=trace[-1].value,
         trace=trace,
         rel_change=rel,
-        converged=rel <= opts.rel_tol,
+        converged=rel <= opts.rel_tol and math.isfinite(trace[-1].value),
         solver_converged=solver_ok,
     )
 
@@ -190,7 +192,8 @@ def verify_equivalence_fbar(
 
     For each sampled (s, xi) the constrained value comes from ``tf_hom`` and
     the unconstrained one from minimizing the matching extension over full
-    ambient correctors on the same grids.  Superlinear growth uses the
+    ambient correctors on the grid of the largest cube, the one whose value
+    ``tf_hom`` reports.  Superlinear growth uses the
     tangent-projection extension; linear growth uses the ambient cutoff
     extension (solved through its smoothed forms, evaluated unsmoothed).
     """
@@ -205,9 +208,8 @@ def verify_equivalence_fbar(
     entries = []
     for s, xi in samples:
         constrained = tf_hom(f, M, s, xi, opts).value
-        value_u = None
-        for t in opts.t_list:
-            value_u = solve_cell_unconstrained(ext, opts.cell_spec(M, s, xi, t)).value
+        spec = opts.cell_spec(M, s, xi, opts.t_list[-1])
+        value_u = solve_cell_unconstrained(ext, spec).value
         rel = abs(constrained - value_u) / (1.0 + abs(constrained))
         entries.append(
             EquivalenceEntry(np.asarray(s), np.asarray(xi), constrained, value_u, rel)
@@ -427,7 +429,9 @@ class DensityTable:
 
         ``coeffs`` has shape (..., n_columns); out-of-range coefficients are
         clamped to the table edge.  With ``count_clamped`` the number of
-        clamped queries is returned alongside the values.
+        clamped queries is returned alongside the values.  Corners of zero
+        weight are skipped, so a non-finite entry only reaches the lookups
+        that weigh it.
         """
         theta = np.asarray(theta, dtype=float)
         coeffs = np.asarray(coeffs, dtype=float)
@@ -459,17 +463,21 @@ class DensityTable:
 
         out = np.zeros(out_shape)
         for corner in itertools.product((0, 1), repeat=1 + self.n_columns):
-            w_total = np.where(corner[0], w_theta, 1.0 - w_theta)
-            ti = (i0 + corner[0]) % S
-            gather = [ti]
+            w_total = w_theta if corner[0] else 1.0 - w_theta
+            gather = [(i0 + corner[0]) % S]
             for c in range(self.n_columns):
-                axis_len = len(self.coeff_axes[c])
-                j = np.minimum(idx_lo[c] + corner[1 + c], axis_len - 1)
-                gather.append(j)
-                w_total = w_total * np.where(
-                    corner[1 + c], weights[c], 1.0 - weights[c]
-                )
-            out = out + w_total * self.values[tuple(gather)]
+                j = idx_lo[c]
+                if corner[1 + c]:
+                    gather.append(np.minimum(j + 1, len(self.coeff_axes[c]) - 1))
+                    w_total = w_total * weights[c]
+                else:
+                    gather.append(j)
+                    w_total = w_total * (1.0 - weights[c])
+            # A zero-weight corner adds nothing, even where its entry is NaN.
+            vals = np.asarray(self.values[tuple(gather)], dtype=float)
+            vals *= w_total
+            vals[w_total == 0.0] = 0.0
+            out += vals
         if count_clamped:
             return out, int(np.count_nonzero(clamped))
         return out

@@ -42,10 +42,6 @@ class NotTangent(TanhomError):
     """A matrix argument is not tangent at the given base point."""
 
 
-class UnsupportedSolver(TanhomError):
-    """The requested solver cannot handle the given integrand."""
-
-
 class UnsupportedBoundary(TanhomError):
     """The operation requires a different boundary condition."""
 

@@ -4,10 +4,11 @@ Minimizes the oscillating functional over discrete manifold-valued fields for
 a decreasing sequence of period sizes and compares against the minimum of the
 homogenized functional built from a density table.  The optimizer is
 projected gradient descent: an ambient gradient step on interior nodes
-followed by nodewise retraction, safeguarded by Armijo backtracking; the
-default trial step follows a Barzilai-Borwein rule, a plain fixed rule is
-available.  Minimum-energy convergence, not minimizer convergence, is the
-reported statistic.
+followed by nodewise retraction, safeguarded by Armijo backtracking, with
+Barzilai-Borwein trial steps.  Descent stops on a stall: ``STALL_ITERS``
+consecutive steps whose relative decrease is below the optimizer ``tol``.
+Minimum-energy convergence, not minimizer convergence, is the reported
+statistic.
 
 For one-dimensional domains a dynamic-programming shortest path over an
 (x, angle) lattice certifies the homogenized minimum globally within lattice
@@ -29,21 +30,21 @@ from .integrand import Integrand
 from .manifold import EmbeddedManifold, Sphere, circle_theta
 
 
+# Projected-descent settings: first trial step, stall length, Armijo line search.
+INIT_STEP = 1.0
+STALL_ITERS = 10
+ARMIJO_C = 1e-4
+MAX_BACKTRACKS = 30
+# Angle lattice of the DP certificate: how far it reaches beyond the boundary angles.
+DP_MARGIN = 0.3
+
+
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Projected-descent controls: step rule, iteration caps, stall tolerance."""
+    """Projected-descent controls: iteration cap and stall tolerance."""
 
-    step_rule: str = "bb"  # "bb" | "fixed"
-    init_step: float = 1.0
     max_iters: int = 50000
     tol: float = 1e-12
-    stall_iters: int = 10
-    armijo_c: float = 1e-4
-    max_backtracks: int = 30
-
-    def __post_init__(self):
-        if self.step_rule not in ("bb", "fixed"):
-            raise ValueError("step_rule must be 'bb' or 'fixed'")
 
 
 @dataclass
@@ -72,7 +73,6 @@ class GammaExperimentConfig:
     dp_elements: int = 128
     dp_theta_count: int = 2001
     dp_band: int = 80
-    dp_margin: float = 0.3
 
     def __post_init__(self):
         if not (isinstance(self.manifold, Sphere) and self.manifold.ambient_dim == 2):
@@ -112,17 +112,6 @@ class GammaExperimentConfig:
     def grid(self) -> UniformGrid:
         return UniformGrid(self.dim, self.elements, 1.0 / self.elements, periodic=False)
 
-    def boundary_mask(self) -> np.ndarray:
-        shape = (self.mesh_nodes,) * self.dim
-        mask = np.zeros(shape, dtype=bool)
-        for ax in range(self.dim):
-            sl = [slice(None)] * self.dim
-            sl[ax] = 0
-            mask[tuple(sl)] = True
-            sl[ax] = -1
-            mask[tuple(sl)] = True
-        return mask
-
     def node_angles(self) -> np.ndarray:
         axis = np.linspace(0.0, 1.0, self.mesh_nodes)
         if self.dim == 1:
@@ -156,11 +145,7 @@ class _OscillatingEnergy:
         self.grid = config.grid()
         self.f = config.integrand
         self.y = self.grid.centers() / eps
-        if self.f.p == 1:
-            self.eval_fn, self.grad_fn = self.f.solver_forms(config.huber_mu)
-        else:
-            self.eval_fn = self.f.eval
-            self.grad_fn = lambda y, xi: self.f.gradient(y, xi)
+        self.eval_fn, self.grad_fn = self.f.solver_forms(config.huber_mu)
 
     def _ambient(self, U: np.ndarray) -> np.ndarray:
         G = self.grid.center_gradient(U)  # (d, N, *E)
@@ -271,7 +256,7 @@ def _projected_descent(
 ) -> GammaRunResult:
     opt = config.optimizer
     M = config.manifold
-    boundary = config.boundary_mask()
+    boundary = config.grid().boundary_mask()
     U = config.initial_field().copy()
 
     def riemannian(Uc: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -290,7 +275,7 @@ def _projected_descent(
     E, G = energy.value_and_grad(U)
     R = riemannian(U, G)
     best_E, best_U = E, U.copy()
-    step = opt.init_step
+    step = INIT_STEP
     prev_dU = prev_dR = None
     stall = 0
     iterations = 0
@@ -304,7 +289,7 @@ def _projected_descent(
             converged = True
             break
 
-        if opt.step_rule == "bb" and prev_dU is not None:
+        if prev_dU is not None:
             denom = float(np.sum(prev_dU * prev_dR))
             if denom > 0.0:
                 step = float(np.sum(prev_dU * prev_dU)) / denom
@@ -313,7 +298,7 @@ def _projected_descent(
 
         accepted = False
         halvings = 0
-        for _ in range(opt.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             try:
                 U_try = retract_field(U, trial, R)
             except DegeneratePoint:
@@ -323,7 +308,7 @@ def _projected_descent(
                 trial *= 0.5
                 continue
             E_try = energy.value(U_try)
-            if E_try <= E - opt.armijo_c * trial * gnorm2:
+            if E_try <= E - ARMIJO_C * trial * gnorm2:
                 accepted = True
                 break
             trial *= 0.5
@@ -341,9 +326,7 @@ def _projected_descent(
         U, E, R = U_try, E_new, R_new
         if E < best_E:
             best_E, best_U = E, U.copy()
-        if opt.step_rule == "fixed":
-            step = opt.init_step
-        if stall >= opt.stall_iters:
+        if stall >= STALL_ITERS:
             converged = True
             break
 
@@ -386,7 +369,7 @@ def dp_minimize_hom(
     elements: int,
     theta_count: int = 2001,
     band: int = 80,
-    margin: float = 0.3,
+    margin: float = DP_MARGIN,
 ) -> float:
     """Global minimum of the 1D homogenized functional over an angle lattice.
 
@@ -509,7 +492,6 @@ def run_gamma_experiment(config: GammaExperimentConfig) -> GammaReport:
             config.dp_elements,
             config.dp_theta_count,
             config.dp_band,
-            config.dp_margin,
         )
 
     warnings = [r.warning for r in eps_runs if r.warning]

@@ -127,3 +127,9 @@ class UniformGrid:
         if self.periodic:
             raise ValueError("periodic grids have no boundary")
         return (slice(1, -1),) * self.ndim
+
+    def boundary_mask(self) -> np.ndarray:
+        """Boolean node array, True on the boundary nodes of a non-periodic grid."""
+        mask = np.ones(self.node_shape, dtype=bool)
+        mask[self.interior()] = False
+        return mask

@@ -125,13 +125,14 @@ class Integrand:
         return finite_difference_grad(self, y, xi, h)
 
     def solver_forms(self, mu: float) -> tuple[Callable, Callable]:
-        """(value, gradient) pair for minimization; smoothed when declared."""
+        """(value, gradient) pair for minimization; smoothed when declared.
+
+        Without an analytic gradient the pair falls back to ``gradient``'s
+        central differences.
+        """
         if self.smoothed is not None:
             return self.smoothed(mu)
-        grad = self.grad_xi
-        if grad is None:
-            grad = lambda y, xi: finite_difference_grad(self, y, xi)
-        return self.eval, grad
+        return self.eval, self.grad_xi or self.gradient
 
 
 def finite_difference_grad(f: Integrand, y, xi, h: float = 1e-6) -> np.ndarray:

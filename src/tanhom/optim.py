@@ -1,8 +1,10 @@
 """Matrix-free minimizers used by the cell solver.
 
-Both stop on the same contract: gradient norm below tol * (1 + initial
-gradient norm).  The conjugate-gradient path assumes the objective is an
-exact quadratic so that the Hessian action can be read off from gradient
+Both stop when the gradient norm falls below a target: ``cg_quadratic``
+takes tol * (1 + initial gradient norm), ``lbfgs`` an absolute target that
+the caller anchors (the cell solver anchors it the same way, at the zero
+corrector).  The conjugate-gradient path assumes the objective is an exact
+quadratic so that the Hessian action can be read off from gradient
 differences; the limited-memory quasi-Newton path only needs values and
 gradients.
 """
@@ -13,6 +15,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+# Quasi-Newton memory (curvature pairs kept) and Armijo line-search settings.
+LBFGS_MEMORY = 10
+ARMIJO_C = 1e-4
+MAX_BACKTRACKS = 40
 
 
 @dataclass
@@ -53,8 +60,9 @@ def cg_quadratic(
     for k in range(1, max_iters + 1):
         hd = proj(apply_hessian(d))
         dhd = float(d @ hd)
-        if dhd <= 0.0:
-            # Curvature lost to round-off; the current iterate is the best answer.
+        if not dhd > 0.0:
+            # Curvature lost to round-off (or not a number); the current
+            # iterate is the best answer.
             return MinimizeResult(x, k, float(np.sqrt(delta)), False)
         step = delta / dhd
         x = x + step * d
@@ -73,26 +81,16 @@ def cg_quadratic(
 def lbfgs(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: np.ndarray,
-    tol: float,
+    target: float,
     max_iters: int,
-    memory: int = 10,
-    armijo_c: float = 1e-4,
-    max_backtracks: int = 40,
-    target_norm: float | None = None,
 ) -> MinimizeResult:
     """Limited-memory quasi-Newton descent with Armijo backtracking.
 
-    Returns the best iterate seen.  ``converged`` reflects the gradient-norm
-    stopping test, not merely running out of iterations.  ``target_norm``
-    overrides the relative stopping target with an absolute one (used when a
-    caller anchors the tolerance at a different reference point).
+    Returns the best iterate seen.  ``converged`` reflects the stopping test
+    (gradient norm at most ``target``), not merely running out of iterations.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = value_and_grad(x)
-    if target_norm is None:
-        target = tol * (1.0 + float(np.linalg.norm(g)))
-    else:
-        target = target_norm
 
     best_x, best_f = x.copy(), f
     s_list: list[np.ndarray] = []
@@ -133,10 +131,10 @@ def lbfgs(
 
         step = 1.0 if y_list else 1.0 / max(gnorm, 1.0)
         accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_try = x + step * direction
             f_try, g_try = value_and_grad(x_try)
-            if f_try <= f + armijo_c * step * slope:
+            if f_try <= f + ARMIJO_C * step * slope:
                 accepted = True
                 break
             step *= 0.5
@@ -153,7 +151,7 @@ def lbfgs(
             s_list.append(s_vec)
             y_list.append(y_vec)
             rho_list.append(1.0 / sy)
-            if len(s_list) > memory:
+            if len(s_list) > LBFGS_MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tanhom.integrand import StepProfile, make_laminate_quadratic
+from tanhom.integrand import Integrand, StepProfile, make_laminate_quadratic
 from tanhom.manifold import Sphere
 
 
@@ -44,3 +44,17 @@ def xi_harmonic():
 @pytest.fixture(scope="session")
 def xi_arithmetic():
     return np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.fixture(scope="session")
+def nan_density():
+    # NaN values with a finite gradient: only a check of the value can catch it.
+    return Integrand(
+        eval=lambda y, xi: np.full(np.shape(xi)[:-2], np.nan),
+        grad_xi=lambda y, xi: 2.0 * np.asarray(xi),
+        p=2,
+        alpha=1.0,
+        beta=1.0,
+        dims=(1, 2),
+        quadratic=True,
+    )

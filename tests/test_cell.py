@@ -14,14 +14,11 @@ from tanhom.cell import (
     zero_corrector,
 )
 from tanhom.density import laminate_oracle
-from tanhom.errors import (
-    NotTangent,
-    ShapeMismatch,
-    UnsupportedBoundary,
-    UnsupportedSolver,
-)
+from tanhom.errors import NotTangent, ShapeMismatch, UnsupportedBoundary
+from tanhom.grid import UniformGrid
 from tanhom.integrand import make_fbar, make_isotropic_quadratic, make_laminate_quadratic
 from tanhom.manifold import Sphere, circle_point
+from tanhom.optim import cg_quadratic
 
 
 def spec_for(s1, s, xi, **kw):
@@ -81,13 +78,18 @@ def test_solver_determinism(s1, laminate2, north, xi_harmonic):
     np.testing.assert_array_equal(r1.corrector.coeffs, r2.corrector.coeffs)
 
 
-def test_unsupported_solver(s1, north, xi_harmonic):
-    import dataclasses
+def test_cg_stops_on_nan_curvature():
+    res = cg_quadratic(lambda v: np.full_like(v, np.nan), np.ones(3), 1e-8, 50)
+    assert res.iterations == 1
+    assert not res.converged
+    np.testing.assert_array_equal(res.x, 0.0)
 
-    f = dataclasses.replace(make_isotropic_quadratic(2, 2), quadratic=False)
-    spec = spec_for(s1, north, xi_harmonic, solver="cg")
-    with pytest.raises(UnsupportedSolver):
-        solve_cell(f, spec)
+
+def test_grid_boundary_mask():
+    mask = UniformGrid(2, 3, 1.0, periodic=False).boundary_mask()
+    expected = np.ones((4, 4), dtype=bool)
+    expected[1:3, 1:3] = False
+    np.testing.assert_array_equal(mask, expected)
 
 
 def test_nonconvergence_flag(s1, laminate2, north, xi_harmonic):

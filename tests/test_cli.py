@@ -1,11 +1,15 @@
+import copy
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tanhom import cli, gamma
 from tanhom.cell import read_corrector_csv
-from tanhom.config import RunConfig, VerifySection, parse_run_config
+from tanhom.config import TF_KEYS, RunConfig, VerifySection, parse_run_config
 from tanhom.density import CoefficientLattice, TfOptions, build_density_table
 from tanhom.errors import ConfigError
 from tanhom.gamma import read_field_csv
@@ -351,6 +355,81 @@ def test_workers_key_rejected():
     }
     with pytest.raises(ConfigError, match="workers"):
         parse_run_config(config)
+
+
+# Section of each command with only its required keys.
+MINIMAL_SECTIONS = {
+    "cell": {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]]},
+    "density": {"s_count": 1, "lattice": {"min": 0, "max": 1, "count": 2}},
+    "verify": {"suites": ["hypotheses"]},
+    "gamma": {"epsilons": [0.25]},
+}
+REMOVED_KEYS = [
+    ("cell", "solver"),
+    ("density", "solver"),
+    ("verify", "solver"),
+    ("gamma", "table.solver"),
+    ("gamma", "optimizer.step_rule"),
+    ("gamma", "optimizer.init_step"),
+    ("gamma", "optimizer.stall_iters"),
+    ("gamma", "optimizer.armijo_c"),
+    ("gamma", "optimizer.max_backtracks"),
+    ("gamma", "dp_margin"),
+]
+
+
+@pytest.mark.parametrize("command, key", REMOVED_KEYS)
+def test_removed_key_rejected(command, key):
+    section = copy.deepcopy(MINIMAL_SECTIONS[command])
+    *parents, name = key.split(".")
+    target = section
+    for parent in parents:
+        target = target.setdefault(parent, {})
+    target[name] = 1
+    config = {
+        "command": command,
+        "manifold": SPHERE,
+        "integrand": {**LAMINATE, "N": 1},
+        command: section,
+    }
+    with pytest.raises(ConfigError, match=f"{command}.{key}"):
+        parse_run_config(config)
+
+
+def test_tf_keys_are_the_tf_options_fields():
+    assert set(TF_KEYS) == {f.name for f in dataclasses.fields(TfOptions)}
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("gamma", {"epsilons": [0.3]}),
+        ("density", {"s_count": 4, "lattice": {"min": 1.0, "max": -1.0, "count": 3}}),
+        ("cell", {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "n": 1}),
+    ],
+)
+def test_invalid_values_exit_1_before_solving(tmp_path, capsys, monkeypatch, command, section):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started before the config was validated")
+
+    monkeypatch.setattr(cli, "build_density_table", no_solve)
+    monkeypatch.setattr(cli, "solve_cell", no_solve)
+    config = {
+        "command": command,
+        "manifold": SPHERE,
+        "integrand": {**LAMINATE, "N": 1},
+        command: section,
+    }
+    code, _ = run_cli(tmp_path, config)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {command}")
+
+
+def test_readme_gamma_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    cfg = parse_run_config(json.loads(example))
+    assert cfg.command == "gamma"
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tanhom import density
+from tanhom.cell import solve_cell_unconstrained
 from tanhom.density import (
     CoefficientLattice,
     DensityTable,
@@ -16,6 +18,7 @@ from tanhom.errors import GrowthViolation, MalformedArtifact, NotTangent
 from tanhom.integrand import (
     Integrand,
     StepProfile,
+    make_fbar,
     make_isotropic_quadratic,
     make_laminate_quadratic,
     make_norm_linear,
@@ -83,6 +86,22 @@ def test_equivalence_report(s1, laminate2, north, xi_harmonic):
     assert rep.max_rel_gap <= 1e-6
 
 
+def test_equivalence_solves_largest_cube_once(monkeypatch, s1, laminate2, north, xi_harmonic):
+    calls = []
+
+    def counted(ext, spec):
+        calls.append(spec.t)
+        return solve_cell_unconstrained(ext, spec)
+
+    monkeypatch.setattr(density, "solve_cell_unconstrained", counted)
+    opts = TfOptions(t_list=(1, 2), n=8, boundary="periodic")
+    rep = verify_equivalence_fbar(laminate2, s1, [(north, xi_harmonic)], opts)
+    assert calls == [2]
+    direct = solve_cell_unconstrained(make_fbar(laminate2, s1), opts.cell_spec(s1, north, xi_harmonic, 2))
+    assert rep.entries[0].unconstrained == direct.value
+    assert rep.max_rel_gap <= 1e-6
+
+
 def test_equivalence_linear_growth(s1):
     c = StepProfile((0.5,), (1.0, 2.0))
     f = make_norm_linear(c, 1, 2)
@@ -135,18 +154,20 @@ def test_growth_violation_detected(s1):
         check_growth_lipschitz(overstated, s1, 5, seed=8, opts=TfOptions(t_list=(1,), n=4))
 
 
-def test_growth_lipschitz_rejects_nan(s1):
-    nan_density = Integrand(
-        eval=lambda y, xi: np.full(np.shape(xi)[:-2], np.nan),
-        grad_xi=lambda y, xi: 2.0 * np.asarray(xi),
-        p=2,
-        alpha=1.0,
-        beta=1.0,
-        dims=(1, 2),
-        quadratic=True,
-    )
+def test_growth_lipschitz_rejects_nan(s1, nan_density):
     with pytest.raises(GrowthViolation):
         check_growth_lipschitz(nan_density, s1, 2, seed=8, opts=TfOptions(t_list=(1,), n=4))
+
+
+def test_nan_value_is_not_converged(tmp_path, s1, nan_density, north):
+    opts = TfOptions(t_list=(1,), n=4, boundary="periodic")
+    res = tf_hom(nan_density, s1, north, s1.tangent_from_coeffs(north, [[1.0]]), opts)
+    assert np.isnan(res.value)
+    assert not res.converged and not res.solver_converged
+    table = build_density_table(nan_density, s1, 2, CoefficientLattice(-1.0, 1.0, 2), opts)
+    table.save(tmp_path / "table.csv", tmp_path / "table.json")
+    rows = (tmp_path / "table.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["0"] * 4
 
 
 def test_growth_samples_nested(s1, laminate2):
@@ -281,6 +302,15 @@ def test_table_interpolation(s1, laminate1):
     # Clamping is counted.
     _, clamped = table.interpolate(0.0, np.array([5.0]), count_clamped=True)
     assert clamped == 1
+
+
+def test_table_interpolation_skips_zero_weight_corners(s1, laminate1):
+    table = build_density_table(laminate1, s1, 8, CoefficientLattice(-1.0, 1.0, 3), PERIODIC_1)
+    table.values[5, 0] = np.nan
+    v = table.interpolate(table.thetas[4], np.array([-1.0]))
+    assert v == table.values[4, 0]
+    # A lookup that weighs the NaN entry still returns NaN.
+    assert np.isnan(table.interpolate(0.5 * (table.thetas[4] + table.thetas[5]), np.array([-1.0])))
 
 
 def test_table_save_load_roundtrip(tmp_path, s1, laminate1):

@@ -193,26 +193,15 @@ def test_verify_hypotheses_overstated_alpha():
     assert err.value.sample is not None
 
 
-NAN_DENSITY = Integrand(
-    eval=lambda y, xi: np.full(np.shape(xi)[:-2], np.nan),
-    grad_xi=lambda y, xi: 2.0 * np.asarray(xi),
-    p=2,
-    alpha=1.0,
-    beta=1.0,
-    dims=(1, 2),
-    quadratic=True,
-)
-
-
-def test_verify_hypotheses_rejects_nan():
+def test_verify_hypotheses_rejects_nan(nan_density):
     # Every `>` test against NaN is False; a NaN density must still fail.
     with pytest.raises(HypothesisViolated, match="non-finite"):
-        verify_hypotheses(NAN_DENSITY, 50, seed=4)
+        verify_hypotheses(nan_density, 50, seed=4)
 
 
-def test_verify_extension_bounds_rejects_nan(s1):
+def test_verify_extension_bounds_rejects_nan(s1, nan_density):
     with pytest.raises(HypothesisViolated, match="non-finite"):
-        verify_extension_bounds(make_fbar(NAN_DENSITY, s1), 20, seed=4)
+        verify_extension_bounds(make_fbar(nan_density, s1), 20, seed=4)
 
 
 def test_integrand_validation():
