@@ -17,7 +17,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .cell import PERIODIC, CellProblemSpec
-from .density import CoefficientLattice, TfOptions
+from .density import CoefficientLattice, TfOptions, check_angle_count
 from .errors import ConfigError, check_keys
 from .gamma import GammaExperimentConfig, OptimizerOptions
 from .integrand import Integrand, integrand_from_config
@@ -35,47 +35,58 @@ def _tuple_of(convert: Callable) -> Callable:
     return lambda values: tuple(convert(v) for v in values)
 
 
+def _integer(value: Any) -> int:
+    """``value`` as an int, refusing what ``int`` would truncate or parse."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float_array(value: Any) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 # Config key -> conversion, for the keys that set a TfOptions field of the same name.
 TF_KEYS = {
-    "t_list": _tuple_of(int),
-    "n": int,
+    "t_list": _tuple_of(_integer),
+    "n": _integer,
     "boundary": str,
     "rel_tol": float,
     "tol_grad": float,
-    "max_iters": _optional(int),
+    "max_iters": _optional(_integer),
     "huber_mu": float,
 }
 # Density sweeps (density, verify, gamma.table) default to one periodic cube.
 SWEEP_DEFAULTS = {"t_list": (1,), "boundary": PERIODIC}
 # The cell section sets one cube side ``t``; ``n`` is CellProblemSpec.nodes_per_period.
 CELL_KEYS = {
-    "t": int,
+    "t": _integer,
     **{key: TF_KEYS[key] for key in ("n", "boundary", "tol_grad", "max_iters", "huber_mu")},
 }
 VERIFY_KEYS = {
     "suites": tuple,
-    "sample_count": int,
-    "pair_count": int,
-    "trial_count": int,
-    "sample_points": int,
+    "sample_count": _integer,
+    "pair_count": _integer,
+    "trial_count": _integer,
+    "sample_points": _integer,
     "coeff_radius": float,
     "equivalence_tol": _optional(float),
     "delta0": float,
 }
 GAMMA_KEYS = {
-    "dim": int,
-    "mesh_nodes": int,
+    "dim": _integer,
+    "mesh_nodes": _integer,
     "theta0": float,
     "theta1": float,
     "epsilons": _tuple_of(float),
     "huber_mu": float,
     "run_dp": bool,
-    "dp_elements": int,
-    "dp_theta_count": int,
-    "dp_band": int,
+    "dp_elements": _integer,
+    "dp_theta_count": _integer,
+    "dp_band": _integer,
 }
-OPTIMIZER_KEYS = {"max_iters": int, "tol": float}
-LATTICE_KEYS = {"min": float, "max": float, "count": int}
+OPTIMIZER_KEYS = {"max_iters": _integer, "tol": float}
+LATTICE_KEYS = {"min": float, "max": float, "count": _integer}
 
 
 def _values(section: dict, path: str, conversions: dict[str, Callable]) -> dict:
@@ -85,8 +96,9 @@ def _values(section: dict, path: str, conversions: dict[str, Callable]) -> dict:
         if key in section:
             try:
                 out[key] = convert(section[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}.{key}: {exc}") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                where = f"{path}.{key}" if path else key
+                raise ConfigError(f"{where}: {exc}") from None
     return out
 
 
@@ -102,12 +114,13 @@ def _parse_point(M: EmbeddedManifold, cfg: Any, path: str) -> np.ndarray:
     check_keys(cfg, path, set(), {"theta", "point"})
     if "theta" in cfg and "point" in cfg:
         raise ConfigError(f"{path}: give either 'theta' or 'point', not both")
-    if "theta" in cfg:
+    v = _values(cfg, path, {"theta": float, "point": _float_array})
+    if "theta" in v:
         if M.ambient_dim != 2:
             raise ConfigError(f"{path}.theta only makes sense on the circle")
-        return circle_point(float(cfg["theta"]))
-    if "point" in cfg:
-        return M.check_point(np.asarray(cfg["point"], dtype=float), tol=1e-7)
+        return circle_point(v["theta"])
+    if "point" in v:
+        return M.check_point(v["point"], tol=1e-7)
     raise ConfigError(f"{path} needs 'theta' or 'point'")
 
 
@@ -127,6 +140,9 @@ class DensitySection:
     s_count: int
     lattice: CoefficientLattice
     options: TfOptions
+
+    def __post_init__(self):
+        check_angle_count(self.s_count)
 
 
 @dataclass
@@ -161,6 +177,9 @@ class GammaSection:
     table_options: TfOptions = TfOptions(**SWEEP_DEFAULTS)
     dump_fields: bool = False
 
+    def __post_init__(self):
+        check_angle_count(self.table_s_count)
+
 
 @dataclass
 class RunConfig:
@@ -187,7 +206,7 @@ def parse_run_config(raw: Any) -> RunConfig:
             raise ConfigError(f"unknown key {other!r} for command {command!r}")
     M = manifold_from_config(raw["manifold"])
     f = integrand_from_config(raw["integrand"])
-    seed = int(raw.get("seed", 0))
+    seed = _values(raw, "", {"seed": _integer}).get("seed", 0)
 
     cfg = RunConfig(command=command, manifold=M, integrand=f, seed=seed)
     section = raw.get(command, {})
@@ -205,7 +224,7 @@ def parse_run_config(raw: Any) -> RunConfig:
 def _parse_cell(section: Any, M: EmbeddedManifold, f: Integrand) -> CellProblemSpec:
     check_keys(section, "cell", {"s", "xi_coeffs"}, set(CELL_KEYS))
     s = _parse_point(M, section["s"], "cell.s")
-    coeffs = np.asarray(section["xi_coeffs"], dtype=float)
+    coeffs = _values(section, "cell", {"xi_coeffs": _float_array})["xi_coeffs"]
     if coeffs.ndim == 1:
         coeffs = coeffs[None, :]
     N = f.dims[0]
@@ -222,10 +241,12 @@ def _parse_cell(section: Any, M: EmbeddedManifold, f: Integrand) -> CellProblemS
 
 def _parse_density(section: Any) -> DensitySection:
     check_keys(section, "density", {"s_count", "lattice"}, set(TF_KEYS))
-    return DensitySection(
+    return _build(
+        "density",
+        DensitySection,
         lattice=_parse_lattice(section["lattice"], "density.lattice"),
         options=_parse_tf_options(section, "density"),
-        **_values(section, "density", {"s_count": int}),
+        **_values(section, "density", {"s_count": _integer}),
     )
 
 
@@ -261,10 +282,12 @@ def _parse_gamma(section: Any, M: EmbeddedManifold, f: Integrand) -> GammaSectio
     )
     if "path" in table_cfg and len(table_cfg) > 1:
         raise ConfigError("gamma.table.path excludes inline table options")
-    source = _values(table_cfg, "gamma.table", {"path": str, "s_count": int})
+    source = _values(table_cfg, "gamma.table", {"path": str, "s_count": _integer})
     if "lattice" in table_cfg:
         source["lattice"] = _parse_lattice(table_cfg["lattice"], "gamma.table.lattice")
-    return GammaSection(
+    return _build(
+        "gamma.table",
+        GammaSection,
         experiment=experiment,
         table_options=_parse_tf_options(table_cfg, "gamma.table"),
         **{f"table_{key}": value for key, value in source.items()},

@@ -7,14 +7,16 @@ the oscillation direction, arithmetic mean across it), which provides the
 independent reference used throughout the test suite.  Density tables sample
 the homogenized density on an angle x coefficient grid and interpolate
 multilinearly; coefficients outside the table clamp with a warning count.
+A quadratic density has cell minimizers linear in the gradient, so its table
+comes from one corrector per gradient column and angle (an effective tensor
+per angle); every other density is tabulated entry by entry with ``tf_hom``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -25,6 +27,7 @@ from .cell import (
     PERIODIC,
     CellProblemSpec,
     check_solve_settings,
+    energy_of_field,
     solve_cell,
     solve_cell_unconstrained,
 )
@@ -110,17 +113,29 @@ def tf_hom(
         res = solve_cell(f, opts.cell_spec(M, s, xi, t))
         solver_ok = solver_ok and res.converged
         trace.append(TfTraceEntry(t, res.value, res.iterations, res.converged))
-    if len(trace) >= 2:
-        rel = abs(trace[-1].value - trace[-2].value) / (1.0 + abs(trace[-1].value))
-    else:
-        rel = 0.0
+    rel, ok = _trace_verdict([e.value for e in trace], opts.rel_tol)
     return TfHomResult(
         value=trace[-1].value,
         trace=trace,
-        rel_change=rel,
-        converged=rel <= opts.rel_tol and math.isfinite(trace[-1].value),
+        rel_change=float(rel),
+        converged=bool(ok),
         solver_converged=solver_ok,
     )
+
+
+def _trace_verdict(values, rel_tol: float):
+    """(relative change, converged) of values listed by increasing cube size.
+
+    The change is between the last two sizes (0 for a single size), relative
+    to 1 + |last|; converged needs it at most ``rel_tol`` and a finite last
+    value.  Works elementwise when the values are arrays.
+    """
+    last = values[-1]
+    if len(values) >= 2:
+        rel = np.abs(last - values[-2]) / (1.0 + np.abs(last))
+    else:
+        rel = np.zeros_like(last)
+    return rel, (rel <= rel_tol) & np.isfinite(last)
 
 
 # -- closed-form laminate reference ------------------------------------------
@@ -581,6 +596,37 @@ class DensityTable:
         )
 
 
+def check_angle_count(s_count: int) -> None:
+    """Raise ``ValueError`` unless a density table gets at least one angle."""
+    if s_count < 1:
+        raise ValueError("need at least one angle")
+
+
+def _column_energies(
+    f: Integrand, M: EmbeddedManifold, s, scale: float, t: int, opts: TfOptions
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energy matrix of the column correctors of a quadratic density at one cube size.
+
+    Column ``c`` is solved once, for the load with tangent coefficient
+    ``scale`` in column ``c`` and 0 elsewhere.  Entry (c, c) is the exact
+    energy of that corrector; entry (c, d) follows by polarization from the
+    exact energy of the summed corrector under the summed load.  The matrix
+    is ``scale**2`` times the effective tensor at ``s``.  Also returns the
+    converged flag of each column solve.
+    """
+    N = f.dims[0]
+    loads = [M.tangent_from_coeffs(s, scale * np.eye(N)[c : c + 1]) for c in range(N)]
+    solves = [solve_cell(f, opts.cell_spec(M, s, xi, t)) for xi in loads]
+    energies = np.diag([res.value for res in solves])
+    for c, d in itertools.combinations(range(N), 2):
+        spec = opts.cell_spec(M, s, loads[c] + loads[d], t)
+        phi_c, phi_d = solves[c].corrector, solves[d].corrector
+        both = replace(phi_c, coeffs=phi_c.coeffs + phi_d.coeffs, spec=spec)
+        cross = energy_of_field(f, spec, both) - energies[c, c] - energies[d, d]
+        energies[c, d] = energies[d, c] = 0.5 * cross
+    return energies, np.array([res.converged for res in solves])
+
+
 def build_density_table(
     f: Integrand,
     M: EmbeddedManifold,
@@ -590,14 +636,39 @@ def build_density_table(
 ) -> DensityTable:
     """Sample the homogenized density on a uniform angle x coefficient grid.
 
-    Entries are independent ``tf_hom`` calls in a deterministic order.
-    Per-entry failures are recorded (value NaN, converged False) without
-    aborting the sweep.
+    Quadratic densities (``f.quadratic``) cost ``s_count * N * len(t_list)``
+    cell solves.  Their cell minimizer is linear in the gradient, so the
+    homogenized density at an angle is the quadratic form of an effective
+    tensor.  For every angle and cube size, ``_column_energies`` solves one
+    corrector ``phi_c`` per gradient column at the load ``z_max`` (the
+    largest |coefficient| on the lattice, or 1 when that is 0) and assembles
+    the tensor from exact energies.  Entry ``z`` is then
+    ``z^T A z / z_max**2``, the exact energy of the corrector
+    ``sum_c (z_c / z_max) phi_c`` under the load ``z``.
+
+    Stopping targets: the CG residual and the load gradient ``g0`` are both
+    linear in the load.  For N = 1 the entry's residual is therefore
+    ``|z| / z_max`` times the column residual, which keeps it within its own
+    target ``tol_grad * (1 + |g0|)``, as a direct ``tf_hom`` solve would be.
+    For N > 1 the bound used is the triangle inequality: the entry's residual
+    is at most ``sum_c (|z_c| / z_max) * tol_grad * (1 + |g0_c|)``, the
+    column targets weighted by ``|z_c| / z_max <= 1``.  That is at most N
+    times the largest column target, and it can exceed the entry's own
+    target where the column loads cancel in ``g0``.
+
+    Relative changes and convergence flags follow from the per-size values
+    as in ``tf_hom``.  An entry also needs the column solves it uses
+    (``z_c != 0``) converged at every size; the zero entry uses none, as its
+    direct solve stops at once.  If a solve raises, every entry of that
+    angle fails.
+
+    Every other density runs one ``tf_hom`` per entry in a deterministic
+    order, and a failure fails that entry alone.  Failures are recorded
+    (value NaN, converged False) without aborting the sweep.
     """
     if not isinstance(M, Sphere) or M.ambient_dim != 2:
         raise ValueError("density tables are defined on the circle S^1")
-    if s_count < 1:
-        raise ValueError("need at least one angle")
+    check_angle_count(s_count)
     opts = opts or TfOptions()
     N, d = f.dims
 
@@ -609,19 +680,34 @@ def build_density_table(
     converged = np.zeros(shape, dtype=bool)
     rel_changes = np.full(shape, np.nan)
     errors: list[str] = []
+    scale = float(np.max(np.abs(axis), initial=0.0)) or 1.0
+    weights = np.stack(np.meshgrid(*axes, indexing="ij")) / scale
 
     for i in range(s_count):
         s = circle_point(thetas[i])
-        for idx in np.ndindex(shape[1:]):
+        if f.quadratic:
             try:
-                coeffs = np.array([[axes[c][idx[c]] for c in range(N)]])
-                outcome = tf_hom(f, M, s, M.tangent_from_coeffs(s, coeffs), opts)
-            except Exception as exc:  # recorded per entry, sweep continues
-                errors.append(f"entry theta_index={i} idx={idx}: {exc}")
+                per_t = [_column_energies(f, M, s, scale, t, opts) for t in opts.t_list]
+            except Exception as exc:  # recorded per angle, sweep continues
+                errors.append(f"angle theta_index={i}: {exc}")
                 continue
-            values[(i,) + idx] = outcome.value
-            converged[(i,) + idx] = outcome.converged and outcome.solver_converged
-            rel_changes[(i,) + idx] = outcome.rel_change
+            per_size = [np.einsum("c...,cd,d...->...", weights, A, weights) for A, _ in per_t]
+            rel, ok = _trace_verdict(per_size, opts.rel_tol)
+            values[i] = per_size[-1]
+            rel_changes[i] = rel
+            solved = np.all([flags for _, flags in per_t], axis=0).reshape((N,) + (1,) * N)
+            converged[i] = ok & np.all(solved | (weights == 0.0), axis=0)
+        else:
+            for idx in np.ndindex(shape[1:]):
+                try:
+                    coeffs = np.array([[axes[c][idx[c]] for c in range(N)]])
+                    outcome = tf_hom(f, M, s, M.tangent_from_coeffs(s, coeffs), opts)
+                except Exception as exc:  # recorded per entry, sweep continues
+                    errors.append(f"entry theta_index={i} idx={idx}: {exc}")
+                    continue
+                values[(i,) + idx] = outcome.value
+                converged[(i,) + idx] = outcome.converged and outcome.solver_converged
+                rel_changes[(i,) + idx] = outcome.rel_change
 
     return DensityTable(
         thetas=thetas,

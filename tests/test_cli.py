@@ -406,6 +406,11 @@ def test_tf_keys_are_the_tf_options_fields():
         ("gamma", {"epsilons": [0.3]}),
         ("density", {"s_count": 4, "lattice": {"min": 1.0, "max": -1.0, "count": 3}}),
         ("cell", {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "n": 1}),
+        ("density", {"s_count": 0, "lattice": {"min": -1.0, "max": 1.0, "count": 3}}),
+        ("gamma", {"epsilons": [0.5], "table": {"s_count": 0}}),
+        ("cell", {"s": {"theta": "north"}, "xi_coeffs": [[1.0]]}),
+        ("density", {"s_count": 4, "lattice": {"min": -1.0, "max": 1.0, "count": 2.5}}),
+        ("cell", {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "n": float("inf")}),
     ],
 )
 def test_invalid_values_exit_1_before_solving(tmp_path, capsys, monkeypatch, command, section):
@@ -423,6 +428,20 @@ def test_invalid_values_exit_1_before_solving(tmp_path, capsys, monkeypatch, com
     code, _ = run_cli(tmp_path, config)
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {command}")
+
+
+@pytest.mark.parametrize("seed", ["seven", 1.5, True])
+def test_non_integer_seed_exits_1(tmp_path, capsys, seed):
+    config = {
+        "command": "verify",
+        "seed": seed,
+        "manifold": SPHERE,
+        "integrand": {**LAMINATE, "N": 1},
+        "verify": {"suites": ["hypotheses"], "sample_count": 5},
+    }
+    code, _ = run_cli(tmp_path, config)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: seed")
 
 
 def test_readme_gamma_example_parses():

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tanhom import density
-from tanhom.cell import solve_cell_unconstrained
+from tanhom.cell import solve_cell, solve_cell_unconstrained
 from tanhom.density import (
     CoefficientLattice,
     DensityTable,
@@ -214,6 +216,103 @@ def test_build_density_table_oracle_sweep(s1, laminate1, profile_a, profile_b):
 def test_build_density_table_requires_circle(laminate1):
     with pytest.raises(ValueError):
         build_density_table(laminate1, CircleProduct(1), 2, CoefficientLattice(-1, 1, 3))
+
+
+def diagonal_laminate() -> Integrand:
+    """Weight a(y_0 + y_1) |xi|^2 on two columns: layers across the diagonal
+    couple the columns, so the effective tensor has off-diagonal entries."""
+    a = StepProfile((0.3,), (1.0, 3.0))
+
+    def ev(y, xi):
+        y = np.asarray(y, dtype=float)
+        return a(y[..., 0] + y[..., 1]) * np.sum(np.asarray(xi) ** 2, axis=(-2, -1))
+
+    def gr(y, xi):
+        y = np.asarray(y, dtype=float)
+        return 2.0 * a(y[..., 0] + y[..., 1])[..., None, None] * np.asarray(xi)
+
+    return Integrand(eval=ev, grad_xi=gr, p=2, alpha=1.0, beta=3.0, dims=(2, 2), quadratic=True)
+
+
+@pytest.mark.parametrize(
+    "f, opts, lattice",
+    [
+        (make_laminate_quadratic(StepProfile((0.5,), (1.0, 2.0)), StepProfile.constant(1.0), 1),
+         PERIODIC_1, CoefficientLattice(-2.0, 2.0, 9)),
+        (make_laminate_quadratic(StepProfile((0.25, 0.625), (1.0, 3.0, 1.5)),
+                                 StepProfile((0.5,), (2.0, 1.0)), 2),
+         TfOptions(t_list=(1,), n=8, boundary="periodic"), CoefficientLattice(-2.0, 1.5, 5)),
+        (make_isotropic_quadratic(2, 2),
+         TfOptions(t_list=(1,), n=4, boundary="periodic"), CoefficientLattice(-1.0, 2.0, 4)),
+        (make_laminate_quadratic(StepProfile((0.25, 0.625), (1.0, 3.0, 1.5)),
+                                 StepProfile((0.5,), (2.0, 1.0)), 2),
+         TfOptions(t_list=(1, 2), n=8, boundary="dirichlet0"), CoefficientLattice(-2.0, 1.5, 4)),
+        (diagonal_laminate(),
+         TfOptions(t_list=(1,), n=8, boundary="periodic"), CoefficientLattice(-1.0, 2.0, 4)),
+        (make_laminate_quadratic(StepProfile((0.5,), (1.0, 2.0)), StepProfile.constant(1.0), 1),
+         TfOptions(t_list=(1,), n=16, boundary="periodic", max_iters=2),
+         CoefficientLattice(-2.0, 2.0, 9)),
+    ],
+    ids=[
+        "laminate-N1",
+        "laminate-N2",
+        "isotropic-N2",
+        "laminate-N2-dirichlet-t12",
+        "diagonal-N2",
+        "laminate-N1-unconverged",
+    ],
+)
+def test_quadratic_table_matches_tf_hom(s1, f, opts, lattice):
+    table = build_density_table(f, s1, 5, lattice, opts)
+    for i in (0, 2, 3):
+        s = circle_point(table.thetas[i])
+        for idx in np.ndindex(table.values.shape[1:]):
+            coeffs = np.array([[table.coeff_axes[c][idx[c]] for c in range(len(idx))]])
+            direct = tf_hom(f, s1, s, s1.tangent_from_coeffs(s, coeffs), opts)
+            entry = (i,) + idx
+            assert table.values[entry] == pytest.approx(direct.value, rel=1e-12, abs=1e-300)
+            assert table.rel_changes[entry] == pytest.approx(direct.rel_change, rel=1e-9, abs=1e-15)
+            assert table.converged[entry] == (direct.converged and direct.solver_converged)
+
+
+def test_quadratic_table_solves_one_corrector_per_column(monkeypatch, s1, laminate2):
+    calls = []
+
+    def counted(f, spec):
+        calls.append(spec.t)
+        return solve_cell(f, spec)
+
+    monkeypatch.setattr(density, "solve_cell", counted)
+    opts = TfOptions(t_list=(1, 2), n=4, boundary="periodic")
+    table = build_density_table(laminate2, s1, 3, CoefficientLattice(-1.0, 1.0, 3), opts)
+    assert len(calls) == 3 * 2 * 2
+    assert table.values.shape == (3, 3, 3) and table.converged.all()
+
+
+def test_quadratic_table_fails_whole_angle(s1):
+    def ev(y, xi):
+        xi = np.asarray(xi)
+        # Raises only at theta = 3 pi / 2, where the unit column load is (1, 0).
+        if np.any(xi[..., 0, 0] > 0.9):
+            raise RuntimeError("synthetic failure")
+        return np.sum(xi * xi, axis=(-2, -1))
+
+    f = Integrand(
+        eval=ev, grad_xi=lambda y, xi: 2.0 * np.asarray(xi), p=2, alpha=1.0, beta=1.0,
+        dims=(1, 2), quadratic=True,
+    )
+    opts = TfOptions(t_list=(1,), n=4, boundary="periodic")
+    table = build_density_table(f, s1, 4, CoefficientLattice(-1.0, 1.0, 3), opts)
+    assert table.entry_errors == ["angle theta_index=3: synthetic failure"]
+    assert np.isnan(table.values[3]).all() and not table.converged[3].any()
+    np.testing.assert_allclose(table.values[:3], np.tile([1.0, 0.0, 1.0], (3, 1)), atol=1e-15)
+    assert table.converged[:3].all()
+    assert table.failed_entries == table.values[3].size
+
+    broken = replace(f, eval=lambda y, xi: ev(y, np.abs(xi) + 1.0))
+    table = build_density_table(broken, s1, 4, CoefficientLattice(-1.0, 1.0, 3), opts)
+    assert len(table.entry_errors) == 4
+    assert table.failed_entries == table.values.size and not table.converged.any()
 
 
 def test_build_density_table_records_failures(s1):
