@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -409,7 +410,9 @@ class DensityTable:
 
     ``values`` has shape (len(thetas), *[len(axis) for each gradient column]).
     Interpolation is multilinear, periodic in the angle, clamping in the
-    coefficients.  ``rel_changes`` stores the final trace change per entry.
+    coefficients.  ``rel_changes`` stores the final trace change per entry;
+    the saved files keep only its maximum, which a loaded table gives to
+    every entry.
     """
 
     thetas: np.ndarray
@@ -467,8 +470,9 @@ class DensityTable:
         for c, axis in enumerate(self.coeff_axes):
             q = coeffs[..., c]
             clamped |= (q < axis[0]) | (q > axis[-1])
-            q = np.clip(q, axis[0], axis[-1])
-            j = np.clip(np.searchsorted(axis, q, side="right") - 1, 0, max(len(axis) - 2, 0))
+            q = np.minimum(np.maximum(q, axis[0]), axis[-1])
+            j = np.searchsorted(axis, q, side="right") - 1
+            j = np.minimum(np.maximum(j, 0), max(len(axis) - 2, 0))
             if len(axis) > 1:
                 w = (q - axis[j]) / (axis[j + 1] - axis[j])
             else:
@@ -476,20 +480,24 @@ class DensityTable:
             idx_lo.append(j)
             weights.append(w)
 
+        # Gather through flat indices; each corner builds its own index and
+        # weight arrays, so only one corner's temporaries are alive at a time.
+        flat = self.values.reshape(-1)
+        strides = [math.prod(self.values.shape[k + 1 :]) for k in range(1 + self.n_columns)]
         out = np.zeros(out_shape)
         for corner in itertools.product((0, 1), repeat=1 + self.n_columns):
             w_total = w_theta if corner[0] else 1.0 - w_theta
-            gather = [(i0 + corner[0]) % S]
+            index = (i0 + corner[0]) % S * strides[0]
             for c in range(self.n_columns):
                 j = idx_lo[c]
                 if corner[1 + c]:
-                    gather.append(np.minimum(j + 1, len(self.coeff_axes[c]) - 1))
+                    j = np.minimum(j + 1, len(self.coeff_axes[c]) - 1)
                     w_total = w_total * weights[c]
                 else:
-                    gather.append(j)
                     w_total = w_total * (1.0 - weights[c])
+                index = index + j * strides[1 + c]
             # A zero-weight corner adds nothing, even where its entry is NaN.
-            vals = np.asarray(self.values[tuple(gather)], dtype=float)
+            vals = np.asarray(flat.take(index), dtype=float)
             vals *= w_total
             vals[w_total == 0.0] = 0.0
             out += vals
@@ -498,10 +506,13 @@ class DensityTable:
         return out
 
     def check_sandwich(self) -> tuple[bool, float, float]:
-        """Exact sandwich check on every finite entry.
+        """Sandwich check on every entry, up to rounding.
 
-        Returns (ok, worst lower margin, worst upper margin); positive margins
-        mean a violation.
+        An entry passes when it lies within ``1e-12 * (1 + |bound|)`` of the
+        inside of both bounds, which absorbs the last-digit error of the
+        table's own arithmetic; a non-finite entry fails.  Returns (ok, worst
+        lower margin, worst upper margin) over the finite entries; positive
+        margins mean an entry lies outside a bound.
         """
         grids = np.meshgrid(*self.coeff_axes, indexing="ij") if self.coeff_axes else []
         if grids:
@@ -509,12 +520,17 @@ class DensityTable:
         else:
             norm = np.zeros(())
         norm_p = norm**self.p
+        lower = self.alpha * norm_p
+        upper = self.beta * (1.0 + norm_p)
+        lo = lower[None, ...] - self.values
+        hi = self.values - upper[None, ...]
+        # A NaN margin compares False and an infinite entry leaves a bound by
+        # an infinite margin, so every non-finite entry fails here.
+        within = (lo <= 1e-12 * (1.0 + np.abs(lower))) & (hi <= 1e-12 * (1.0 + np.abs(upper)))
         finite = np.isfinite(self.values)
-        lo = self.alpha * norm_p[None, ...] - self.values
-        hi = self.values - self.beta * (1.0 + norm_p)[None, ...]
         lo_m = float(np.max(lo[finite])) if finite.any() else -np.inf
         hi_m = float(np.max(hi[finite])) if finite.any() else -np.inf
-        return (lo_m <= 0.0 and hi_m <= 0.0), lo_m, hi_m
+        return bool(np.all(within)), lo_m, hi_m
 
     # -- serialization --------------------------------------------------------
 
@@ -583,7 +599,7 @@ class DensityTable:
             coeff_axes=axes,
             values=np.ascontiguousarray(data[:, -2].reshape(shape)),
             converged=(data[:, -1] == 1.0).reshape(shape),
-            rel_changes=np.zeros(shape),
+            rel_changes=np.full(shape, float(meta.get("max_rel_change", 0.0))),
             p=float(meta["p"]),
             alpha=float(meta["alpha"]),
             beta=float(meta["beta"]),
@@ -683,7 +699,8 @@ def build_density_table(
     scale = float(np.max(np.abs(axis), initial=0.0)) or 1.0
     weights = np.stack(np.meshgrid(*axes, indexing="ij")) / scale
 
-    for i in range(s_count):
+    # An empty lattice has no entry to fill, so nothing is solved.
+    for i in range(s_count if axis.size else 0):
         s = circle_point(thetas[i])
         if f.quadratic:
             try:

@@ -198,10 +198,13 @@ def test_gamma_command_and_determinism(tmp_path):
     report = json.loads((out / "gamma_report.json").read_text())
     assert len(report["gaps"]) == 2
     gaps1 = (out / "gamma_gaps.csv").read_bytes()
+    report1 = (out / "gamma_report.json").read_bytes()
 
     code2, out2 = run_cli(tmp_path, config, name="again.json")
     assert code2 == 0
     assert (out2 / "gamma_gaps.csv").read_bytes() == gaps1
+    # The report carries the iteration counts, so it pins the descent path too.
+    assert (out2 / "gamma_report.json").read_bytes() == report1
 
 
 def test_gamma_single_epsilon_trivial(tmp_path):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -447,3 +448,57 @@ def test_table_load_rejects_malformed_rows(tmp_path, s1, laminate1, damage):
     csv_path.write_text("\n".join([header, *rows]) + "\n")
     with pytest.raises(MalformedArtifact):
         DensityTable.load(csv_path, json_path)
+
+
+def test_table_resave_keeps_max_rel_change(tmp_path, s1, laminate2):
+    opts = TfOptions(t_list=(1, 2), n=8, boundary="dirichlet0")
+    table = build_density_table(laminate2, s1, 4, CoefficientLattice(-2.0, 2.0, 5), opts)
+    first = (tmp_path / "table.csv", tmp_path / "table.json")
+    again = (tmp_path / "table2.csv", tmp_path / "table2.json")
+    table.save(*first)
+    DensityTable.load(*first).save(*again)
+    saved = json.loads(first[1].read_text())["max_rel_change"]
+    assert saved > 1e-3  # the cube sizes disagree: a dropped value would show
+    assert json.loads(again[1].read_text())["max_rel_change"] == saved
+    assert first[0].read_bytes() == again[0].read_bytes()
+    assert json.loads(first[1].read_text()) == json.loads(again[1].read_text())
+
+
+def test_quadratic_table_empty_lattice_solves_nothing(monkeypatch, s1, laminate2):
+    calls = []
+
+    def counted(f, spec):
+        calls.append(spec.t)
+        return solve_cell(f, spec)
+
+    monkeypatch.setattr(density, "solve_cell", counted)
+    opts = TfOptions(t_list=(1, 2), n=4, boundary="periodic")
+    table = build_density_table(laminate2, s1, 4, CoefficientLattice(-1.0, 1.0, 0), opts)
+    assert calls == []
+    assert table.values.shape == (4, 0, 0)
+
+
+def test_sandwich_allows_rounding(s1, laminate1):
+    # The 32-angle x 81-coefficient laminate table of the benchmark's `gamma`
+    # workload: entry (theta = 0, z = -1.4375) is alpha z^2 = 2.06640625 up
+    # to one ulp below.
+    table = build_density_table(laminate1, s1, 32, CoefficientLattice(-2.5, 2.5, 81), PERIODIC_1)
+    ok, lo, hi = table.check_sandwich()
+    assert ok
+    assert lo <= 1e-12 and hi <= 0.0
+
+
+@pytest.mark.parametrize("damage", ["below", "nan", "inf"])
+def test_sandwich_rejects_violations(s1, laminate1, damage):
+    table = build_density_table(laminate1, s1, 8, CoefficientLattice(-2.0, 2.0, 5), PERIODIC_1)
+    assert table.check_sandwich()[0]
+    z = table.coeff_axes[0][1]
+    table.values[3, 1] = {
+        "below": table.alpha * z**2 - 1e-6,
+        "nan": np.nan,
+        "inf": np.inf,
+    }[damage]
+    ok, lo, _ = table.check_sandwich()
+    assert not ok
+    if damage == "below":
+        assert lo == pytest.approx(1e-6, rel=1e-6)

@@ -213,3 +213,68 @@ def test_write_field_csv(tmp_path, s1, laminate1):
     assert rows[0] == "x0,u0,u1"
     assert len(rows) == 34
     np.testing.assert_allclose(read_field_csv(path), run.field)
+
+
+def per_probe_value_and_grad(energy, U):
+    """Reference gradient: one cost evaluation per central-difference probe."""
+    U_cl = np.moveaxis(U, 0, -1)
+    corners = [c.copy() for c in energy._corner_views(U_cl)]
+    base = energy._cost(corners)
+    grad_cl = np.zeros_like(U_cl)
+    step = energy.FD_STEP
+    for slot, bits in enumerate(energy.slots):
+        sl = tuple(slice(1, None) if b else slice(None, -1) for b in bits)
+        for a in range(U_cl.shape[-1]):
+            saved = corners[slot][..., a].copy()
+            corners[slot][..., a] = saved + step
+            up = energy._cost(corners)
+            corners[slot][..., a] = saved - step
+            down = energy._cost(corners)
+            corners[slot][..., a] = saved
+            grad_cl[sl + (a,)] += (up - down) / (2.0 * step)
+    grad_cl /= energy.grid.n_elements
+    return float(np.mean(base)), np.moveaxis(grad_cl, -1, 0)
+
+
+def perturbed_table_energy(s1, dim, profile_a, profile_b):
+    from tanhom.gamma import _TableEnergy
+
+    f = make_laminate_quadratic(profile_a, profile_b, dim)
+    if dim == 1:
+        table, nodes, noise = build_table(f, s1), 257, 1e-3
+    else:
+        table, nodes, noise = build_table(f, s1, s_count=12, zmax=3.0, count=9, n=8), 33, 1e-2
+    cfg = GammaExperimentConfig(
+        manifold=s1, integrand=f, epsilons=(0.25,), table=table, dim=dim,
+        mesh_nodes=nodes, optimizer=FAST_OPT,
+    )
+    U = cfg.initial_field()
+    U = U + noise * np.random.default_rng(dim).standard_normal(U.shape)
+    return _TableEnergy(cfg), U / np.linalg.norm(U, axis=0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_table_energy_batched_probes_match_per_probe_loop(s1, profile_a, profile_b, dim):
+    energy, U = perturbed_table_energy(s1, dim, profile_a, profile_b)
+    value, grad = energy.value_and_grad(U)
+    ref_value, ref_grad = per_probe_value_and_grad(energy, U)
+    assert value == ref_value
+    assert np.array_equal(grad, ref_grad)
+    assert np.count_nonzero(grad) > grad.size // 2
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_table_energy_gradient_is_one_lookup(s1, profile_a, profile_b, dim, monkeypatch):
+    energy, U = perturbed_table_energy(s1, dim, profile_a, profile_b)
+    calls = []
+    lookup = energy.table.interpolate
+
+    def counted(theta, coeffs, count_clamped=False):
+        calls.append(np.shape(theta))
+        return lookup(theta, coeffs, count_clamped=count_clamped)
+
+    monkeypatch.setattr(energy.table, "interpolate", counted)
+    energy.value_and_grad(U)
+    energy.value_and_grad(U)
+    probes = 1 + 2 * 2**dim * 2
+    assert calls == [(probes,) + (U.shape[1] - 1,) * dim] * 2
