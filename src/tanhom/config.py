@@ -264,6 +264,9 @@ def _parse_gamma(section: Any, M: EmbeddedManifold, f: Integrand) -> GammaSectio
     check_keys(
         section, "gamma", {"epsilons"}, set(GAMMA_KEYS) | {"table", "optimizer", "dump_fields"}
     )
+    if not f.quadratic:
+        kind = f.describe.get("kind", "this integrand")
+        raise ConfigError(f"gamma: {kind} is not quadratic, so its table has no tensor")
     opt_cfg = check_keys(section.get("optimizer", {}), "gamma.optimizer", set(), set(OPTIMIZER_KEYS))
     optimizer = _build(
         "gamma.optimizer", OptimizerOptions, **_values(opt_cfg, "gamma.optimizer", OPTIMIZER_KEYS)

@@ -6,10 +6,10 @@ on the circle the effective coefficients are known exactly (harmonic mean in
 the oscillation direction, arithmetic mean across it), which provides the
 independent reference used throughout the test suite.  Density tables sample
 the homogenized density on an angle x coefficient grid and interpolate
-multilinearly; coefficients outside the table clamp with a warning count.
-A quadratic density has cell minimizers linear in the gradient, so its table
-comes from one corrector per gradient column and angle (an effective tensor
-per angle); every other density is tabulated entry by entry with ``tf_hom``.
+multilinearly; coefficients outside the table clamp.  A quadratic density
+has cell minimizers linear in the gradient, so its table comes from one
+corrector per gradient column and angle: an effective tensor per angle, which
+the table keeps.  Every other density is tabulated entry by entry with ``tf_hom``.
 """
 
 from __future__ import annotations
@@ -412,7 +412,9 @@ class DensityTable:
     Interpolation is multilinear, periodic in the angle, clamping in the
     coefficients.  ``rel_changes`` stores the final trace change per entry;
     the saved files keep only its maximum, which a loaded table gives to
-    every entry.
+    every entry.  A quadratic density's table also keeps ``tensor``, shape
+    (len(thetas), N, N): the effective tensor ``A(theta_i)`` with entry
+    ``z`` equal to ``z^T A(theta_i) z``; every other table has None.
     """
 
     thetas: np.ndarray
@@ -429,6 +431,7 @@ class DensityTable:
     nodes_per_period: int = 16
     boundary: str = PERIODIC
     entry_errors: list[str] = field(default_factory=list)
+    tensor: np.ndarray | None = None
 
     @property
     def n_columns(self) -> int:
@@ -442,14 +445,12 @@ class DensityTable:
     def coeff_range(self) -> list[tuple[float, float]]:
         return [(float(ax[0]), float(ax[-1])) for ax in self.coeff_axes]
 
-    def interpolate(self, theta, coeffs, count_clamped: bool = False):
+    def interpolate(self, theta, coeffs):
         """Multilinear lookup at angles ``theta`` and coefficients ``coeffs``.
 
         ``coeffs`` has shape (..., n_columns); out-of-range coefficients are
-        clamped to the table edge.  With ``count_clamped`` the number of
-        clamped queries is returned alongside the values.  Corners of zero
-        weight are skipped, so a non-finite entry only reaches the lookups
-        that weigh it.
+        clamped to the table edge.  Corners of zero weight are skipped, so a
+        non-finite entry only reaches the lookups that weigh it.
         """
         theta = np.asarray(theta, dtype=float)
         coeffs = np.asarray(coeffs, dtype=float)
@@ -466,11 +467,8 @@ class DensityTable:
         out_shape = np.broadcast(theta, coeffs[..., 0]).shape
         idx_lo: list[np.ndarray] = []
         weights: list[np.ndarray] = []
-        clamped = np.zeros(out_shape, dtype=bool)
         for c, axis in enumerate(self.coeff_axes):
-            q = coeffs[..., c]
-            clamped |= (q < axis[0]) | (q > axis[-1])
-            q = np.minimum(np.maximum(q, axis[0]), axis[-1])
+            q = np.minimum(np.maximum(coeffs[..., c], axis[0]), axis[-1])
             j = np.searchsorted(axis, q, side="right") - 1
             j = np.minimum(np.maximum(j, 0), max(len(axis) - 2, 0))
             if len(axis) > 1:
@@ -501,9 +499,32 @@ class DensityTable:
             vals *= w_total
             vals[w_total == 0.0] = 0.0
             out += vals
-        if count_clamped:
-            return out, int(np.count_nonzero(clamped))
         return out
+
+    def quadratic_form(self, theta, z):
+        """``z^T A(theta) z`` for ``theta`` (...), ``z`` (..., N), and its derivatives in both.
+
+        Exact in ``z``; ``A`` is the trigonometric interpolant of ``tensor``
+        (``np.fft.rfft`` of the samples), summed mode by mode, so no
+        points x modes array is formed.
+        """
+        theta = np.asarray(theta, dtype=float)
+        z = np.asarray(z, dtype=float)
+        S = len(self.thetas)
+        modes = np.fft.rfft(self.tensor, axis=0) / S
+        # Modes 1 .. ceil(S/2) - 1 stand for conjugate pairs; an even S's Nyquist mode does not.
+        modes[1 : (S + 1) // 2] *= 2.0
+        A = np.zeros(theta.shape + self.tensor.shape[1:])
+        dA = np.zeros_like(A)
+        for k, mode in enumerate(modes):
+            cos = np.cos(k * theta)[..., None, None]
+            sin = np.sin(k * theta)[..., None, None]
+            A += mode.real * cos - mode.imag * sin
+            dA -= k * (mode.real * sin + mode.imag * cos)
+        Az = np.einsum("...cd,...d->...c", A, z)
+        value = np.einsum("...c,...c->...", z, Az)
+        d_theta = np.einsum("...c,...cd,...d->...", z, dA, z)
+        return value, d_theta, 2.0 * Az
 
     def check_sandwich(self) -> tuple[bool, float, float]:
         """Sandwich check on every entry, up to rounding.
@@ -561,6 +582,7 @@ class DensityTable:
             if self.rel_changes.size
             else 0.0,
             "entry_errors": self.entry_errors,
+            "tensor": None if self.tensor is None else self.tensor.tolist(),
         }
 
     def save(self, csv_path, json_path) -> None:
@@ -573,7 +595,10 @@ class DensityTable:
         """Read a saved table back, checking every CSV row against the metadata grid.
 
         Raises ``MalformedArtifact`` when the row count, the column count or
-        any ``s0, s1, z*`` coordinate (to 1e-12) disagrees with the grid.
+        any ``s0, s1, z*`` coordinate (to 1e-12) disagrees with the grid, when
+        the metadata lack the ``tensor`` key, or when a finite value is off the
+        tensor's form by more than ``1e-12 |z|^T |A| |z|``.  Metadata keep
+        their JSON types, so load then save reproduces the bytes.
         """
         with open(json_path) as fh:
             meta = json.load(fh)
@@ -594,13 +619,27 @@ class DensityTable:
             raise MalformedArtifact(
                 f"{csv_path}: row {int(np.argmax(off_grid)) + 1} is not at its grid point"
             )
+        values = np.ascontiguousarray(data[:, -2].reshape(shape))
+        if "tensor" not in meta:
+            raise MalformedArtifact(f"{json_path}: no 'tensor' key")
+        tensor = meta["tensor"]
+        if tensor is not None:
+            tensor = np.asarray(tensor, dtype=float)
+            if tensor.shape != (s_count, len(axes), len(axes)):
+                raise MalformedArtifact(f"{json_path}: tensor shape {tensor.shape} off the grid")
+            Z = np.stack(np.meshgrid(*axes, indexing="ij"))
+            form = np.einsum("c...,icd,d...->i...", Z, tensor, Z)
+            bound = 1e-12 * np.einsum("c...,icd,d...->i...", abs(Z), abs(tensor), abs(Z))
+            off = np.isfinite(values) & ~(np.abs(values - form) <= bound)
+            if off.any():
+                raise MalformedArtifact(f"{csv_path}: row {np.argmax(off) + 1} is off the tensor")
         return cls(
             thetas=thetas,
             coeff_axes=axes,
-            values=np.ascontiguousarray(data[:, -2].reshape(shape)),
+            values=values,
             converged=(data[:, -1] == 1.0).reshape(shape),
             rel_changes=np.full(shape, float(meta.get("max_rel_change", 0.0))),
-            p=float(meta["p"]),
+            p=meta["p"],
             alpha=float(meta["alpha"]),
             beta=float(meta["beta"]),
             integrand_config=meta.get("integrand", {}),
@@ -609,6 +648,7 @@ class DensityTable:
             nodes_per_period=int(meta.get("nodes_per_period", 16)),
             boundary=meta.get("boundary", PERIODIC),
             entry_errors=list(meta.get("entry_errors", [])),
+            tensor=tensor,
         )
 
 
@@ -660,7 +700,9 @@ def build_density_table(
     largest |coefficient| on the lattice, or 1 when that is 0) and assembles
     the tensor from exact energies.  Entry ``z`` is then
     ``z^T A z / z_max**2``, the exact energy of the corrector
-    ``sum_c (z_c / z_max) phi_c`` under the load ``z``.
+    ``sum_c (z_c / z_max) phi_c`` under the load ``z``.  The table keeps
+    ``A / z_max**2`` of the largest cube size as ``tensor`` (NaN at an angle
+    whose solve raised).
 
     Stopping targets: the CG residual and the load gradient ``g0`` are both
     linear in the load.  For N = 1 the entry's residual is therefore
@@ -695,6 +737,7 @@ def build_density_table(
     values = np.full(shape, np.nan)
     converged = np.zeros(shape, dtype=bool)
     rel_changes = np.full(shape, np.nan)
+    tensor = np.full((s_count, N, N), np.nan) if f.quadratic else None
     errors: list[str] = []
     scale = float(np.max(np.abs(axis), initial=0.0)) or 1.0
     weights = np.stack(np.meshgrid(*axes, indexing="ij")) / scale
@@ -708,6 +751,7 @@ def build_density_table(
             except Exception as exc:  # recorded per angle, sweep continues
                 errors.append(f"angle theta_index={i}: {exc}")
                 continue
+            tensor[i] = per_t[-1][0] / scale**2
             per_size = [np.einsum("c...,cd,d...->...", weights, A, weights) for A, _ in per_t]
             rel, ok = _trace_verdict(per_size, opts.rel_tol)
             values[i] = per_size[-1]
@@ -741,4 +785,5 @@ def build_density_table(
         nodes_per_period=opts.n,
         boundary=opts.boundary,
         entry_errors=errors,
+        tensor=tensor,
     )

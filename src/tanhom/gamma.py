@@ -1,47 +1,40 @@
 """Desk-scale convergence probe for oscillating energies on circle-valued fields.
 
-Minimizes the oscillating functional over discrete manifold-valued fields for
-a decreasing sequence of period sizes and compares against the minimum of the
-homogenized functional built from a density table.  The optimizer is
-projected gradient descent: an ambient gradient step on interior nodes
-followed by nodewise retraction, safeguarded by Armijo backtracking, with
-Barzilai-Borwein trial steps.  Descent stops on a stall: ``STALL_ITERS``
-consecutive steps whose relative decrease is below the optimizer ``tol``.
-Minimum-energy convergence, not minimizer convergence, is the reported
-statistic.
-
-For one-dimensional domains a dynamic-programming shortest path over an
-(x, angle) lattice certifies the homogenized minimum globally within lattice
-error; projected descent alone only certifies stationarity.
+Minimizes the oscillating functional for a decreasing sequence of period
+sizes and the homogenized functional of a quadratic density's tensor table,
+and reports the gaps between the minimum energies.  A field is
+``U = (cos theta, sin theta)`` of its nodal angles.  Both minimizations run
+``optim.lbfgs`` over the interior angles, preconditioned by the inverse
+Hessian ``P`` of ``mean |grad theta|^2`` (a Sobolev gradient), and stop at
+``sqrt(g^T P g) <= sqrt(tol * max(|E0|, 1))`` for the initial energy ``E0``:
+near a minimum ``g^T P g`` estimates the remaining decrease, so ``tol`` is a
+relative energy accuracy.  For one-dimensional domains a dynamic-programming
+shortest path over an (x, angle) lattice of the table values certifies the
+homogenized minimum globally within lattice error.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .artifacts import fmt, read_csv, write_csv
 from .density import DensityTable
-from .errors import DegeneratePoint, ShapeMismatch
+from .errors import ShapeMismatch, UnsupportedGrowth
 from .grid import UniformGrid
 from .integrand import Integrand
-from .manifold import EmbeddedManifold, Sphere, circle_theta
+from .manifold import EmbeddedManifold, Sphere
+from .optim import lbfgs
 
 
-# Projected-descent settings: first trial step, stall length, Armijo line search.
-INIT_STEP = 1.0
-STALL_ITERS = 10
-ARMIJO_C = 1e-4
-MAX_BACKTRACKS = 30
 # Angle lattice of the DP certificate: how far it reaches beyond the boundary angles.
 DP_MARGIN = 0.3
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Projected-descent controls: iteration cap and stall tolerance."""
+    """Descent controls: iteration cap and relative energy accuracy."""
 
     max_iters: int = 50000
     tol: float = 1e-12
@@ -132,6 +125,7 @@ class GammaRunResult:
     iterations: int
     converged: bool
     warning: str | None = None
+    # The tensor energy never clamps; the count stays for readers of run results.
     clamp_count: int = 0
 
 
@@ -151,11 +145,8 @@ class _OscillatingEnergy:
         G = self.grid.center_gradient(U)  # (d, N, *E)
         return np.moveaxis(G, (0, 1), (-2, -1))
 
-    def value(self, U: np.ndarray) -> float:
-        return float(np.mean(self.eval_fn(self.y, self._ambient(U))))
-
-    def exact_value(self, U: np.ndarray) -> tuple[float, int]:
-        return float(np.mean(self.f.eval(self.y, self._ambient(U)))), 0
+    def exact_value(self, U: np.ndarray) -> float:
+        return float(np.mean(self.f.eval(self.y, self._ambient(U))))
 
     def value_and_grad(self, U: np.ndarray) -> tuple[float, np.ndarray]:
         amb = self._ambient(U)
@@ -166,187 +157,91 @@ class _OscillatingEnergy:
 
 
 class _TableEnergy:
-    """Discrete homogenized functional evaluated through table interpolation.
+    """Discrete homogenized functional through the table's effective tensor.
 
-    Element cost: project the element-center point onto the circle, read the
-    tangent coefficients of the center gradient there, and interpolate the
-    density table.  The assembled gradient uses central differences on the
-    element corners, which keeps the table the single source of truth.  The
-    base corners and all 2 * 2**dim * d probes are stacked along one leading
-    axis, so a gradient costs one projection and one table lookup.
+    Element cost ``z^T A(theta_c) z``: ``theta_c`` and the unit tangent ``tau``
+    project the element's corner mean ``c`` onto the circle, and
+    ``z_k = tau . g_k`` for the center gradients ``g_k`` (in 1D the chord
+    coefficient the DP scores).  The gradient is the exact chain rule.
     """
 
-    # The interpolated energy is piecewise multilinear with slope jumps at
-    # every lattice line.  At mesh size h a corner step moves the tangent
-    # coefficient by up to FD_STEP / (2**(dim - 1) * h): 0.256 at h = 1/256
-    # in 1D, four lattice cells of a 0.0625-spaced table.  The difference
-    # quotient averages across the kinks, and the descent relies on that
-    # smoothing to keep moving.
-    # Backtracking tests true energies, so descent monotonicity is unaffected.
-    FD_STEP = 1e-3
-
     def __init__(self, config: GammaExperimentConfig):
-        if config.table is None:
-            raise ValueError("a density table is required for the homogenized run")
+        if config.table is None or config.table.tensor is None:
+            raise UnsupportedGrowth("the homogenized energy needs a quadratic density's table")
         self.table = config.table
         self.grid = config.grid()
-        self.dim = config.dim
-        self.manifold = config.manifold
-        self.h = self.grid.h
-        self.slots = list(itertools.product((0, 1), repeat=self.dim))
-        # Node slice of each element corner, in the order of ``slots``.
-        self.slot_slices = [
-            tuple(slice(1, None) if b else slice(None, -1) for b in bits)
-            for bits in self.slots
-        ]
-
-    def _corner_views(self, U_cl: np.ndarray) -> list[np.ndarray]:
-        return [U_cl[sl] for sl in self.slot_slices]
-
-    def _cost(self, corners: list[np.ndarray], count_clamped: bool = False):
-        """Element costs from corner arrays of shape (..., *elements, d)."""
-        center = corners[0].copy()
-        for c in corners[1:]:
-            center = center + c
-        center /= len(corners)
-        s = self.manifold.project_batch(center)
-        theta = circle_theta(s)
-        tau = np.stack([-s[..., 1], s[..., 0]], axis=-1)
-        zs = []
-        for k in range(self.dim):
-            g = None
-            for bits, corner in zip(self.slots, corners):
-                sign = 1.0 if bits[k] else -1.0
-                g = sign * corner if g is None else g + sign * corner
-            g /= (2.0 ** (self.dim - 1)) * self.h
-            zs.append(np.sum(tau * g, axis=-1))
-        z = np.stack(zs, axis=-1)
-        return self.table.interpolate(theta, z, count_clamped=count_clamped)
-
-    def value(self, U: np.ndarray) -> float:
-        U_cl = np.moveaxis(U, 0, -1)
-        return float(np.mean(self._cost(self._corner_views(U_cl))))
-
-    def exact_value(self, U: np.ndarray) -> tuple[float, int]:
-        U_cl = np.moveaxis(U, 0, -1)
-        vals, clamped = self._cost(self._corner_views(U_cl), count_clamped=True)
-        return float(np.mean(vals)), clamped
 
     def value_and_grad(self, U: np.ndarray) -> tuple[float, np.ndarray]:
-        U_cl = np.moveaxis(U, 0, -1)
-        d = U_cl.shape[-1]
-        probes = list(itertools.product(range(len(self.slots)), range(d)))
-        # Row 0 holds the base corners; rows 2k + 1 and 2k + 2 move component
-        # a of corner ``slot`` up and down, for the k-th (slot, a) probe.
-        rows = 1 + 2 * len(probes)
-        corners = [np.repeat(c[None], rows, axis=0) for c in self._corner_views(U_cl)]
-        for k, (slot, a) in enumerate(probes):
-            saved = corners[slot][0, ..., a]
-            corners[slot][2 * k + 1, ..., a] = saved + self.FD_STEP
-            corners[slot][2 * k + 2, ..., a] = saved - self.FD_STEP
-        costs = self._cost(corners)
-        grad_cl = np.zeros_like(U_cl)
-        for k, (slot, a) in enumerate(probes):
-            up, down = costs[2 * k + 1], costs[2 * k + 2]
-            grad_cl[self.slot_slices[slot] + (a,)] += (up - down) / (2.0 * self.FD_STEP)
-        grad_cl /= self.grid.n_elements
-        return float(np.mean(costs[0])), np.moveaxis(grad_cl, -1, 0)
+        grid = self.grid
+        c = grid.center_value(U)  # (2, *E)
+        g = grid.center_gradient(U)  # (2, dim, *E)
+        r = np.hypot(c[0], c[1])
+        tau = np.stack([-c[1], c[0]]) / r
+        z = np.sum(tau[:, None] * g, axis=0)  # (dim, *E)
+        vals, d_theta, d_z = self.table.quadratic_form(
+            np.arctan2(c[1], c[0]), np.moveaxis(z, 0, -1)
+        )
+        d_z = np.moveaxis(d_z, -1, 0) / grid.n_elements
+        # d theta_c / dc = tau / r, dz_k / dg_k = tau, dz_k / dc = (g_k1, -g_k0) / r - z_k c / r^2.
+        perp = np.stack([g[1], -g[0]]) / r
+        d_c = d_theta * tau / (r * grid.n_elements) + np.sum(d_z * perp, axis=1)
+        d_c -= np.sum(d_z * z, axis=0) * c / r**2
+        grad = grid.center_gradient_adjoint(tau[:, None] * d_z) + grid.center_value_adjoint(d_c)
+        return float(np.mean(vals)), grad
+
+    def exact_value(self, U: np.ndarray) -> float:
+        return self.value_and_grad(U)[0]
 
 
-# -- projected descent ----------------------------------------------------------
+# -- angle descent -----------------------------------------------------------------
 
 
-def _projected_descent(
-    config: GammaExperimentConfig,
-    energy,
-) -> GammaRunResult:
+class _AngleProblem:
+    """An energy of circle-valued fields as a function of the interior nodal angles ``x``.
+
+    Boundary angles keep the config's affine data.  For the field gradient
+    ``G``, ``dE/dtheta = U_0 G_1 - U_1 G_0``.
+    """
+
+    def __init__(self, config: GammaExperimentConfig, energy):
+        self.energy = energy
+        grid = config.grid()
+        self.interior = grid.interior()
+        self.theta = config.node_angles()
+        self.shape = self.theta[self.interior].shape
+        self.x0 = self.theta[self.interior].flatten()
+        self._inverse = grid.dirichlet_inverse()
+
+    def field(self, x: np.ndarray) -> np.ndarray:
+        self.theta[self.interior] = x.reshape(self.shape)
+        return np.stack([np.cos(self.theta), np.sin(self.theta)])
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        U = self.field(x)
+        E, G = self.energy.value_and_grad(U)
+        return E, (U[0] * G[1] - U[1] * G[0])[self.interior].ravel()
+
+    def precondition(self, g: np.ndarray) -> np.ndarray:
+        return self._inverse(g.reshape(self.shape)).ravel()
+
+
+def _angle_descent(config: GammaExperimentConfig, energy) -> GammaRunResult:
     opt = config.optimizer
-    M = config.manifold
-    boundary = config.grid().boundary_mask()
-    U = config.initial_field().copy()
-
-    def riemannian(Uc: np.ndarray, G: np.ndarray) -> np.ndarray:
-        pts = np.moveaxis(Uc, 0, -1)
-        vecs = np.moveaxis(G, 0, -1)
-        R = M.tangent_project_batch(pts, vecs)
-        R[boundary] = 0.0
-        return np.moveaxis(R, -1, 0)
-
-    def retract_field(Uc: np.ndarray, step: float, R: np.ndarray) -> np.ndarray:
-        pts = np.moveaxis(Uc, 0, -1) - step * np.moveaxis(R, 0, -1)
-        out = M.project_batch(pts)
-        out[boundary] = np.moveaxis(Uc, 0, -1)[boundary]
-        return np.moveaxis(out, -1, 0)
-
-    E, G = energy.value_and_grad(U)
-    R = riemannian(U, G)
-    best_E, best_U = E, U.copy()
-    step = INIT_STEP
-    prev_dU = prev_dR = None
-    stall = 0
-    iterations = 0
-    converged = False
-    warning = None
-
-    while iterations < opt.max_iters:
-        iterations += 1
-        gnorm2 = float(np.sum(R * R))
-        if gnorm2 == 0.0:
-            converged = True
-            break
-
-        if prev_dU is not None:
-            denom = float(np.sum(prev_dU * prev_dR))
-            if denom > 0.0:
-                step = float(np.sum(prev_dU * prev_dU)) / denom
-            step = float(np.clip(step, 1e-10, 1e6))
-        trial = step
-
-        accepted = False
-        halvings = 0
-        for _ in range(MAX_BACKTRACKS):
-            try:
-                U_try = retract_field(U, trial, R)
-            except DegeneratePoint:
-                halvings += 1
-                if halvings >= 30:
-                    raise
-                trial *= 0.5
-                continue
-            E_try = energy.value(U_try)
-            if E_try <= E - ARMIJO_C * trial * gnorm2:
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            converged = True
-            warning = "line search stalled at a stationary point"
-            break
-
-        E_new, G_new = energy.value_and_grad(U_try)
-        R_new = riemannian(U_try, G_new)
-        prev_dU = (U_try - U).ravel()
-        prev_dR = (R_new - R).ravel()
-        rel_dec = (E - E_new) / max(abs(E_new), 1.0)
-        stall = stall + 1 if rel_dec < opt.tol else 0
-        U, E, R = U_try, E_new, R_new
-        if E < best_E:
-            best_E, best_U = E, U.copy()
-        if stall >= STALL_ITERS:
-            converged = True
-            break
-
-    if not converged:
-        warning = f"descent hit the iteration cap ({opt.max_iters})"
-
-    exact, clamped = energy.exact_value(best_U)
+    problem = _AngleProblem(config, energy)
+    E0, _ = problem.value_and_grad(problem.x0)
+    target = float(np.sqrt(opt.tol * max(abs(E0), 1.0)))
+    res = lbfgs(problem.value_and_grad, problem.x0, target, opt.max_iters, problem.precondition)
+    U = problem.field(res.x)
+    warning = None if res.converged else (
+        f"descent stopped unconverged after {res.iterations} iterations "
+        f"(preconditioned gradient norm {res.grad_norm:.3e}, target {target:.3e})"
+    )
     return GammaRunResult(
-        energy=exact,
-        field=best_U,
-        iterations=iterations,
-        converged=converged,
+        energy=energy.exact_value(U),
+        field=U,
+        iterations=res.iterations,
+        converged=res.converged,
         warning=warning,
-        clamp_count=clamped,
     )
 
 
@@ -357,12 +252,12 @@ def minimize_f_eps(config: GammaExperimentConfig, eps: float) -> GammaRunResult:
     densities are minimized through their smoothed forms; the reported energy
     is always the exact one.
     """
-    return _projected_descent(config, _OscillatingEnergy(config, eps))
+    return _angle_descent(config, _OscillatingEnergy(config, eps))
 
 
 def minimize_f_hom(config: GammaExperimentConfig) -> GammaRunResult:
-    """Minimize the homogenized functional through the density table."""
-    return _projected_descent(config, _TableEnergy(config))
+    """Minimize the homogenized functional through the table's effective tensor."""
+    return _angle_descent(config, _TableEnergy(config))
 
 
 # -- dynamic-programming certificate ---------------------------------------------
@@ -379,12 +274,14 @@ def dp_minimize_hom(
 ) -> float:
     """Global minimum of the 1D homogenized functional over an angle lattice.
 
-    Shortest path on an (x, angle) lattice with the same per-element cost as
-    the descent optimizer: the transition theta_a -> theta_b over one element
-    of size h scores the table at the angular midpoint with tangent
+    Shortest path on an (x, angle) lattice with the same per-element
+    discretization as the homogenized descent, scored by the table's lattice
+    values instead of its tensor: the transition theta_a -> theta_b over one
+    element of size h reads the table at the angular midpoint with tangent
     coefficient 2 sin((theta_b - theta_a)/2) / h.  Transitions whose
     coefficient leaves the table are forbidden rather than clamped.  The
-    result certifies the descent minimum within lattice quantization error.
+    result certifies the descent minimum within lattice quantization and
+    interpolation error.
     """
     if table.n_columns != 1:
         raise ShapeMismatch("the dynamic program drives one gradient column")
@@ -479,9 +376,7 @@ def run_gamma_experiment(config: GammaExperimentConfig) -> GammaReport:
     The trend statistic is the fraction of consecutive gap decreases; per-run
     warnings aggregate instead of aborting the sweep.
     """
-    if config.table is None:
-        raise ValueError("run_gamma_experiment needs a density table")
-
+    _TableEnergy(config)  # refuses a table without a tensor before any solve
     eps_runs = [minimize_f_eps(config, e) for e in config.epsilons]
     hom_run = minimize_f_hom(config)
 
@@ -503,10 +398,6 @@ def run_gamma_experiment(config: GammaExperimentConfig) -> GammaReport:
     warnings = [r.warning for r in eps_runs if r.warning]
     if hom_run.warning:
         warnings.append(hom_run.warning)
-    if hom_run.clamp_count:
-        warnings.append(
-            f"homogenized energy clamped {hom_run.clamp_count} table lookups"
-        )
 
     return GammaReport(
         epsilons=config.epsilons,

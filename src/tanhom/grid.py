@@ -11,6 +11,8 @@ sits on a grid line.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 
@@ -62,6 +64,14 @@ def _avg_adjoint(w: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
     out[tuple(hi)] += 0.5 * w
     out[tuple(lo)] += 0.5 * w
     return out
+
+
+def _dst1(values: np.ndarray, axis: int) -> np.ndarray:
+    """Type-I sine transform by ``np.fft``: ``y_k = sum_j x_j sin(pi j k / (m + 1))``."""
+    x = np.moveaxis(values, axis, -1)
+    pad = np.zeros(x.shape[:-1] + (1,))
+    y = np.fft.rfft(np.concatenate([pad, x, pad, -x[..., ::-1]], axis=-1)).imag
+    return np.moveaxis(-0.5 * y[..., 1 : x.shape[-1] + 1], -1, axis)
 
 
 class UniformGrid:
@@ -121,6 +131,43 @@ class UniformGrid:
                     g = _avg_adjoint(g, axis, self.periodic)
             total = g if total is None else total + g
         return total
+
+    def center_value(self, values: np.ndarray) -> np.ndarray:
+        """Mean of each element's corner values: (*channels, *nodes) -> (*channels, *elements)."""
+        lead = values.ndim - self.ndim
+        for j in range(self.ndim):
+            values = _avg(values, lead + j, self.periodic)
+        return values
+
+    def center_value_adjoint(self, weights: np.ndarray) -> np.ndarray:
+        """Transpose of ``center_value``: (*channels, *elements) -> (*channels, *nodes)."""
+        lead = weights.ndim - self.ndim
+        for j in reversed(range(self.ndim)):
+            weights = _avg_adjoint(weights, lead + j, self.periodic)
+        return weights
+
+    def dirichlet_inverse(self):
+        """The map ``r -> H^-1 r``, ``H`` the Hessian of ``mean |grad u|^2`` on interior nodes.
+
+        ``H = 2 / (n_elements h^2) sum_k T_k prod_{j != k} M_j`` for the 1D
+        second difference ``T`` and corner average ``M`` of the center
+        gradients.  The sine transform diagonalizes both (eigenvalues
+        ``4 sin^2(pi i / 2n)`` and ``cos^2(pi i / 2n)``, ``i = 1..n-1``), and
+        applied twice it multiplies by ``n / 2`` per axis.
+        """
+        if self.periodic:
+            raise ValueError("the Dirichlet inverse needs a non-periodic grid")
+        n = self.elements_per_side
+        angles = np.pi * np.arange(1, n) / (2 * n)
+        t, m = 4.0 * np.sin(angles) ** 2, np.cos(angles) ** 2
+        axes = range(self.ndim)
+        eig = sum(reduce(np.multiply.outer, [t if j == k else m for j in axes]) for k in axes)
+        eig *= 2.0 / (self.n_elements * self.h**2) * (n / 2.0) ** self.ndim
+
+        def sine(r):
+            return reduce(_dst1, axes, r)
+
+        return lambda r: sine(sine(r) / eig)
 
     def interior(self) -> tuple[slice, ...]:
         """Slices selecting interior nodes of a non-periodic grid."""

@@ -6,7 +6,7 @@ the caller anchors (the cell solver anchors it the same way, at the zero
 corrector).  The conjugate-gradient path assumes the objective is an exact
 quadratic so that the Hessian action can be read off from gradient
 differences; the limited-memory quasi-Newton path only needs values and
-gradients.
+gradients, and optionally a preconditioner.
 """
 
 from __future__ import annotations
@@ -83,12 +83,18 @@ def lbfgs(
     x0: np.ndarray,
     target: float,
     max_iters: int,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> MinimizeResult:
     """Limited-memory quasi-Newton descent with Armijo backtracking.
 
+    ``precondition`` applies a symmetric positive definite ``P`` (identity
+    when None): the initial inverse Hessian of every update is ``P`` scaled
+    by ``s^T y / y^T P y``, and the gradient norm is ``sqrt(g^T P g)``.
     Returns the best iterate seen.  ``converged`` reflects the stopping test
-    (gradient norm at most ``target``), not merely running out of iterations.
+    (gradient norm at most ``target``), not merely running out of iterations;
+    a line search that finds no decrease ends the run unconverged.
     """
+    apply_p = precondition or (lambda v: v)
     x = np.asarray(x0, dtype=float).copy()
     f, g = value_and_grad(x)
 
@@ -98,7 +104,8 @@ def lbfgs(
     rho_list: list[float] = []
 
     for k in range(1, max_iters + 1):
-        gnorm = float(np.linalg.norm(g))
+        pg = apply_p(g)
+        gnorm = float(np.sqrt(float(g @ pg)))
         if gnorm <= target:
             return MinimizeResult(best_x, k - 1, gnorm, True)
 
@@ -108,9 +115,10 @@ def lbfgs(
             a = rho * float(s @ q)
             alphas.append(a)
             q -= a * y
+        q = apply_p(q)
         if y_list:
             y_last = y_list[-1]
-            gamma = float(s_list[-1] @ y_last) / max(float(y_last @ y_last), 1e-300)
+            gamma = float(s_list[-1] @ y_last) / max(float(y_last @ apply_p(y_last)), 1e-300)
             q *= gamma
         for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
             b = rho * float(y @ q)
@@ -126,7 +134,7 @@ def lbfgs(
 
         slope = float(g @ direction)
         if slope >= 0.0:
-            direction = -g
+            direction = -pg
             slope = -gnorm * gnorm
 
         step = 1.0 if y_list else 1.0 / max(gnorm, 1.0)
@@ -139,7 +147,7 @@ def lbfgs(
                 break
             step *= 0.5
         if not accepted:
-            return MinimizeResult(best_x, k, gnorm, gnorm <= target)
+            return MinimizeResult(best_x, k, gnorm, False)
 
         s_vec = x_try - x
         y_vec = g_try - g
@@ -156,4 +164,4 @@ def lbfgs(
                 y_list.pop(0)
                 rho_list.pop(0)
 
-    return MinimizeResult(best_x, max_iters, float(np.linalg.norm(g)), False)
+    return MinimizeResult(best_x, max_iters, float(np.sqrt(float(g @ apply_p(g)))), False)

@@ -303,6 +303,26 @@ def test_criterion_8_gamma_convergence_probe(gamma_outcome):
     )
 
 
+def test_criterion_8_closed_form_certificate(gamma_outcome):
+    # In 1D the homogenized density is A(theta) z^2, so the minimum over angle
+    # paths from 0 to pi/2 is the squared geodesic length (int A^(1/2))^2,
+    # here with A from the closed-form laminate reference.
+    result, _ = gamma_outcome
+    thetas = np.linspace(0.0, np.pi / 2.0, 2001)
+    root_a = []
+    for theta in thetas:
+        s = circle_point(theta)
+        root_a.append(np.sqrt(laminate_oracle(PROFILE_A, PROFILE_B, s, S1.tangent_from_coeffs(s, [[1.0]]))))
+    certificate = np.trapezoid(root_a, thetas) ** 2
+    rel = abs(result.hom_energy - certificate) / certificate
+    report(
+        8,
+        rel <= 1e-5,
+        "homogenized minimum matches the closed-form geodesic certificate",
+        f"hom {result.hom_energy:.7f}, certificate {certificate:.7f}, relative {rel:.1e}",
+    )
+
+
 def test_criterion_9_gradient_correctness():
     rng = np.random.default_rng(2024)
     worst = 0.0

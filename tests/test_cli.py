@@ -229,25 +229,27 @@ def test_gamma_single_epsilon_trivial(tmp_path):
     assert json.loads((out / "gamma_report.json").read_text())["clamp_count"] == 0
 
 
-def test_gamma_clamped_table_warns(tmp_path):
-    # A table too narrow for the visited gradients clamps and reports it.
+def test_gamma_non_quadratic_exits_1_before_solving(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "build_density_table", no_solve)
+    monkeypatch.setattr(gamma, "minimize_f_eps", no_solve)
     config = {
         "command": "gamma",
         "manifold": SPHERE,
-        "integrand": {"kind": "isotropic_quadratic", "N": 1, "d": 2},
+        "integrand": {"kind": "norm_linear", "c": {"values": [1]}, "N": 1, "d": 2},
         "gamma": {
             "dim": 1,
-            "mesh_nodes": 65,
-            "epsilons": [1.0],
-            "table": {"s_count": 8, "lattice": {"min": -0.5, "max": 0.5, "count": 11}, "n": 4},
-            "run_dp": False,
+            "mesh_nodes": 33,
+            "epsilons": [0.25],
+            "table": {"s_count": 8, "lattice": {"min": -2.5, "max": 2.5, "count": 21}, "n": 4},
         },
     }
     code, out = run_cli(tmp_path, config)
-    assert code == 0
-    report = json.loads((out / "gamma_report.json").read_text())
-    assert report["clamp_count"] > 0
-    assert any("clamped" in w for w in report["warnings"])
+    assert code == 1
+    assert "not quadratic" in capsys.readouterr().err
+    assert not (out / "gamma_report.json").exists()
 
 
 def test_gamma_table_roundtrip_via_path(tmp_path):

@@ -17,6 +17,7 @@ from tanhom.density import (
     tf_hom,
     verify_equivalence_fbar,
 )
+from tanhom.artifacts import read_csv
 from tanhom.errors import GrowthViolation, MalformedArtifact, NotTangent
 from tanhom.integrand import (
     Integrand,
@@ -399,9 +400,8 @@ def test_table_interpolation(s1, laminate1):
     v1 = table.interpolate(0.3, np.array([0.7]))
     v2 = table.interpolate(0.3 + 2 * np.pi, np.array([0.7]))
     assert v1 == pytest.approx(v2)
-    # Clamping is counted.
-    _, clamped = table.interpolate(0.0, np.array([5.0]), count_clamped=True)
-    assert clamped == 1
+    # Coefficients beyond the table clamp to its edge.
+    assert table.interpolate(0.0, np.array([5.0])) == table.interpolate(0.0, np.array([2.0]))
 
 
 def test_table_interpolation_skips_zero_weight_corners(s1, laminate1):
@@ -425,14 +425,26 @@ def test_table_save_load_roundtrip(tmp_path, s1, laminate1):
     np.testing.assert_array_equal(loaded.converged, table.converged)
     assert loaded.p == table.p and loaded.alpha == table.alpha
 
-    # Re-serialization is byte-identical.
+    # Re-serialization is byte-identical, metadata and tensor included.
     csv2 = tmp_path / "table2.csv"
     json2 = tmp_path / "table2.json"
     loaded.save(csv2, json2)
     assert csv_path.read_bytes() == csv2.read_bytes()
+    assert json_path.read_bytes() == json2.read_bytes()
+    np.testing.assert_array_equal(loaded.tensor, table.tensor)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "reordered"])
+def test_table_tensor_reproduces_csv_values(tmp_path, s1, laminate2):
+    table = build_density_table(laminate2, s1, 8, CoefficientLattice(-2.0, 2.0, 5), PERIODIC_1)
+    table.save(tmp_path / "table.csv", tmp_path / "table.json")
+    _, rows = read_csv(tmp_path / "table.csv")
+    per_angle = rows.shape[0] // len(table.thetas)
+    theta = np.repeat(table.thetas, per_angle)
+    value, _, _ = table.quadratic_form(theta, rows[:, 2:4])
+    assert np.all(np.abs(value - rows[:, 4]) <= 1e-12 * (1.0 + np.abs(rows[:, 4])))
+
+
+@pytest.mark.parametrize("damage", ["truncated", "reordered", "no_tensor", "off_tensor"])
 def test_table_load_rejects_malformed_rows(tmp_path, s1, laminate1, damage):
     table = build_density_table(
         laminate1, s1, 4, CoefficientLattice(-1.0, 1.0, 3), PERIODIC_1
@@ -443,8 +455,16 @@ def test_table_load_rejects_malformed_rows(tmp_path, s1, laminate1, damage):
     header, *rows = csv_path.read_text().splitlines()
     if damage == "truncated":
         rows = rows[:-3]
-    else:
+    elif damage == "reordered":
         rows[1], rows[5] = rows[5], rows[1]
+    elif damage == "no_tensor":
+        meta = json.loads(json_path.read_text())
+        del meta["tensor"]
+        json_path.write_text(json.dumps(meta))
+    else:  # a value 1e-9 off the tensor's quadratic form
+        cells = rows[2].split(",")
+        cells[-2] = repr(float(cells[-2]) * (1.0 + 1e-9))
+        rows[2] = ",".join(cells)
     csv_path.write_text("\n".join([header, *rows]) + "\n")
     with pytest.raises(MalformedArtifact):
         DensityTable.load(csv_path, json_path)

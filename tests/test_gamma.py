@@ -103,8 +103,8 @@ def test_periodicity_invariance(s1, profile_a, profile_b):
     )
     cfg_shift = dataclasses.replace(cfg, integrand=shifted)
     U = cfg.initial_field()
-    e1 = _OscillatingEnergy(cfg, 0.25).value(U)
-    e2 = _OscillatingEnergy(cfg_shift, 0.25).value(U)
+    e1 = _OscillatingEnergy(cfg, 0.25).value_and_grad(U)[0]
+    e2 = _OscillatingEnergy(cfg_shift, 0.25).value_and_grad(U)[0]
     assert e1 == pytest.approx(e2, rel=1e-14)
 
 
@@ -125,7 +125,7 @@ def test_descent_improves_initial_energy(s1, laminate1):
         manifold=s1, integrand=laminate1, epsilons=(0.25,), dim=1, mesh_nodes=65,
         optimizer=FAST_OPT,
     )
-    init = _OscillatingEnergy(cfg, 0.25).value(cfg.initial_field())
+    init = _OscillatingEnergy(cfg, 0.25).value_and_grad(cfg.initial_field())[0]
     run = minimize_f_eps(cfg, 0.25)
     assert run.energy <= init + 1e-12
 
@@ -182,8 +182,13 @@ def test_two_dimensional_smoke(s1, profile_a, profile_b):
     from tanhom.gamma import _OscillatingEnergy
 
     for eps, energy in zip(cfg.epsilons, report.eps_energies):
-        upper = _OscillatingEnergy(cfg, eps).value(cfg.initial_field())
+        upper = _OscillatingEnergy(cfg, eps).value_and_grad(cfg.initial_field())[0]
         assert 0.9 * lower <= energy <= upper + 1e-12
+    # The homogenized descent moves off the initial field and reaches below
+    # the finest oscillating minimum.
+    assert report.hom_converged
+    assert report.hom_iterations > 1
+    assert report.hom_energy < report.eps_energies[-1]
 
 
 def test_linear_growth_smoke(s1):
@@ -215,66 +220,52 @@ def test_write_field_csv(tmp_path, s1, laminate1):
     np.testing.assert_allclose(read_field_csv(path), run.field)
 
 
-def per_probe_value_and_grad(energy, U):
-    """Reference gradient: one cost evaluation per central-difference probe."""
-    U_cl = np.moveaxis(U, 0, -1)
-    corners = [c.copy() for c in energy._corner_views(U_cl)]
-    base = energy._cost(corners)
-    grad_cl = np.zeros_like(U_cl)
-    step = energy.FD_STEP
-    for slot, bits in enumerate(energy.slots):
-        sl = tuple(slice(1, None) if b else slice(None, -1) for b in bits)
-        for a in range(U_cl.shape[-1]):
-            saved = corners[slot][..., a].copy()
-            corners[slot][..., a] = saved + step
-            up = energy._cost(corners)
-            corners[slot][..., a] = saved - step
-            down = energy._cost(corners)
-            corners[slot][..., a] = saved
-            grad_cl[sl + (a,)] += (up - down) / (2.0 * step)
-    grad_cl /= energy.grid.n_elements
-    return float(np.mean(base)), np.moveaxis(grad_cl, -1, 0)
-
-
-def perturbed_table_energy(s1, dim, profile_a, profile_b):
-    from tanhom.gamma import _TableEnergy
+def angle_problem(s1, profile_a, profile_b, dim, homogenized):
+    """An angle-coordinate energy of a laminate and a perturbed interior angle vector."""
+    from tanhom.gamma import _AngleProblem, _OscillatingEnergy, _TableEnergy
 
     f = make_laminate_quadratic(profile_a, profile_b, dim)
-    if dim == 1:
-        table, nodes, noise = build_table(f, s1), 257, 1e-3
-    else:
-        table, nodes, noise = build_table(f, s1, s_count=12, zmax=3.0, count=9, n=8), 33, 1e-2
+    table = build_table(f, s1, s_count=12, zmax=3.0, count=9, n=8)
+    eps, nodes = (0.25, 65) if dim == 1 else (0.5, 17)
     cfg = GammaExperimentConfig(
-        manifold=s1, integrand=f, epsilons=(0.25,), table=table, dim=dim,
+        manifold=s1, integrand=f, epsilons=(eps,), table=table, dim=dim,
         mesh_nodes=nodes, optimizer=FAST_OPT,
     )
-    U = cfg.initial_field()
-    U = U + noise * np.random.default_rng(dim).standard_normal(U.shape)
-    return _TableEnergy(cfg), U / np.linalg.norm(U, axis=0)
+    energy = _TableEnergy(cfg) if homogenized else _OscillatingEnergy(cfg, eps)
+    problem = _AngleProblem(cfg, energy)
+    x = problem.x0 + 0.1 * np.random.default_rng(dim).standard_normal(problem.x0.shape)
+    return problem, x
+
+
+@pytest.mark.parametrize("homogenized", [False, True], ids=["f_eps", "f_hom"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_angle_energy_gradient_matches_central_differences(
+    s1, profile_a, profile_b, dim, homogenized
+):
+    problem, x = angle_problem(s1, profile_a, profile_b, dim, homogenized)
+    _, g = problem.value_and_grad(x)
+    gfd = np.zeros_like(g)
+    h = 1e-6
+    for i in range(len(x)):
+        e = np.zeros_like(x)
+        e[i] = h
+        gfd[i] = (problem.value_and_grad(x + e)[0] - problem.value_and_grad(x - e)[0]) / (2.0 * h)
+    assert np.count_nonzero(g) == g.size
+    assert np.linalg.norm(g - gfd) <= 1e-5 * np.linalg.norm(gfd)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_table_energy_batched_probes_match_per_probe_loop(s1, profile_a, profile_b, dim):
-    energy, U = perturbed_table_energy(s1, dim, profile_a, profile_b)
-    value, grad = energy.value_and_grad(U)
-    ref_value, ref_grad = per_probe_value_and_grad(energy, U)
-    assert value == ref_value
-    assert np.array_equal(grad, ref_grad)
-    assert np.count_nonzero(grad) > grad.size // 2
+def test_angle_preconditioner_inverts_dirichlet_hessian(s1, profile_a, profile_b, dim):
+    # The unit Dirichlet energy mean |grad theta|^2 of the interior angles is
+    # quadratic, so its Hessian columns are gradient differences.
+    problem, x = angle_problem(s1, profile_a, profile_b, dim, homogenized=False)
+    grid = problem.energy.grid
 
+    def dirichlet_grad(v):
+        theta = np.zeros(grid.node_shape)
+        theta[problem.interior] = v.reshape(problem.shape)
+        G = grid.center_gradient(theta[None])
+        return grid.center_gradient_adjoint(2.0 * G / grid.n_elements)[0][problem.interior].ravel()
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_table_energy_gradient_is_one_lookup(s1, profile_a, profile_b, dim, monkeypatch):
-    energy, U = perturbed_table_energy(s1, dim, profile_a, profile_b)
-    calls = []
-    lookup = energy.table.interpolate
-
-    def counted(theta, coeffs, count_clamped=False):
-        calls.append(np.shape(theta))
-        return lookup(theta, coeffs, count_clamped=count_clamped)
-
-    monkeypatch.setattr(energy.table, "interpolate", counted)
-    energy.value_and_grad(U)
-    energy.value_and_grad(U)
-    probes = 1 + 2 * 2**dim * 2
-    assert calls == [(probes,) + (U.shape[1] - 1,) * dim] * 2
+    r = np.random.default_rng(7).standard_normal(x.shape)
+    np.testing.assert_allclose(dirichlet_grad(problem.precondition(r)), r, atol=1e-9)
