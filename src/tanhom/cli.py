@@ -1,9 +1,10 @@
 """Batch front-end: JSON config in, CSV/JSON artifacts out.
 
 Exit codes: 0 success, 1 configuration error (malformed config or invalid
-values) or I/O error, 2 a solver failed to converge, 3 partial results (some
-entries of the density table, built or loaded, failed), 4 a verification
-suite failed.  Identical config and seed produce byte-identical CSV output.
+values) or I/O error, 2 a solver failed to converge or a 1D homogenized
+minimum missed its geodesic certificate, 3 partial results (some entries of
+the density table, built or loaded, failed), 4 a verification suite failed.
+Identical config and seed produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def cmd_gamma(cfg: RunConfig, out: Path, verbose: bool, config_dir: Path) -> int
     )
     if failed:
         return 3
-    ok = all(report.eps_converged) and report.hom_converged
+    ok = all(report.eps_converged) and report.hom_converged and not report.certificate_missed
     return 0 if ok else 2
 
 

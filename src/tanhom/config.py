@@ -81,9 +81,6 @@ GAMMA_KEYS = {
     "epsilons": _tuple_of(float),
     "huber_mu": float,
     "run_dp": bool,
-    "dp_elements": _integer,
-    "dp_theta_count": _integer,
-    "dp_band": _integer,
 }
 OPTIMIZER_KEYS = {"max_iters": _integer, "tol": float}
 LATTICE_KEYS = {"min": float, "max": float, "count": _integer}

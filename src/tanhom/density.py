@@ -442,9 +442,6 @@ class DensityTable:
         """Entries whose solve failed: recorded errors or non-finite values."""
         return max(len(self.entry_errors), int(np.count_nonzero(~np.isfinite(self.values))))
 
-    def coeff_range(self) -> list[tuple[float, float]]:
-        return [(float(ax[0]), float(ax[-1])) for ax in self.coeff_axes]
-
     def interpolate(self, theta, coeffs):
         """Multilinear lookup at angles ``theta`` and coefficients ``coeffs``.
 

@@ -259,12 +259,6 @@ def circle_point(theta: float) -> np.ndarray:
     return np.array([np.cos(theta), np.sin(theta)])
 
 
-def circle_theta(points: np.ndarray) -> np.ndarray:
-    """Angles of points on S^1, trailing axis of size 2."""
-    points = np.asarray(points, dtype=float)
-    return np.arctan2(points[..., 1], points[..., 0])
-
-
 def manifold_from_config(cfg: dict) -> EmbeddedManifold:
     """Build a manifold from its JSON description, e.g. {"kind": "sphere", "d": 2}."""
     kind = check_keys(cfg, "manifold", {"kind"}, {"d", "k"})["kind"]

@@ -3,7 +3,8 @@
 Run ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.  Every
 tolerance is pinned here; the reference values come from closed forms (step
 profile means, geodesic costs) or from independent certificates (tiling
-candidates, dynamic programming), never from the code paths under test.
+candidates, the geodesic minimum of the table's tensor), never from the code
+paths under test.
 """
 
 import time
@@ -99,9 +100,6 @@ def gamma_outcome():
         theta0=0.0,
         theta1=np.pi / 2.0,
         optimizer=OptimizerOptions(max_iters=40000, tol=1e-12),
-        dp_elements=128,
-        dp_theta_count=3001,
-        dp_band=100,
     )
     result = run_gamma_experiment(config)
     return result, time.time() - start

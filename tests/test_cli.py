@@ -189,14 +189,13 @@ def test_gamma_command_and_determinism(tmp_path):
             "epsilons": [0.25, 0.125],
             "table": {"s_count": 16, "lattice": {"min": -2.5, "max": 2.5, "count": 21}, "n": 8},
             "optimizer": {"max_iters": 20000},
-            "dp_theta_count": 801,
-            "dp_band": 40,
         },
     }
     code, out = run_cli(tmp_path, config)
     assert code == 0
     report = json.loads((out / "gamma_report.json").read_text())
     assert len(report["gaps"]) == 2
+    assert report["warnings"] == []
     gaps1 = (out / "gamma_gaps.csv").read_bytes()
     report1 = (out / "gamma_report.json").read_bytes()
 
@@ -226,7 +225,28 @@ def test_gamma_single_epsilon_trivial(tmp_path):
     assert code == 0
     report = json.loads((out / "gamma_report.json").read_text())
     assert report["gaps"][0] <= 2e-3
-    assert json.loads((out / "gamma_report.json").read_text())["clamp_count"] == 0
+
+
+@pytest.mark.parametrize("factor", [np.nan, 0.5], ids=["nan", "half"])
+def test_gamma_missed_certificate_warns_and_exits_2(tmp_path, monkeypatch, factor):
+    # A certificate off the homogenized minimum, or NaN, must be flagged.
+    certificate = gamma.dp_minimize_hom
+    monkeypatch.setattr(gamma, "dp_minimize_hom", lambda *args: factor * certificate(*args))
+    config = {
+        "command": "gamma",
+        "manifold": SPHERE,
+        "integrand": {**LAMINATE, "N": 1},
+        "gamma": {
+            "dim": 1,
+            "mesh_nodes": 33,
+            "epsilons": [0.25],
+            "table": {"s_count": 8, "n": 8},
+        },
+    }
+    code, out = run_cli(tmp_path, config)
+    assert code == 2
+    warnings = json.loads((out / "gamma_report.json").read_text())["warnings"]
+    assert len(warnings) == 1 and "geodesic certificate" in warnings[0]
 
 
 def test_gamma_non_quadratic_exits_1_before_solving(tmp_path, monkeypatch, capsys):
@@ -380,6 +400,9 @@ REMOVED_KEYS = [
     ("gamma", "optimizer.armijo_c"),
     ("gamma", "optimizer.max_backtracks"),
     ("gamma", "dp_margin"),
+    ("gamma", "dp_elements"),
+    ("gamma", "dp_theta_count"),
+    ("gamma", "dp_band"),
 ]
 
 

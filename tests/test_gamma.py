@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from tanhom.density import CoefficientLattice, TfOptions, build_density_table
-from tanhom.errors import ShapeMismatch
+from tanhom.density import CoefficientLattice, TfOptions, build_density_table, laminate_oracle
+from tanhom.errors import ShapeMismatch, UnsupportedGrowth
 from tanhom.gamma import (
     GammaExperimentConfig,
     OptimizerOptions,
@@ -19,7 +21,7 @@ from tanhom.integrand import (
     make_laminate_quadratic,
     make_norm_linear,
 )
-from tanhom.manifold import Sphere
+from tanhom.manifold import Sphere, circle_point
 
 FAST_OPT = OptimizerOptions(max_iters=20000, tol=1e-12)
 
@@ -29,6 +31,18 @@ def build_table(f, s1, s_count=32, zmax=2.5, count=41, n=16):
         f, s1, s_count, CoefficientLattice(-zmax, zmax, count),
         TfOptions(t_list=(1,), n=n, boundary="periodic"),
     )
+
+
+def oracle_certificate(s1, profile_a, profile_b):
+    """``(int_0^(pi/2) A(theta)^(1/2) dtheta)^2`` with ``A`` the first-column weight
+    of the closed-form laminate reference, by a 2001-angle trapezoid rule."""
+    thetas = np.linspace(0.0, np.pi / 2.0, 2001)
+    root_a = []
+    for theta in thetas:
+        s = circle_point(theta)
+        xi = s1.tangent_from_coeffs(s, [[1.0]])
+        root_a.append(np.sqrt(laminate_oracle(profile_a, profile_b, s, xi)))
+    return np.trapezoid(root_a, thetas) ** 2
 
 
 def test_config_validation(s1, laminate1):
@@ -90,7 +104,6 @@ def test_periodicity_invariance(s1, profile_a, profile_b):
     # Shifting the coefficient pattern by one full period leaves the discrete
     # energy of any field unchanged.
     from tanhom.gamma import _OscillatingEnergy
-    import dataclasses
 
     f = make_laminate_quadratic(profile_a, profile_b, 1)
     shifted = dataclasses.replace(
@@ -143,11 +156,26 @@ def test_hom_matches_direct_for_isotropic_table(s1):
     assert hom.clamp_count == 0
 
 
-def test_dp_certificate_isotropic(s1):
+def test_certificate_isotropic_is_the_geodesic(s1):
     iso = make_isotropic_quadratic(1, 2)
     table = build_table(iso, s1, s_count=16, zmax=2.5, count=81, n=4)
-    e_dp = dp_minimize_hom(table, 0.0, np.pi / 2.0, 64, 1501, 60, 0.3)
-    assert e_dp == pytest.approx((np.pi / 2.0) ** 2, rel=0.01)
+    e_dp = dp_minimize_hom(table, 0.0, np.pi / 2.0)
+    assert e_dp == pytest.approx((np.pi / 2.0) ** 2, rel=1e-12)
+
+
+def test_certificate_matches_laminate_oracle(s1, laminate1, profile_a, profile_b):
+    table = build_table(laminate1, s1)
+    assert len(table.thetas) == 32
+    e_dp = dp_minimize_hom(table, 0.0, np.pi / 2.0)
+    assert e_dp == pytest.approx(oracle_certificate(s1, profile_a, profile_b), rel=1e-12)
+
+
+def test_certificate_refuses_tables_it_cannot_read(s1, laminate1, smoke_2d):
+    table = build_table(laminate1, s1, s_count=8, count=5, n=4)
+    with pytest.raises(UnsupportedGrowth):
+        dp_minimize_hom(dataclasses.replace(table, tensor=None), 0.0, 1.0)
+    with pytest.raises(ShapeMismatch):
+        dp_minimize_hom(smoke_2d[0].table, 0.0, 1.0)
 
 
 def test_run_gamma_experiment_report(s1, laminate1):
@@ -155,7 +183,6 @@ def test_run_gamma_experiment_report(s1, laminate1):
     cfg = GammaExperimentConfig(
         manifold=s1, integrand=laminate1, epsilons=(0.25, 0.125), table=table,
         dim=1, mesh_nodes=129, optimizer=FAST_OPT,
-        dp_theta_count=1201, dp_band=60,
     )
     report = run_gamma_experiment(cfg)
     assert len(report.gaps) == 2
@@ -163,12 +190,14 @@ def test_run_gamma_experiment_report(s1, laminate1):
     assert report.trend_fraction == 1.0
     assert report.dp_energy is not None
     assert abs(report.dp_energy - report.hom_energy) <= 0.01 * report.hom_energy
+    assert not report.certificate_missed and report.warnings == []
     assert all(e >= 0.0 for e in report.eps_energies) and report.hom_energy >= 0.0
     d = report.to_dict()
     assert set(d) >= {"epsilons", "gaps", "hom_energy", "dp_energy"}
 
 
-def test_two_dimensional_smoke(s1, profile_a, profile_b):
+@pytest.fixture(scope="module")
+def smoke_2d(s1, profile_a, profile_b):
     f2 = make_laminate_quadratic(profile_a, profile_b, 2)
     table = build_table(f2, s1, s_count=12, zmax=3.0, count=9, n=8)
     cfg = GammaExperimentConfig(
@@ -176,7 +205,12 @@ def test_two_dimensional_smoke(s1, profile_a, profile_b):
         mesh_nodes=65, optimizer=OptimizerOptions(max_iters=5000, tol=1e-11),
         run_dp=False,
     )
-    report = run_gamma_experiment(cfg)
+    return cfg, run_gamma_experiment(cfg)
+
+
+def test_two_dimensional_smoke(smoke_2d):
+    cfg, report = smoke_2d
+    f2 = cfg.integrand
     dtheta = np.pi / 2.0
     lower = f2.alpha * dtheta**2
     from tanhom.gamma import _OscillatingEnergy
@@ -189,6 +223,15 @@ def test_two_dimensional_smoke(s1, profile_a, profile_b):
     assert report.hom_converged
     assert report.hom_iterations > 1
     assert report.hom_energy < report.eps_energies[-1]
+
+
+def test_two_dimensional_hom_is_above_the_1d_certificate(smoke_2d, s1, profile_a, profile_b):
+    # The faces x2 = 0, 1 pin the affine data, so every x2-slice runs from
+    # theta0 to theta1, and z^T A z >= (A11 - A12^2 / A22) z1^2 (A12 = 0 for
+    # the laminate): the 1D certificate of A11 is a lower bound, up to mesh error.
+    _, report = smoke_2d
+    certificate = oracle_certificate(s1, profile_a, profile_b)
+    assert report.hom_energy >= certificate * (1.0 - 1e-4)
 
 
 def test_linear_growth_smoke(s1):

@@ -5,8 +5,6 @@ from tanhom.errors import ConfigError, DegeneratePoint
 from tanhom.manifold import (
     CircleProduct,
     Sphere,
-    circle_point,
-    circle_theta,
     manifold_from_config,
 )
 
@@ -172,8 +170,6 @@ def test_batch_helpers(s1):
     vecs = rng.standard_normal((10, 4, 2))
     tang = s1.tangent_project_batch(proj, vecs)
     assert np.max(np.abs(np.sum(tang * proj, axis=-1))) <= 1e-13
-    theta = 0.7
-    np.testing.assert_allclose(circle_theta(circle_point(theta)), theta)
 
 
 def test_manifold_from_config():
