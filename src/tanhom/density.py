@@ -54,7 +54,7 @@ class TfOptions:
         object.__setattr__(self, "t_list", tuple(int(t) for t in self.t_list))
         if not self.t_list:
             raise ValueError("t_list must not be empty")
-        check_solve_settings(self.n, self.boundary, self.tol_grad)
+        check_solve_settings(self.n, self.boundary, self.tol_grad, self.max_iters)
 
     def cell_spec(self, M, s, xi, t) -> CellProblemSpec:
         return CellProblemSpec(

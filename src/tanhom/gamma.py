@@ -210,7 +210,7 @@ class _AngleProblem:
         self.theta = config.node_angles()
         self.shape = self.theta[self.interior].shape
         self.x0 = self.theta[self.interior].flatten()
-        self._inverse = grid.dirichlet_inverse()
+        self._inverse = grid.stiffness_inverse()
 
     def field(self, x: np.ndarray) -> np.ndarray:
         self.theta[self.interior] = x.reshape(self.shape)

@@ -6,7 +6,9 @@ where they are exact for the multilinear reconstruction: along each axis the
 center value of the derivative is the plain corner difference, averaged over
 the remaining axes.  One-point quadrature at the centers keeps quadratic
 energies exactly quadratic and never samples a coefficient discontinuity that
-sits on a grid line.
+sits on a grid line.  ``UniformGrid.stiffness_inverse`` inverts the Hessian of
+the unit-coefficient energy in closed form by a Fourier or sine transform; it
+preconditions the cell solver and the angle descents.
 """
 
 from __future__ import annotations
@@ -146,28 +148,56 @@ class UniformGrid:
             weights = _avg_adjoint(weights, lead + j, self.periodic)
         return weights
 
-    def dirichlet_inverse(self):
-        """The map ``r -> H^-1 r``, ``H`` the Hessian of ``mean |grad u|^2`` on interior nodes.
+    def stiffness_inverse(self):
+        """The map ``r -> H^+ r``, ``H`` the Hessian of ``mean |grad u|^2`` over the unknowns.
 
-        ``H = 2 / (n_elements h^2) sum_k T_k prod_{j != k} M_j`` for the 1D
-        second difference ``T`` and corner average ``M`` of the center
-        gradients.  The sine transform diagonalizes both (eigenvalues
-        ``4 sin^2(pi i / 2n)`` and ``cos^2(pi i / 2n)``, ``i = 1..n-1``), and
-        applied twice it multiplies by ``n / 2`` per axis.
+        Acts on the trailing ``ndim`` axes, so leading channel axes pass
+        through.  The unknowns are all nodes of a periodic grid and the
+        interior nodes of a zero-boundary one.  ``H = 2 / (n_elements h^2)
+        sum_k T_k prod_{j != k} M_j`` for the 1D second difference ``T`` and
+        corner average ``M`` of the center gradients.  Periodic grids are
+        diagonalized by the Fourier transform, with symbol ``4 sin^2(w / 2)``
+        for ``T`` and ``cos^2(w / 2)`` for ``M``; the pseudo-inverse is zero on
+        the kernel of ``H`` (the constants, plus the checkerboard in 2D).
+        Zero-boundary grids are diagonalized by the sine transform
+        (eigenvalues ``4 sin^2(pi i / 2n)`` and ``cos^2(pi i / 2n)``,
+        ``i = 1..n-1``), which applied twice multiplies by ``n / 2`` per axis.
         """
-        if self.periodic:
-            raise ValueError("the Dirichlet inverse needs a non-periodic grid")
         n = self.elements_per_side
-        angles = np.pi * np.arange(1, n) / (2 * n)
-        t, m = 4.0 * np.sin(angles) ** 2, np.cos(angles) ** 2
+        scale = 2.0 / (self.n_elements * self.h**2)
         axes = range(self.ndim)
-        eig = sum(reduce(np.multiply.outer, [t if j == k else m for j in axes]) for k in axes)
-        eig *= 2.0 / (self.n_elements * self.h**2) * (n / 2.0) ** self.ndim
+        if self.periodic:
+            # Half angles w / 2 of the Fourier modes; the last axis keeps the rfft half.
+            half_angles = [np.pi * np.fft.fftfreq(n)] * (self.ndim - 1)
+            half_angles.append(np.pi * np.fft.rfftfreq(n))
+        else:
+            half_angles = [np.pi * np.arange(1, n) / (2 * n)] * self.ndim
+        stiff = [4.0 * np.sin(w) ** 2 for w in half_angles]
+        mass = [np.cos(w) ** 2 for w in half_angles]
+        sym = sum(
+            reduce(np.multiply.outer, [stiff[j] if j == k else mass[j] for j in axes])
+            for k in axes
+        )
+        if not self.periodic:
+            sym *= scale * (n / 2.0) ** self.ndim
 
-        def sine(r):
-            return reduce(_dst1, axes, r)
+            def sine(r):
+                lead = r.ndim - self.ndim
+                return reduce(lambda a, j: _dst1(a, lead + j), axes, r)
 
-        return lambda r: sine(sine(r) / eig)
+            return lambda r: sine(sine(r) / sym)
+
+        sym *= scale
+        kernel = sym <= 1e-12 * scale
+        inv = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, sym))
+
+        def apply(r):
+            trailing = tuple(range(r.ndim - self.ndim, r.ndim))
+            spectrum = np.fft.rfftn(r, axes=trailing)
+            spectrum *= inv
+            return np.fft.irfftn(spectrum, s=self.node_shape, axes=trailing)
+
+        return apply
 
     def interior(self) -> tuple[slice, ...]:
         """Slices selecting interior nodes of a non-periodic grid."""

@@ -3,10 +3,12 @@
 Both stop when the gradient norm falls below a target: ``cg_quadratic``
 takes tol * (1 + initial gradient norm), ``lbfgs`` an absolute target that
 the caller anchors (the cell solver anchors it the same way, at the zero
-corrector).  The conjugate-gradient path assumes the objective is an exact
-quadratic so that the Hessian action can be read off from gradient
-differences; the limited-memory quasi-Newton path only needs values and
-gradients, and optionally a preconditioner.
+corrector).  Both take an optional preconditioner.  The conjugate-gradient
+path assumes the objective is an exact quadratic so that the Hessian action
+can be read off from gradient differences; its preconditioner only shapes the
+search directions, and the stopping test stays on the plain gradient norm.
+The limited-memory quasi-Newton path only needs values and gradients, and
+measures its gradient in the preconditioner's norm.
 """
 
 from __future__ import annotations
@@ -37,45 +39,55 @@ def cg_quadratic(
     max_iters: int,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
     recompute_every: int = 50,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> MinimizeResult:
-    """Minimize 0.5 x^T H x + g0^T x from x = 0 by conjugate gradients.
+    """Minimize 0.5 x^T H x + g0^T x from x = 0 by (preconditioned) conjugate gradients.
 
     ``project`` (when given) restricts iterates to a subspace orthogonal to a
     known null space of H, e.g. constant shifts under periodic boundary
-    conditions.  Residuals are recomputed from scratch periodically to keep
-    round-off in check.
+    conditions.  ``precondition`` applies a symmetric positive semidefinite
+    ``P`` (identity when None) that is positive definite on that subspace and
+    maps into it; it changes the search directions only.  The stopping test
+    and the reported ``grad_norm`` use the unpreconditioned residual
+    ``r = -(g0 + H x)``: stop once ``|r| <= tol * (1 + |g0|)``.  Residuals are
+    recomputed from scratch periodically to keep round-off in check.
     """
 
     def proj(v):
         return project(v) if project is not None else v
 
+    apply_p = precondition or (lambda v: v)
     x = np.zeros_like(grad0)
     r = proj(-grad0)
+    rnorm = float(np.linalg.norm(r))
     target = tol * (1.0 + float(np.linalg.norm(grad0)))
-    if float(np.linalg.norm(r)) <= target:
-        return MinimizeResult(x, 0, float(np.linalg.norm(r)), True)
+    if rnorm <= target:
+        return MinimizeResult(x, 0, rnorm, True)
 
-    d = r.copy()
-    delta = float(r @ r)
+    z = apply_p(r)
+    d = z
+    delta = float(r @ z)
     for k in range(1, max_iters + 1):
         hd = proj(apply_hessian(d))
         dhd = float(d @ hd)
         if not dhd > 0.0:
             # Curvature lost to round-off (or not a number); the current
             # iterate is the best answer.
-            return MinimizeResult(x, k, float(np.sqrt(delta)), False)
+            return MinimizeResult(x, k, rnorm, False)
         step = delta / dhd
         x = x + step * d
         if k % recompute_every == 0:
             r = proj(-(grad0 + apply_hessian(x)))
         else:
             r = r - step * hd
-        delta_new = float(r @ r)
-        if np.sqrt(delta_new) <= target:
-            return MinimizeResult(x, k, float(np.sqrt(delta_new)), True)
-        d = r + (delta_new / delta) * d
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= target:
+            return MinimizeResult(x, k, rnorm, True)
+        z = apply_p(r)
+        delta_new = float(r @ z)
+        d = z + (delta_new / delta) * d
         delta = delta_new
-    return MinimizeResult(x, max_iters, float(np.sqrt(delta)), False)
+    return MinimizeResult(x, max_iters, rnorm, False)
 
 
 def lbfgs(

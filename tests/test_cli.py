@@ -458,6 +458,33 @@ def test_invalid_values_exit_1_before_solving(tmp_path, capsys, monkeypatch, com
     assert capsys.readouterr().err.startswith(f"error: {command}")
 
 
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("cell", {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "max_iters": 0}),
+        ("cell", {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "max_iters": -3}),
+        ("density", {"s_count": 4, "lattice": {"min": -1.0, "max": 1.0, "count": 3},
+                     "max_iters": 0}),
+    ],
+)
+def test_max_iters_below_one_exits_1(tmp_path, capsys, monkeypatch, command, section):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started before the config was validated")
+
+    monkeypatch.setattr(cli, "build_density_table", no_solve)
+    monkeypatch.setattr(cli, "solve_cell", no_solve)
+    config = {
+        "command": command,
+        "manifold": SPHERE,
+        "integrand": {**LAMINATE, "N": 1},
+        command: section,
+    }
+    code, _ = run_cli(tmp_path, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}") and "max_iters" in err
+
+
 @pytest.mark.parametrize("seed", ["seven", 1.5, True])
 def test_non_integer_seed_exits_1(tmp_path, capsys, seed):
     config = {
@@ -492,20 +519,25 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 def test_nonconvergence_exit_code(tmp_path):
+    # Four phases need 3 preconditioned iterations, so a cap of 2 stops short.
+    cell = {
+        "s": {"theta": np.pi / 2},
+        "xi_coeffs": [[-1.0, 0.0]],
+        "n": 32,
+        "boundary": "periodic",
+    }
     config = {
         "command": "cell",
         "manifold": SPHERE,
-        "integrand": LAMINATE,
-        "cell": {
-            "s": {"theta": np.pi / 2},
-            "xi_coeffs": [[-1.0, 0.0]],
-            "n": 32,
-            "boundary": "periodic",
-            "max_iters": 2,
-        },
+        "integrand": {**LAMINATE, "a": {"breaks": [0.25, 0.5, 0.75], "values": [1, 3, 2, 5]}},
+        "cell": {**cell, "max_iters": 2},
     }
     code, out = run_cli(tmp_path, config)
     assert code == 2
     result = json.loads((out / "cell_result.json").read_text())
     assert not result["converged"]
     assert result["warning"]
+
+    code, out = run_cli(tmp_path, {**config, "cell": cell})
+    assert code == 0
+    assert json.loads((out / "cell_result.json").read_text())["converged"]
