@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .artifacts import fmt, read_csv, write_csv
+from .artifacts import read_csv, write_columns
 from .errors import NotTangent, ShapeMismatch, UnsupportedBoundary
 from .grid import UniformGrid
 from .integrand import ExtendedIntegrand, Integrand
@@ -457,11 +457,8 @@ def write_corrector_csv(phi: CorrectorField, path) -> None:
     """Dump nodal values: one row per node, multi-index then coordinates."""
     m = phi.coeffs.shape[0]
     header = [f"i{k}" for k in range(phi.ndim)] + [f"c{k}" for k in range(m)]
-    rows = (
-        [str(i) for i in idx] + [fmt(phi.coeffs[(ch,) + idx]) for ch in range(m)]
-        for idx in np.ndindex(phi.coeffs.shape[1:])
-    )
-    write_csv(path, header, rows)
+    index = np.indices(phi.coeffs.shape[1:]).reshape(phi.ndim, -1)
+    write_columns(path, header, [*index, *phi.coeffs.reshape(m, -1)])
 
 
 def read_corrector_csv(path) -> np.ndarray:

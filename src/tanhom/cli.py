@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import fmt, write_csv, write_json
+from .artifacts import fmt, write_columns, write_json
 from .cell import solve_cell, write_corrector_csv
 from .config import GammaSection, RunConfig, parse_run_config
 from .density import (
@@ -183,11 +183,7 @@ def cmd_gamma(cfg: RunConfig, out: Path, verbose: bool, config_dir: Path) -> int
     if failed:
         report.warnings.append(f"density table has {failed} failed entries")
     write_json(out / "gamma_report.json", report.to_dict())
-    write_csv(
-        out / "gamma_gaps.csv",
-        ["epsilon", "gap"],
-        ([fmt(eps), fmt(gap)] for eps, gap in zip(report.epsilons, report.gaps)),
-    )
+    write_columns(out / "gamma_gaps.csv", ["epsilon", "gap"], [report.epsilons, report.gaps])
     if sec.dump_fields:
         for eps, field in zip(report.epsilons, report.eps_fields):
             write_field_csv(field, out / f"field_eps_{round(1 / eps)}.csv")

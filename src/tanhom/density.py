@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .artifacts import fmt, read_csv, write_csv, write_json
+from .artifacts import read_csv, write_columns, write_json
 from .cell import (
     DIRICHLET,
     PERIODIC,
@@ -552,17 +552,6 @@ class DensityTable:
 
     # -- serialization --------------------------------------------------------
 
-    def _csv_rows(self):
-        shape = self.values.shape[1:]
-        for i, theta in enumerate(self.thetas):
-            point = circle_point(theta)
-            for idx in np.ndindex(shape):
-                yield (
-                    [fmt(point[0]), fmt(point[1])]
-                    + [fmt(self.coeff_axes[c][idx[c]]) for c in range(len(idx))]
-                    + [fmt(self.values[(i,) + idx]), "1" if self.converged[(i,) + idx] else "0"]
-                )
-
     def metadata(self) -> dict:
         return {
             "s_count": int(len(self.thetas)),
@@ -584,7 +573,11 @@ class DensityTable:
 
     def save(self, csv_path, json_path) -> None:
         header = ["s0", "s1"] + [f"z{c}" for c in range(self.n_columns)] + ["value", "converged"]
-        write_csv(csv_path, header, self._csv_rows())
+        points = np.array([circle_point(theta) for theta in self.thetas]).reshape(-1, 2)
+        grid = np.meshgrid(np.arange(len(self.thetas)), *self.coeff_axes, indexing="ij")
+        angle, *coeffs = (g.ravel() for g in grid)
+        columns = [*points[angle].T, *coeffs, self.values.ravel(), self.converged.ravel()]
+        write_columns(csv_path, header, columns)
         write_json(json_path, self.metadata())
 
     @classmethod

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import fmt, read_csv, write_csv
+from .artifacts import read_csv, write_columns
 from .density import DensityTable
 from .errors import ShapeMismatch, UnsupportedGrowth
 from .grid import UniformGrid
@@ -392,12 +392,8 @@ def write_field_csv(field: np.ndarray, path) -> None:
     ndim = len(node_shape)
     axes = [np.linspace(0.0, 1.0, n) for n in node_shape]
     header = [f"x{k}" for k in range(ndim)] + [f"u{k}" for k in range(d)]
-    rows = (
-        [fmt(axes[k][idx[k]]) for k in range(ndim)]
-        + [fmt(field[(c,) + idx]) for c in range(d)]
-        for idx in np.ndindex(node_shape)
-    )
-    write_csv(path, header, rows)
+    coords = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    write_columns(path, header, [*coords, *field.reshape(d, -1)])
 
 
 def read_field_csv(path) -> np.ndarray:
