@@ -18,6 +18,14 @@ by channel, with the inverse of the unit-coefficient stiffness
 the coefficient contrast instead of growing with the grid.  The stopping test
 is unchanged by the preconditioner: the plain gradient norm must fall below
 ``tol_grad * (1 + |g0|)``, ``g0`` the gradient at the zero corrector.
+
+Problems that share a grid and solver settings but differ in base point and
+load form a batch (``solve_cell_batch``): the objective carries a leading
+batch axis of tangent bases and loads, and one conjugate-gradient run treats
+each problem as a row with its own step length, stopping target and stop
+flag.  A row that has stopped stays frozen while the others go on, so every
+row ends exactly as a solve of its problem alone; ``solve_cell`` is the batch
+of one.
 """
 
 from __future__ import annotations
@@ -188,87 +196,93 @@ def _check_conforms(spec: CellProblemSpec, phi: CorrectorField) -> UniformGrid:
 
 
 class _CellObjective:
-    """Discrete cell energy and its assembled gradient over packed unknowns."""
+    """Discrete cell energies and assembled gradients of a batch of problems.
+
+    Row ``b`` of the batch has the tangent basis ``bases[b]`` (m x d) and the
+    load ``loads[b]`` (d x N, the spec's ``xi`` when None) on the grid that
+    ``spec`` describes.  Packed unknowns have shape (B, n); a 1-D ``x`` is a
+    batch of one, whose value comes back as a float.  The grid operators and
+    integrands broadcast over the leading batch axis, so every row is
+    computed as it would be alone.
+    """
 
     def __init__(
         self,
         spec: CellProblemSpec,
-        basis: np.ndarray,
+        bases: np.ndarray,
         eval_fn: Callable,
-        grad_fn: Callable,
+        grad_fn: Callable | None,
+        loads: np.ndarray | None = None,
     ):
         self.spec = spec
         self.grid = spec.grid()
-        self.basis = basis
+        bases = np.asarray(bases, dtype=float)
+        self.bases = bases.reshape((-1,) + bases.shape[-2:])
+        self.batch, self.m = self.bases.shape[:2]
+        loads = spec.xi if loads is None else np.asarray(loads, dtype=float)
+        # Loads broadcast against the (B, *elements, d, N) ambient gradients.
+        self.loads = loads.reshape((self.batch,) + (1,) * spec.ndim + spec.xi.shape)
         self.eval_fn = eval_fn
         self.grad_fn = grad_fn
         self.centers = self.grid.centers()
-        self.m = basis.shape[0]
         self.node_shape = self.grid.node_shape
         self.dirichlet = spec.boundary == DIRICHLET
         if self.dirichlet:
-            self.interior = (slice(None),) + self.grid.interior()
-            self.unknown_shape = (self.m,) + tuple(k - 2 for k in self.node_shape)
+            self.interior = (slice(None), slice(None)) + self.grid.interior()
+            nodes = tuple(k - 2 for k in self.node_shape)
         else:
-            self.unknown_shape = (self.m,) + self.node_shape
-        self.n_unknowns = math.prod(self.unknown_shape)
+            nodes = self.node_shape
+        self.unknown_shape = (self.batch, self.m) + nodes
+        self.n_unknowns = math.prod(self.unknown_shape[1:])
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
-        V = np.zeros((self.m,) + self.node_shape)
-        if self.dirichlet:
-            V[self.interior] = x.reshape(V[self.interior].shape)
-        else:
-            V[...] = x.reshape(V.shape)
+        """Nodal fields (B, m, *nodes) of packed unknowns."""
+        if not self.dirichlet:
+            return x.reshape((self.batch, self.m) + self.node_shape)
+        V = np.zeros((self.batch, self.m) + self.node_shape)
+        V[self.interior] = x.reshape(self.unknown_shape)
         return V
 
     def pack(self, V: np.ndarray) -> np.ndarray:
         if self.dirichlet:
-            return V[self.interior].ravel()
-        return V.ravel()
+            V = V[self.interior]
+        return V.reshape(self.batch, -1)
 
     def project_gauge(self, x: np.ndarray) -> np.ndarray:
-        """Remove the per-channel nodal mean (periodic translation null space)."""
+        """Remove each row's per-channel nodal mean (periodic translation null space)."""
         if self.dirichlet:
             return x
-        V = x.reshape((self.m,) + self.node_shape)
-        mean = V.mean(axis=tuple(range(1, V.ndim)), keepdims=True)
-        return (V - mean).ravel()
+        V = self.unpack(x)
+        mean = V.mean(axis=tuple(range(2, V.ndim)), keepdims=True)
+        return (V - mean).reshape(x.shape)
 
     def ambient_gradient(self, V: np.ndarray) -> np.ndarray:
         G = self.grid.center_gradient(V)
-        return self.spec.xi + np.einsum("md,mn...->...dn", self.basis, G)
+        return self.loads + np.einsum("bmd,bmn...->b...dn", self.bases, G)
 
-    def value(self, x: np.ndarray) -> float:
-        amb = self.ambient_gradient(self.unpack(x))
-        return float(np.mean(self.eval_fn(self.centers, amb)))
+    def energies(self, V: np.ndarray, eval_fn: Callable | None = None) -> np.ndarray:
+        """Cell average of each row's density at the nodal fields ``V``, shape (B,).
 
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        ``eval_fn`` defaults to the solver's density.
+        """
+        vals = (eval_fn or self.eval_fn)(self.centers, self.ambient_gradient(V))
+        return vals.reshape(self.batch, -1).mean(axis=1)
+
+    def value(self, x: np.ndarray):
+        energies = self.energies(self.unpack(x))
+        return float(energies[0]) if x.ndim == 1 else energies
+
+    def value_and_grad(self, x: np.ndarray):
         amb = self.ambient_gradient(self.unpack(x))
         vals = self.eval_fn(self.centers, amb)
         df = self.grad_fn(self.centers, amb)
-        W = np.einsum("md,...dn->mn...", self.basis, df) / self.grid.n_elements
-        nodal = self.grid.center_gradient_adjoint(W)
-        return float(np.mean(vals)), self.pack(nodal)
+        W = np.einsum("bmd,b...dn->bmn...", self.bases, df) / self.grid.n_elements
+        grad = self.pack(self.grid.center_gradient_adjoint(W)).reshape(x.shape)
+        energies = vals.reshape(self.batch, -1).mean(axis=1)
+        return (float(energies[0]) if x.ndim == 1 else energies), grad
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.value_and_grad(x)[1]
-
-
-def _field_from_packed(
-    objective: _CellObjective, spec: CellProblemSpec, x: np.ndarray
-) -> CorrectorField:
-    V = objective.unpack(x)
-    if not objective.dirichlet:
-        # Gauge fix: periodic correctors are reported with zero nodal mean.
-        V = V - V.mean(axis=tuple(range(1, V.ndim)), keepdims=True)
-    return CorrectorField(
-        coeffs=V,
-        basis=objective.basis,
-        boundary=spec.boundary,
-        t=spec.t,
-        nodes_per_period=spec.nodes_per_period,
-        spec=spec,
-    )
 
 
 def _continuation_schedule(mu_target: float) -> list[float]:
@@ -284,22 +298,43 @@ def _continuation_schedule(mu_target: float) -> list[float]:
     return mus
 
 
+def _check_batch(specs: list[CellProblemSpec], dims: tuple[int, int]) -> None:
+    """Raise ``ShapeMismatch`` unless every spec fits ``dims`` and shares the first's grid and settings."""
+    N, d = dims
+
+    def settings(spec):
+        return (
+            spec.manifold, spec.t, spec.nodes_per_period, spec.boundary,
+            spec.tol_grad, spec.max_iters, spec.huber_mu,
+        )
+
+    for spec in specs:
+        if spec.xi.shape != (d, N):
+            raise ShapeMismatch(f"xi has shape {spec.xi.shape}, integrand expects {(d, N)}")
+        if settings(spec) != settings(specs[0]):
+            raise ShapeMismatch("a batch of cell problems must share grid and solver settings")
+
+
 def _run_solver(
-    spec: CellProblemSpec,
+    specs: list[CellProblemSpec],
     make_objective: Callable[[float], _CellObjective],
     quadratic: bool,
     smoothing: bool,
-    exact_value: Callable[[CorrectorField], float],
-) -> CellSolveResult:
-    """Minimize ``make_objective(spec.huber_mu)`` from the zero corrector.
+    exact_eval: Callable,
+) -> list[CellSolveResult]:
+    """Minimize ``make_objective(huber_mu)`` from the zero corrector, one row per spec.
 
-    Quadratic densities go to preconditioned conjugate gradients.  Everything
-    else goes to quasi-Newton descent; with ``smoothing`` (linear growth) it
-    first solves the objectives ``make_objective(mu)`` for a decreasing
-    sequence of mu, warm starting each stage from the previous one.
+    Quadratic densities go to preconditioned conjugate gradients, all rows in
+    one run: each row stops on its own target and then stays frozen, so it
+    ends exactly as a solve of that spec alone.  Everything else goes to
+    quasi-Newton descent on a single spec; with ``smoothing`` (linear growth)
+    it first solves the objectives ``make_objective(mu)`` for a decreasing
+    sequence of mu, warm starting each stage from the previous one.  Values
+    are the exact energies under ``exact_eval``.
     """
+    spec = specs[0]
     objective = make_objective(spec.huber_mu)
-    x = np.zeros(objective.n_unknowns)
+    x = np.zeros((objective.batch, objective.n_unknowns))
     g0 = objective.grad(x)
     if quadratic:
         max_iters = spec.max_iters or max(1000, 2 * objective.n_unknowns)
@@ -312,20 +347,23 @@ def _run_solver(
         inverse = objective.grid.stiffness_inverse()
 
         def precondition(v):
-            return inverse(v.reshape(objective.unknown_shape)).ravel()
+            return inverse(v.reshape(objective.unknown_shape)).reshape(v.shape)
 
         project = None if objective.dirichlet else objective.project_gauge
         res = cg_quadratic(
             apply_h, g0, spec.tol_grad, max_iters, project=project, precondition=precondition
         )
+        solved = res.x
+        rows = zip(res.row_iterations, res.row_grad_norms, res.row_converged)
     else:
-        # The stopping target is anchored at the zero corrector of the final
-        # objective, the contract of the conjugate-gradient path.
+        # One problem.  The stopping target is anchored at the zero corrector
+        # of the final objective, the contract of the conjugate-gradient path.
         max_iters = spec.max_iters or 5000
         final_target = spec.tol_grad * (1.0 + float(np.linalg.norm(g0)))
         stage_target = max(100.0 * final_target, 1e-6)
         stages = _continuation_schedule(spec.huber_mu)[:-1] if smoothing else []
         total_iters = 0
+        x = x[0]
         for mu in stages:
             stage_res = lbfgs(
                 make_objective(mu).value_and_grad, x, stage_target, min(800, max_iters)
@@ -333,39 +371,92 @@ def _run_solver(
             x = stage_res.x
             total_iters += stage_res.iterations
         res = lbfgs(objective.value_and_grad, x, final_target, max_iters)
-        res.iterations += total_iters
+        solved = res.x[None]
+        rows = [(res.iterations + total_iters, res.grad_norm, res.converged)]
 
-    corrector = _field_from_packed(objective, spec, res.x)
-    value = exact_value(corrector)
-    converged = res.converged and math.isfinite(value)
-    warning = None
-    if not res.converged:
-        warning = (
-            f"solver stopped after {res.iterations} iterations with gradient "
-            f"norm {res.grad_norm:.3e} above tolerance"
+    V = objective.unpack(solved)
+    if not objective.dirichlet:
+        # Gauge fix: periodic correctors are reported with zero nodal mean.
+        V = V - V.mean(axis=tuple(range(2, V.ndim)), keepdims=True)
+    values = objective.energies(V, exact_eval)
+    results = []
+    for spec_b, basis, coeffs, value, (iterations, grad_norm, solver_ok) in zip(
+        specs, objective.bases, V, values, rows
+    ):
+        value = float(value)
+        converged = bool(solver_ok) and math.isfinite(value)
+        warning = None
+        if not solver_ok:
+            warning = (
+                f"solver stopped after {iterations} iterations with gradient "
+                f"norm {grad_norm:.3e} above tolerance"
+            )
+        elif not converged:
+            warning = f"cell energy is not finite ({value})"
+        corrector = CorrectorField(
+            coeffs=coeffs,
+            basis=basis,
+            boundary=spec_b.boundary,
+            t=spec_b.t,
+            nodes_per_period=spec_b.nodes_per_period,
+            spec=spec_b,
         )
-    elif not converged:
-        warning = f"cell energy is not finite ({value})"
-    return CellSolveResult(
-        value=value,
-        corrector=corrector,
-        iterations=res.iterations,
-        converged=converged,
-        grad_norm=res.grad_norm,
-        warning=warning,
-    )
+        results.append(
+            CellSolveResult(
+                value=value,
+                corrector=corrector,
+                iterations=int(iterations),
+                converged=converged,
+                grad_norm=float(grad_norm),
+                warning=warning,
+            )
+        )
+    return results
 
 
-def _field_energy(eval_fn: Callable, spec: CellProblemSpec, phi: CorrectorField) -> float:
-    grid = _check_conforms(spec, phi)
-    G = grid.center_gradient(phi.coeffs)
-    amb = spec.xi + np.einsum("md,mn...->...dn", phi.basis, G)
-    return float(np.mean(eval_fn(grid.centers(), amb)))
+def energy_of_fields(
+    f: Integrand, specs: list[CellProblemSpec], fields: list[CorrectorField]
+) -> np.ndarray:
+    """Cell averages of f(y, xi + grad phi), one per (spec, field) pair, in one evaluation.
+
+    The specs must share grid and solver settings; each field must conform to its spec.
+    """
+    _check_batch(specs, f.dims)
+    for spec, phi in zip(specs, fields, strict=True):
+        _check_conforms(spec, phi)
+    bases = np.stack([phi.basis for phi in fields])
+    loads = np.stack([spec.xi for spec in specs])
+    objective = _CellObjective(specs[0], bases, f.eval, None, loads)
+    return objective.energies(np.stack([phi.coeffs for phi in fields]))
 
 
 def energy_of_field(f: Integrand, spec: CellProblemSpec, phi: CorrectorField) -> float:
     """Cell average of f(y, xi + grad phi) over element centers."""
-    return _field_energy(f.eval, spec, phi)
+    return float(energy_of_fields(f, [spec], [phi])[0])
+
+
+def solve_cell_batch(f: Integrand, specs: list[CellProblemSpec]) -> list[CellSolveResult]:
+    """Minimize the cell energy of every spec; the specs share grid and solver settings.
+
+    All specs run in one conjugate-gradient solve whose rows stop one by
+    one; each result is bit-identical to ``solve_cell`` of its spec alone.
+    Batches of more than one spec need a quadratic density.
+    """
+    specs = list(specs)
+    if not specs:
+        return []
+    if len(specs) > 1 and not f.quadratic:
+        raise ValueError("only quadratic densities are solved as a batch")
+    _check_batch(specs, f.dims)
+    bases = np.stack([spec.manifold.tangent_basis(spec.s) for spec in specs])
+    loads = np.stack([spec.xi for spec in specs])
+    return _run_solver(
+        specs,
+        lambda mu: _CellObjective(specs[0], bases, *f.solver_forms(mu), loads),
+        quadratic=f.quadratic,
+        smoothing=f.p == 1,
+        exact_eval=f.eval,
+    )
 
 
 def solve_cell(f: Integrand, spec: CellProblemSpec) -> CellSolveResult:
@@ -374,21 +465,9 @@ def solve_cell(f: Integrand, spec: CellProblemSpec) -> CellSolveResult:
     Deterministic: the corrector starts from zero.  The reported value is the
     exact (unsmoothed) energy of the returned corrector, so it is always an
     upper bound for the discrete minimum.  A non-finite value is reported
-    unconverged.
+    unconverged.  The batch of one of ``solve_cell_batch``.
     """
-    N, d = f.dims
-    if spec.xi.shape != (d, N):
-        raise ShapeMismatch(
-            f"xi has shape {spec.xi.shape}, integrand expects {(d, N)}"
-        )
-    basis = spec.manifold.tangent_basis(spec.s)
-    return _run_solver(
-        spec,
-        lambda mu: _CellObjective(spec, basis, *f.solver_forms(mu)),
-        quadratic=f.quadratic,
-        smoothing=f.p == 1,
-        exact_value=lambda phi: energy_of_field(f, spec, phi),
-    )
+    return solve_cell_batch(f, [spec])[0]
 
 
 def solve_cell_unconstrained(
@@ -400,12 +479,8 @@ def solve_cell_unconstrained(
     the spec.  Used to verify that tangentially constrained and extended
     minima coincide.
     """
-    N, d = fext.dims
-    if spec.xi.shape != (d, N):
-        raise ShapeMismatch(
-            f"xi has shape {spec.xi.shape}, extension expects {(d, N)}"
-        )
-    basis = np.eye(d)
+    _check_batch([spec], fext.dims)
+    basis = np.eye(fext.dims[1])[None]
     s = spec.s
 
     def fixed_s_objective(mu: float) -> _CellObjective:
@@ -415,12 +490,12 @@ def solve_cell_unconstrained(
         )
 
     return _run_solver(
-        spec,
+        [spec],
         fixed_s_objective,
         quadratic=fext.quadratic,
         smoothing=fext.p == 1,
-        exact_value=lambda phi: _field_energy(lambda y, xi: fext.eval(y, s, xi), spec, phi),
-    )
+        exact_eval=lambda y, xi: fext.eval(y, s, xi),
+    )[0]
 
 
 def tile_corrector(phi: CorrectorField, k: int) -> CorrectorField:

@@ -9,7 +9,11 @@ the homogenized density on an angle x coefficient grid and interpolate
 multilinearly; coefficients outside the table clamp.  A quadratic density
 has cell minimizers linear in the gradient, so its table comes from one
 corrector per gradient column and angle: an effective tensor per angle, which
-the table keeps.  Every other density is tabulated entry by entry with ``tf_hom``.
+the table keeps.  Each angle is its own cell problem, in the tangent space at
+its own base point, so all angles and columns of one cube size are rows of a
+single batched conjugate-gradient solve; a row stops on its own target and
+then stays frozen while the others go on.  Every other density is tabulated
+entry by entry with ``tf_hom``.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from .cell import (
     PERIODIC,
     CellProblemSpec,
     check_solve_settings,
-    energy_of_field,
+    energy_of_fields,
     solve_cell,
+    solve_cell_batch,
     solve_cell_unconstrained,
 )
 from .errors import GrowthViolation, MalformedArtifact, NotTangent, ShapeMismatch
@@ -411,8 +416,9 @@ class DensityTable:
     ``values`` has shape (len(thetas), *[len(axis) for each gradient column]).
     Interpolation is multilinear, periodic in the angle, clamping in the
     coefficients.  ``rel_changes`` stores the final trace change per entry;
-    the saved files keep only its maximum, which a loaded table gives to
-    every entry.  A quadratic density's table also keeps ``tensor``, shape
+    the saved files keep only its maximum over the entries that have one
+    (NaN when every entry failed), which a loaded table gives to every
+    entry.  A quadratic density's table also keeps ``tensor``, shape
     (len(thetas), N, N): the effective tensor ``A(theta_i)`` with entry
     ``z`` equal to ``z^T A(theta_i) z``; every other table has None.
     """
@@ -552,6 +558,13 @@ class DensityTable:
 
     # -- serialization --------------------------------------------------------
 
+    def _max_rel_change(self) -> float:
+        """Largest recorded relative change: NaN when every entry failed, 0 for no entries."""
+        known = self.rel_changes[~np.isnan(self.rel_changes)]
+        if known.size:
+            return float(np.max(known))
+        return math.nan if self.rel_changes.size else 0.0
+
     def metadata(self) -> dict:
         return {
             "s_count": int(len(self.thetas)),
@@ -564,9 +577,7 @@ class DensityTable:
             "t_list": list(self.t_list),
             "nodes_per_period": self.nodes_per_period,
             "boundary": self.boundary,
-            "max_rel_change": float(np.nanmax(self.rel_changes))
-            if self.rel_changes.size
-            else 0.0,
+            "max_rel_change": self._max_rel_change(),
             "entry_errors": self.entry_errors,
             "tensor": None if self.tensor is None else self.tensor.tolist(),
         }
@@ -649,28 +660,40 @@ def check_angle_count(s_count: int) -> None:
 
 
 def _column_energies(
-    f: Integrand, M: EmbeddedManifold, s, scale: float, t: int, opts: TfOptions
+    f: Integrand, M: EmbeddedManifold, points: list[np.ndarray], scale: float, t: int,
+    opts: TfOptions,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Energy matrix of the column correctors of a quadratic density at one cube size.
+    """Energy matrices of the column correctors of a quadratic density at one cube size.
 
-    Column ``c`` is solved once, for the load with tangent coefficient
-    ``scale`` in column ``c`` and 0 elsewhere.  Entry (c, c) is the exact
-    energy of that corrector; entry (c, d) follows by polarization from the
-    exact energy of the summed corrector under the summed load.  The matrix
-    is ``scale**2`` times the effective tensor at ``s``.  Also returns the
-    converged flag of each column solve.
+    At every base point in ``points`` column ``c`` is loaded with tangent
+    coefficient ``scale`` in column ``c`` and 0 elsewhere; all
+    ``len(points) * N`` loads are one ``solve_cell_batch``.  Entry (c, c) is
+    the exact energy of a column corrector; entry (c, d) follows by
+    polarization from the exact energy of the summed corrector under the
+    summed load, all points in one evaluation per pair.  Each (N, N) matrix
+    is ``scale**2`` times the effective tensor at its point.  Returns the
+    matrices, shape (len(points), N, N), and the converged flag of each
+    column solve, shape (len(points), N).
     """
     N = f.dims[0]
-    loads = [M.tangent_from_coeffs(s, scale * np.eye(N)[c : c + 1]) for c in range(N)]
-    solves = [solve_cell(f, opts.cell_spec(M, s, xi, t)) for xi in loads]
-    energies = np.diag([res.value for res in solves])
+    unit = scale * np.eye(N)
+    loads = [[M.tangent_from_coeffs(s, unit[c : c + 1]) for c in range(N)] for s in points]
+    specs = [opts.cell_spec(M, s, xi, t) for s, row in zip(points, loads) for xi in row]
+    solves = solve_cell_batch(f, specs)
+    columns = [solves[c::N] for c in range(N)]  # column c at every point
+    energies = np.zeros((len(points), N, N))
+    for c in range(N):
+        energies[:, c, c] = [res.value for res in columns[c]]
     for c, d in itertools.combinations(range(N), 2):
-        spec = opts.cell_spec(M, s, loads[c] + loads[d], t)
-        phi_c, phi_d = solves[c].corrector, solves[d].corrector
-        both = replace(phi_c, coeffs=phi_c.coeffs + phi_d.coeffs, spec=spec)
-        cross = energy_of_field(f, spec, both) - energies[c, c] - energies[d, d]
-        energies[c, d] = energies[d, c] = 0.5 * cross
-    return energies, np.array([res.converged for res in solves])
+        pair_specs = [opts.cell_spec(M, s, row[c] + row[d], t) for s, row in zip(points, loads)]
+        both = [
+            replace(sc.corrector, coeffs=sc.corrector.coeffs + sd.corrector.coeffs, spec=spec)
+            for sc, sd, spec in zip(columns[c], columns[d], pair_specs)
+        ]
+        cross = energy_of_fields(f, pair_specs, both) - energies[:, c, c] - energies[:, d, d]
+        energies[:, c, d] = energies[:, d, c] = 0.5 * cross
+    converged = np.array([[res.converged for res in column] for column in columns]).T
+    return energies, converged
 
 
 def build_density_table(
@@ -682,13 +705,17 @@ def build_density_table(
 ) -> DensityTable:
     """Sample the homogenized density on a uniform angle x coefficient grid.
 
-    Quadratic densities (``f.quadratic``) cost ``s_count * N * len(t_list)``
-    cell solves.  Their cell minimizer is linear in the gradient, so the
-    homogenized density at an angle is the quadratic form of an effective
-    tensor.  For every angle and cube size, ``_column_energies`` solves one
-    corrector ``phi_c`` per gradient column at the load ``z_max`` (the
-    largest |coefficient| on the lattice, or 1 when that is 0) and assembles
-    the tensor from exact energies.  Entry ``z`` is then
+    Quadratic densities (``f.quadratic``) cost one batched cell solve per
+    cube size, of ``s_count * N`` loads.  Their cell minimizer is linear in
+    the gradient, so the homogenized density at an angle is the quadratic
+    form of an effective tensor.  For every cube size ``_column_energies``
+    solves one corrector ``phi_c`` per angle and gradient column at the load
+    ``z_max`` (the largest |coefficient| on the lattice, or 1 when that is
+    0), every angle and column a row of one conjugate-gradient run, and
+    assembles the tensors from exact energies.  The angles are independent
+    cell problems, each in the tangent space at its own base point; each row
+    stops on its own target and then stays frozen, so the batch gives every
+    angle the bits of a solve of its own.  Entry ``z`` is then
     ``z^T A z / z_max**2``, the exact energy of the corrector
     ``sum_c (z_c / z_max) phi_c`` under the load ``z``.  The table keeps
     ``A / z_max**2`` of the largest cube size as ``tensor`` (NaN at an angle
@@ -707,8 +734,9 @@ def build_density_table(
     Relative changes and convergence flags follow from the per-size values
     as in ``tf_hom``.  An entry also needs the column solves it uses
     (``z_c != 0``) converged at every size; the zero entry uses none, as its
-    direct solve stops at once.  If a solve raises, every entry of that
-    angle fails.
+    direct solve stops at once.  If a batched solve raises, every angle is
+    solved again as a batch of its own, and each angle whose solve raises
+    fails whole.
 
     Every other density runs one ``tf_hom`` per entry in a deterministic
     order, and a failure fails that entry alone.  Failures are recorded
@@ -731,24 +759,38 @@ def build_density_table(
     errors: list[str] = []
     scale = float(np.max(np.abs(axis), initial=0.0)) or 1.0
     weights = np.stack(np.meshgrid(*axes, indexing="ij")) / scale
+    points = [circle_point(theta) for theta in thetas]
+
+    def fill(angles: list[int], per_t: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Write the entries of ``angles`` from their per-size energy matrices and flags."""
+        tensor[angles] = per_t[-1][0] / scale**2
+        per_size = [np.einsum("c...,icd,d...->i...", weights, A, weights) for A, _ in per_t]
+        rel, ok = _trace_verdict(per_size, opts.rel_tol)
+        values[angles] = per_size[-1]
+        rel_changes[angles] = rel
+        solved = np.all([flags for _, flags in per_t], axis=0)
+        solved = solved.reshape((len(angles), N) + (1,) * N)
+        converged[angles] = ok & np.all(solved | (weights == 0.0), axis=1)
 
     # An empty lattice has no entry to fill, so nothing is solved.
-    for i in range(s_count if axis.size else 0):
-        s = circle_point(thetas[i])
-        if f.quadratic:
-            try:
-                per_t = [_column_energies(f, M, s, scale, t, opts) for t in opts.t_list]
-            except Exception as exc:  # recorded per angle, sweep continues
-                errors.append(f"angle theta_index={i}: {exc}")
-                continue
-            tensor[i] = per_t[-1][0] / scale**2
-            per_size = [np.einsum("c...,cd,d...->...", weights, A, weights) for A, _ in per_t]
-            rel, ok = _trace_verdict(per_size, opts.rel_tol)
-            values[i] = per_size[-1]
-            rel_changes[i] = rel
-            solved = np.all([flags for _, flags in per_t], axis=0).reshape((N,) + (1,) * N)
-            converged[i] = ok & np.all(solved | (weights == 0.0), axis=0)
+    if f.quadratic and axis.size:
+        try:
+            per_t = [_column_energies(f, M, points, scale, t, opts) for t in opts.t_list]
+        except Exception:  # isolate the failing angles: each alone, as a batch of one
+            for i in range(s_count):
+                try:
+                    per_t = [
+                        _column_energies(f, M, points[i : i + 1], scale, t, opts)
+                        for t in opts.t_list
+                    ]
+                except Exception as exc:  # recorded per angle, sweep continues
+                    errors.append(f"angle theta_index={i}: {exc}")
+                    continue
+                fill([i], per_t)
         else:
+            fill(list(range(s_count)), per_t)
+    elif axis.size:
+        for i, s in enumerate(points):
             for idx in np.ndindex(shape[1:]):
                 try:
                     coeffs = np.array([[axes[c][idx[c]] for c in range(N)]])

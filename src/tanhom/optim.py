@@ -7,6 +7,9 @@ corrector).  Both take an optional preconditioner.  The conjugate-gradient
 path assumes the objective is an exact quadratic so that the Hessian action
 can be read off from gradient differences; its preconditioner only shapes the
 search directions, and the stopping test stays on the plain gradient norm.
+It also runs a batch of independent quadratics as rows: each row stops on its
+own target (or on lost curvature) and is then frozen, untouched while the
+other rows iterate.
 The limited-memory quasi-Newton path only needs values and gradients, and
 measures its gradient in the preconditioner's norm.
 """
@@ -26,10 +29,31 @@ MAX_BACKTRACKS = 40
 
 @dataclass
 class MinimizeResult:
+    """Outcome of a minimization.
+
+    For a batch of rows (``cg_quadratic`` on a (B, n) input) ``iterations`` is
+    the sum over the rows, ``grad_norm`` the largest row norm and
+    ``converged`` whether every row converged; the ``row_*`` arrays hold each
+    row's own values.  ``cg_quadratic`` fills them for one row too;
+    ``lbfgs`` leaves them None.
+    """
+
     x: np.ndarray
     iterations: int
     grad_norm: float
     converged: bool
+    row_iterations: np.ndarray | None = None
+    row_grad_norms: np.ndarray | None = None
+    row_converged: np.ndarray | None = None
+
+
+def _rows_axpy(y: np.ndarray, a: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``y + a[b] * v[b]`` on the listed rows; every other row keeps ``y``.  Returns a new array."""
+    if len(rows) == len(y):
+        return y + a[:, None] * v
+    out = y.copy()
+    out[rows] = y[rows] + a[rows, None] * v[rows]
+    return out
 
 
 def cg_quadratic(
@@ -43,51 +67,103 @@ def cg_quadratic(
 ) -> MinimizeResult:
     """Minimize 0.5 x^T H x + g0^T x from x = 0 by (preconditioned) conjugate gradients.
 
-    ``project`` (when given) restricts iterates to a subspace orthogonal to a
-    known null space of H, e.g. constant shifts under periodic boundary
-    conditions.  ``precondition`` applies a symmetric positive semidefinite
-    ``P`` (identity when None) that is positive definite on that subspace and
-    maps into it; it changes the search directions only.  The stopping test
-    and the reported ``grad_norm`` use the unpreconditioned residual
-    ``r = -(g0 + H x)``: stop once ``|r| <= tol * (1 + |g0|)``.  Residuals are
-    recomputed from scratch periodically to keep round-off in check.
+    ``grad0`` is one load, shape (n,), or a batch of B independent loads,
+    shape (B, n); the callables map arrays of that shape to arrays of that
+    shape, acting on each row alone.  ``project`` (when given) restricts
+    iterates to a subspace orthogonal to a known null space of H, e.g.
+    constant shifts under periodic boundary conditions.  ``precondition``
+    applies a symmetric positive semidefinite ``P`` (identity when None) that
+    is positive definite on that subspace and maps into it; it changes the
+    search directions only.  The stopping test and the reported ``grad_norm``
+    use the unpreconditioned residual ``r = -(g0 + H x)``: a row stops once
+    ``|r_b| <= tol * (1 + |g0_b|)``.  Residuals are recomputed from scratch
+    periodically to keep round-off in check.
+
+    Every row has its own step length, ``beta``, target and stop flag.  A row
+    that meets its target, or whose curvature ``d^T H d`` is lost, is frozen:
+    its iterate, residual norm and count stay as they were while the other
+    rows go on.  Dot products are taken row by row, so each row's iterates
+    are bit-identical to a solve of that row alone.
     """
+    single = np.ndim(grad0) == 1
+    if single:
+        # A 1-D load is a batch of one; the callables still see 1-D vectors.
+        def on_the_row(fn):
+            return None if fn is None else (lambda v: fn(v[0])[None])
+
+        apply_hessian, project, precondition = map(
+            on_the_row, (apply_hessian, project, precondition)
+        )
+    g0 = np.atleast_2d(grad0)
 
     def proj(v):
         return project(v) if project is not None else v
 
     apply_p = precondition or (lambda v: v)
-    x = np.zeros_like(grad0)
-    r = proj(-grad0)
-    rnorm = float(np.linalg.norm(r))
-    target = tol * (1.0 + float(np.linalg.norm(grad0)))
-    if rnorm <= target:
-        return MinimizeResult(x, 0, rnorm, True)
-
-    z = apply_p(r)
-    d = z
-    delta = float(r @ z)
-    for k in range(1, max_iters + 1):
-        hd = proj(apply_hessian(d))
-        dhd = float(d @ hd)
-        if not dhd > 0.0:
-            # Curvature lost to round-off (or not a number); the current
-            # iterate is the best answer.
-            return MinimizeResult(x, k, rnorm, False)
-        step = delta / dhd
-        x = x + step * d
-        if k % recompute_every == 0:
-            r = proj(-(grad0 + apply_hessian(x)))
-        else:
-            r = r - step * hd
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= target:
-            return MinimizeResult(x, k, rnorm, True)
+    batch = len(g0)
+    x = np.zeros_like(g0)
+    r = proj(-g0)
+    rnorm = np.array([float(np.linalg.norm(row)) for row in r])
+    target = tol * (1.0 + np.array([float(np.linalg.norm(row)) for row in g0]))
+    iterations = np.zeros(batch, dtype=int)
+    converged = rnorm <= target
+    active = ~converged
+    rows = np.flatnonzero(active)
+    step = np.zeros(batch)
+    beta = np.zeros(batch)
+    delta = np.zeros(batch)
+    if rows.size:
         z = apply_p(r)
-        delta_new = float(r @ z)
-        d = z + (delta_new / delta) * d
-        delta = delta_new
-    return MinimizeResult(x, max_iters, rnorm, False)
+        d = z
+        for b in rows:
+            delta[b] = float(r[b] @ z[b])
+    for k in range(1, max_iters + 1):
+        if not rows.size:
+            break
+        hd = proj(apply_hessian(d))
+        for b in rows:
+            dhd = float(d[b] @ hd[b])
+            if not dhd > 0.0:
+                # Curvature lost to round-off (or not a number); the current
+                # iterate is the row's best answer.
+                active[b] = False
+                iterations[b] = k
+            else:
+                step[b] = delta[b] / dhd
+        rows = np.flatnonzero(active)
+        x = _rows_axpy(x, step, d, rows)
+        if k % recompute_every == 0:
+            fresh = proj(-(g0 + apply_hessian(x)))
+            r = r.copy()
+            r[rows] = fresh[rows]
+        else:
+            r = _rows_axpy(r, -step, hd, rows)
+        for b in rows:
+            rnorm[b] = float(np.linalg.norm(r[b]))
+            if rnorm[b] <= target[b]:
+                active[b] = False
+                converged[b] = True
+                iterations[b] = k
+        rows = np.flatnonzero(active)
+        if not rows.size:
+            break
+        z = apply_p(r)
+        for b in rows:
+            delta_new = float(r[b] @ z[b])
+            beta[b] = delta_new / float(delta[b])
+            delta[b] = delta_new
+        d = _rows_axpy(z, beta, d, rows)
+    iterations[active] = max_iters
+
+    return MinimizeResult(
+        x[0] if single else x,
+        int(iterations.sum()),
+        float(np.max(rnorm, initial=0.0)),
+        bool(converged.all()),
+        iterations,
+        rnorm,
+        converged,
+    )
 
 
 def lbfgs(

@@ -6,8 +6,10 @@ from tanhom.cell import (
     CorrectorField,
     _CellObjective,
     energy_of_field,
+    energy_of_fields,
     read_corrector_csv,
     solve_cell,
+    solve_cell_batch,
     solve_cell_unconstrained,
     tile_corrector,
     write_corrector_csv,
@@ -21,6 +23,7 @@ from tanhom.integrand import (
     make_fbar,
     make_isotropic_quadratic,
     make_laminate_quadratic,
+    make_norm_linear,
 )
 from tanhom.manifold import Sphere, circle_point
 from tanhom.optim import cg_quadratic
@@ -314,3 +317,98 @@ def test_dirichlet_corrector_boundary_zero(s1, laminate2, north, xi_harmonic):
     assert np.max(np.abs(coeffs[:, -1, :])) == 0.0
     assert np.max(np.abs(coeffs[:, :, 0])) == 0.0
     assert np.max(np.abs(coeffs[:, :, -1])) == 0.0
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def _assert_same_solve(batched, alone):
+    assert _bits(batched.value) == _bits(alone.value)
+    assert batched.iterations == alone.iterations
+    assert batched.converged == alone.converged
+    assert _bits(batched.grad_norm) == _bits(alone.grad_norm)
+    assert _bits(batched.corrector.coeffs) == _bits(alone.corrector.coeffs)
+    assert _bits(batched.corrector.basis) == _bits(alone.corrector.basis)
+
+
+@pytest.mark.parametrize(
+    "N, boundary, profile, max_iters",
+    [
+        (1, "periodic", None, None),
+        (1, "dirichlet0", None, None),
+        (2, "periodic", None, None),
+        (2, "dirichlet0", None, None),
+        (1, "periodic", FOUR_PHASE, 2),
+    ],
+    ids=["N1-periodic", "N1-dirichlet", "N2-periodic", "N2-dirichlet", "four-phase-capped"],
+)
+def test_solve_cell_batch_rows_match_lone_solves(s1, profile_a, N, boundary, profile, max_iters):
+    f = make_laminate_quadratic(profile or profile_a, StepProfile.constant(1.0), N)
+    rng = np.random.default_rng(7 + N)
+    specs = []
+    for theta in (0.0, 0.4, np.pi / 2, np.pi, 4.0):
+        s = circle_point(theta)
+        xi = s1.tangent_from_coeffs(s, rng.uniform(-2.0, 2.0, (1, N)))
+        specs.append(spec_for(s1, s, xi, boundary=boundary, max_iters=max_iters))
+    batch = solve_cell_batch(f, specs)
+    assert len(batch) == len(specs)
+    for spec, res in zip(specs, batch):
+        assert res.corrector.spec is spec
+        _assert_same_solve(res, solve_cell(f, spec))
+    if max_iters is not None:
+        # At theta = 0 and pi the load misses the oscillating coefficient: those
+        # rows stop at once while the capped rows run out of iterations.
+        assert [res.converged for res in batch] == [True, False, False, True, False]
+        assert [res.iterations for res in batch] == [0, 2, 2, 0, 2]
+
+
+def test_solve_cell_batch_rejects_mixed_settings(s1, laminate2, north, xi_harmonic):
+    assert solve_cell_batch(laminate2, []) == []
+    specs = [spec_for(s1, north, xi_harmonic), spec_for(s1, north, xi_harmonic, nodes_per_period=4)]
+    with pytest.raises(ShapeMismatch):
+        solve_cell_batch(laminate2, specs)
+    linear = make_norm_linear(StepProfile.constant(1.0), 2)
+    with pytest.raises(ValueError, match="quadratic"):
+        solve_cell_batch(linear, [specs[0], specs[0]])
+
+
+def test_energy_of_fields_matches_energy_of_field(s1, laminate2, north, xi_harmonic, xi_arithmetic):
+    specs = [spec_for(s1, north, xi_harmonic), spec_for(s1, north, xi_arithmetic)]
+    fields = [solve_cell(laminate2, spec).corrector for spec in specs]
+    batched = energy_of_fields(laminate2, specs, fields)
+    alone = [energy_of_field(laminate2, spec, phi) for spec, phi in zip(specs, fields)]
+    assert _bits(batched) == _bits(alone)
+
+
+def test_cg_batch_freezes_finished_rows():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((12, 12))
+    H = a @ a.T + 12.0 * np.eye(12)
+    diag = 1.0 / np.diag(H)
+    g_healthy = rng.standard_normal(12)
+    # Rows: healthy, zero load (stops at iteration 0), NaN curvature.
+    g0 = np.stack([g_healthy, np.zeros(12), rng.standard_normal(12)])
+
+    def row_hessian(v):
+        return H @ v
+
+    def batch_hessian(V):
+        out = np.stack([row_hessian(row) for row in V])
+        out[2] = np.nan
+        return out
+
+    kwargs = dict(recompute_every=3, precondition=lambda v: diag * v)
+    res = cg_quadratic(batch_hessian, g0, 1e-12, 100, **kwargs)
+    alone = cg_quadratic(row_hessian, g_healthy, 1e-12, 100, **kwargs)
+    assert alone.converged and alone.iterations > 3  # the recompute branch ran
+    assert _bits(res.x[0]) == _bits(alone.x)
+    assert res.row_iterations.tolist() == [alone.iterations, 0, 1]
+    assert res.row_converged.tolist() == [True, True, False]
+    assert _bits(res.row_grad_norms[0]) == _bits(alone.grad_norm)
+    assert res.row_grad_norms[1] == 0.0
+    assert res.row_grad_norms[2] == np.linalg.norm(g0[2])
+    # Frozen rows keep the zero start: finite, and +0.0 rather than -0.0.
+    assert _bits(res.x[1:]) == _bits(np.zeros((2, 12)))
+    assert isinstance(res.iterations, int) and res.iterations == alone.iterations + 1
+    assert not res.converged

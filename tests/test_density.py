@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tanhom import density
-from tanhom.cell import solve_cell, solve_cell_unconstrained
+from tanhom.cell import solve_cell_batch, solve_cell_unconstrained
 from tanhom.density import (
     CoefficientLattice,
     DensityTable,
@@ -282,16 +282,17 @@ def test_quadratic_table_matches_tf_hom(s1, f, opts, lattice):
 
 
 def test_quadratic_table_solves_one_corrector_per_column(monkeypatch, s1, laminate2):
-    calls = []
+    batches = []
 
-    def counted(f, spec):
-        calls.append(spec.t)
-        return solve_cell(f, spec)
+    def counted(f, specs):
+        batches.append((specs[0].t, len(specs)))
+        return solve_cell_batch(f, specs)
 
-    monkeypatch.setattr(density, "solve_cell", counted)
+    monkeypatch.setattr(density, "solve_cell_batch", counted)
     opts = TfOptions(t_list=(1, 2), n=4, boundary="periodic")
     table = build_density_table(laminate2, s1, 3, CoefficientLattice(-1.0, 1.0, 3), opts)
-    assert len(calls) == 3 * 2 * 2
+    # One batched solve per cube size, each of s_count * N column loads.
+    assert batches == [(1, 3 * 2), (2, 3 * 2)]
     assert table.values.shape == (3, 3, 3) and table.converged.all()
 
 
@@ -319,6 +320,27 @@ def test_quadratic_table_fails_whole_angle(s1):
     table = build_density_table(broken, s1, 4, CoefficientLattice(-1.0, 1.0, 3), opts)
     assert len(table.entry_errors) == 4
     assert table.failed_entries == table.values.size and not table.converged.any()
+
+
+def test_fully_failed_table_saves_and_round_trips(tmp_path, s1):
+    def broken(y, xi):
+        raise RuntimeError("synthetic failure")
+
+    f = Integrand(
+        eval=broken, grad_xi=lambda y, xi: 2.0 * np.asarray(xi), p=2, alpha=1.0, beta=1.0,
+        dims=(1, 2), quadratic=True,
+    )
+    opts = TfOptions(t_list=(1,), n=4, boundary="periodic")
+    table = build_density_table(f, s1, 3, CoefficientLattice(-1.0, 1.0, 3), opts)
+    assert len(table.entry_errors) == 3 and np.isnan(table.rel_changes).all()
+    # The suite turns RuntimeWarnings into errors, so an all-NaN reduction fails here.
+    first = (tmp_path / "a.csv", tmp_path / "a.json")
+    table.save(*first)
+    assert np.isnan(json.loads(first[1].read_text())["max_rel_change"])
+    again = (tmp_path / "b.csv", tmp_path / "b.json")
+    DensityTable.load(*first).save(*again)
+    assert first[0].read_bytes() == again[0].read_bytes()
+    assert first[1].read_bytes() == again[1].read_bytes()
 
 
 def test_build_density_table_records_failures(s1):
@@ -491,11 +513,11 @@ def test_table_resave_keeps_max_rel_change(tmp_path, s1, laminate2):
 def test_quadratic_table_empty_lattice_solves_nothing(monkeypatch, s1, laminate2):
     calls = []
 
-    def counted(f, spec):
-        calls.append(spec.t)
-        return solve_cell(f, spec)
+    def counted(f, specs):
+        calls.append(len(specs))
+        return solve_cell_batch(f, specs)
 
-    monkeypatch.setattr(density, "solve_cell", counted)
+    monkeypatch.setattr(density, "solve_cell_batch", counted)
     opts = TfOptions(t_list=(1, 2), n=4, boundary="periodic")
     table = build_density_table(laminate2, s1, 4, CoefficientLattice(-1.0, 1.0, 0), opts)
     assert calls == []

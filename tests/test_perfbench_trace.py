@@ -89,3 +89,42 @@ def test_tracer_records_a_gamma_run(tmp_path):
     metrics = spans.layer_metrics(rec, 1)
     assert metrics["gamma.f_hom.iterations"] > 0
     assert all(math.isfinite(value) for value in metrics.values())
+
+
+def test_tracer_records_a_density_run(tmp_path):
+    import tanhom.cli
+
+    config = {
+        "command": "density",
+        "manifold": {"kind": "sphere", "d": 2},
+        "integrand": {
+            "kind": "laminate",
+            "a": {"breaks": [0.5], "values": [1, 2]},
+            "b": {"values": [1]},
+            "N": 1,
+        },
+        "density": {
+            "s_count": 8,
+            "lattice": {"min": -1.0, "max": 1.0, "count": 5},
+            "t_list": [1],
+            "n": 8,
+            "boundary": "periodic",
+        },
+    }
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(config))
+    spans = load_spans()
+    rec = spans.Recorder()
+    tracer = spans.Tracer(rec)
+    try:
+        tracer.install()
+        code = tanhom.cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    assert {"density.build_table", "optim.cg"} <= {rec.names[i] for i in rec.name_id}
+    metrics = spans.layer_metrics(rec, 1)
+    assert metrics["optim.cg.calls"] == 1  # every angle in one batched solve
+    assert metrics["optim.cg.iterations"] > 0
+    assert isinstance(rec.counts["optim.cg.iterations"], int)
+    assert all(math.isfinite(value) for value in metrics.values())
