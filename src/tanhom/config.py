@@ -79,7 +79,6 @@ GAMMA_KEYS = {
     "theta0": float,
     "theta1": float,
     "epsilons": _tuple_of(float),
-    "huber_mu": float,
     "run_dp": bool,
 }
 OPTIMIZER_KEYS = {"max_iters": _integer, "tol": float}

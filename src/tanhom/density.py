@@ -1,7 +1,10 @@
 """Homogenized-density evaluation, closed-form references and verifiers.
 
-``tf_hom`` drives the cell solver along a sequence of cube sizes and reports
-the last value together with its convergence trace.  For laminate densities
+``tf_hom_batch`` drives the cell solver along a sequence of cube sizes, one
+batched solve per size over many (base point, gradient) pairs, and reports
+each pair's last value with its convergence trace; ``tf_hom`` is its batch of
+one.  Each verifier puts every gradient it evaluates into one such query,
+so it costs one batched solve per cube size.  For laminate densities
 on the circle the effective coefficients are known exactly (harmonic mean in
 the oscillation direction, arithmetic mean across it), which provides the
 independent reference used throughout the test suite.  Density tables sample
@@ -10,10 +13,8 @@ multilinearly; coefficients outside the table clamp.  A quadratic density
 has cell minimizers linear in the gradient, so its table comes from one
 corrector per gradient column and angle: an effective tensor per angle, which
 the table keeps.  Each angle is its own cell problem, in the tangent space at
-its own base point, so all angles and columns of one cube size are rows of a
-single batched conjugate-gradient solve; a row stops on its own target and
-then stays frozen while the others go on.  Every other density is tabulated
-entry by entry with ``tf_hom``.
+its own base point, so all angles and columns of one cube size are rows of
+one batched solve.  Every other density is tabulated entry by entry.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .cell import (
     CellProblemSpec,
     check_solve_settings,
     energy_of_fields,
-    solve_cell,
     solve_cell_batch,
     solve_cell_unconstrained,
 )
@@ -63,15 +63,8 @@ class TfOptions:
 
     def cell_spec(self, M, s, xi, t) -> CellProblemSpec:
         return CellProblemSpec(
-            manifold=M,
-            s=s,
-            xi=xi,
-            t=t,
-            nodes_per_period=self.n,
-            boundary=self.boundary,
-            tol_grad=self.tol_grad,
-            max_iters=self.max_iters,
-            huber_mu=self.huber_mu,
+            manifold=M, s=s, xi=xi, t=t, nodes_per_period=self.n, boundary=self.boundary,
+            tol_grad=self.tol_grad, max_iters=self.max_iters, huber_mu=self.huber_mu,
         )
 
 
@@ -110,23 +103,35 @@ def tf_hom(
     exceeds ``rel_tol``, or the value is not finite, the result is flagged
     unconverged but still returned.
     No extrapolation is applied; a flat trace is the expected signature for
-    the convex shipped examples.
+    the convex shipped examples.  The batch of one of ``tf_hom_batch``.
+    """
+    return tf_hom_batch(f, M, [s], [xi], opts)[0]
+
+
+def tf_hom_batch(
+    f: Integrand, M: EmbeddedManifold, points, loads, opts: TfOptions | None = None
+) -> list[TfHomResult]:
+    """``tf_hom`` at every pair ``(points[b], loads[b])``, one result per pair.
+
+    Each cube size in ``opts.t_list`` is one ``solve_cell_batch`` over all
+    pairs, so every result has the bits ``tf_hom`` gives its pair alone.
     """
     opts = opts or TfOptions()
-    trace: list[TfTraceEntry] = []
-    solver_ok = True
-    for t in opts.t_list:
-        res = solve_cell(f, opts.cell_spec(M, s, xi, t))
-        solver_ok = solver_ok and res.converged
-        trace.append(TfTraceEntry(t, res.value, res.iterations, res.converged))
-    rel, ok = _trace_verdict([e.value for e in trace], opts.rel_tol)
-    return TfHomResult(
-        value=trace[-1].value,
-        trace=trace,
-        rel_change=float(rel),
-        converged=bool(ok),
-        solver_converged=solver_ok,
-    )
+    pairs = list(zip(points, loads, strict=True))
+    per_size = [
+        solve_cell_batch(f, [opts.cell_spec(M, s, xi, t) for s, xi in pairs]) for t in opts.t_list
+    ]
+    values = np.array([[res.value for res in solves] for solves in per_size])
+    rel, ok = _trace_verdict(values, opts.rel_tol)
+    results = []
+    for b, row in enumerate(zip(*per_size)):
+        trace = [
+            TfTraceEntry(t, res.value, res.iterations, res.converged)
+            for t, res in zip(opts.t_list, row)
+        ]
+        solver_ok = all(res.converged for res in row)
+        results.append(TfHomResult(trace[-1].value, trace, float(rel[b]), bool(ok[b]), solver_ok))
+    return results
 
 
 def _trace_verdict(values, rel_tol: float):
@@ -211,30 +216,27 @@ def verify_equivalence_fbar(
 ) -> EquivalenceReport:
     """Compare tangentially constrained and extended unconstrained cell minima.
 
-    For each sampled (s, xi) the constrained value comes from ``tf_hom`` and
-    the unconstrained one from minimizing the matching extension over full
+    The constrained values of all samples come from one ``tf_hom_batch``;
+    each unconstrained one from minimizing the matching extension over full
     ambient correctors on the grid of the largest cube, the one whose value
-    ``tf_hom`` reports.  Superlinear growth uses the
-    tangent-projection extension; linear growth uses the ambient cutoff
-    extension (solved through its smoothed forms, evaluated unsmoothed).
+    ``tf_hom`` reports.  Superlinear growth uses the tangent-projection
+    extension; linear growth uses the ambient cutoff extension (solved
+    through its smoothed forms, evaluated unsmoothed).
     """
     opts = opts or TfOptions()
     if f.p == 1:
-        ext = make_g_extension(f, M, delta0)
-        ext_name = "ambient_cutoff"
+        ext, ext_name = make_g_extension(f, M, delta0), "ambient_cutoff"
     else:
-        ext = make_fbar(f, M)
-        ext_name = "tangent_projection"
+        ext, ext_name = make_fbar(f, M), "tangent_projection"
 
+    samples = [(np.asarray(s), np.asarray(xi)) for s, xi in samples]
+    constrained = tf_hom_batch(f, M, [s for s, _ in samples], [xi for _, xi in samples], opts)
     entries = []
-    for s, xi in samples:
-        constrained = tf_hom(f, M, s, xi, opts).value
+    for (s, xi), res in zip(samples, constrained):
         spec = opts.cell_spec(M, s, xi, opts.t_list[-1])
         value_u = solve_cell_unconstrained(ext, spec).value
-        rel = abs(constrained - value_u) / (1.0 + abs(constrained))
-        entries.append(
-            EquivalenceEntry(np.asarray(s), np.asarray(xi), constrained, value_u, rel)
-        )
+        rel = abs(res.value - value_u) / (1.0 + abs(res.value))
+        entries.append(EquivalenceEntry(s, xi, res.value, value_u, rel))
     return EquivalenceReport(extension=ext_name, entries=entries)
 
 
@@ -270,39 +272,27 @@ def check_tangential_quasiconvexity(
 
     Draws compactly supported piecewise-multilinear tangent-valued trials on
     the unit cube (interior nodal coordinates uniform in [-1, 1]), evaluates
-    the density at the trial's element-center gradients, and reports the
-    residual reference - average.  Nonpositive residuals (up to solver noise)
-    certify the inequality; the zero trial gives residual exactly zero.
+    the reference and every trial's element-center gradients in one
+    ``tf_hom_batch``, and reports each residual reference - average.
+    Nonpositive residuals (up to solver noise) certify the inequality; the
+    zero trial gives residual exactly zero.
     """
     opts = opts or TfOptions()
     s = M.check_point(s)
     xi = np.asarray(xi, dtype=float)
-    m = M.intrinsic_dim
-    N = xi.shape[1]
     basis = M.tangent_basis(s)
-    grid = UniformGrid(N, trial_grid, 1.0 / trial_grid, periodic=False)
+    grid = UniformGrid(xi.shape[1], trial_grid, 1.0 / trial_grid, periodic=False)
     rng = np.random.default_rng(seed)
 
-    cache: dict[bytes, float] = {}
-
-    def density_at(xi_arg: np.ndarray) -> float:
-        key = xi_arg.tobytes()
-        if key not in cache:
-            cache[key] = tf_hom(f, M, s, xi_arg, opts).value
-        return cache[key]
-
-    reference = density_at(xi)
-    residuals = np.zeros(trial_count)
-    interior = (slice(None),) + grid.interior()
-    for trial in range(trial_count):
-        V = np.zeros((m,) + grid.node_shape)
-        if trial > 0:  # keep the zero trial as an exact identity check
-            V[interior] = rng.uniform(-1.0, 1.0, size=V[interior].shape)
-        G = grid.center_gradient(V)
-        amb = xi + np.einsum("md,mn...->...dn", basis, G)
-        flat = amb.reshape(-1, *xi.shape)
-        avg = float(np.mean([density_at(entry) for entry in flat]))
-        residuals[trial] = reference - avg
+    # Trial 0 stays zero, an exact identity check; the others draw in trial order.
+    V = np.zeros((trial_count, M.intrinsic_dim) + grid.node_shape)
+    interior = (slice(1, None), slice(None)) + grid.interior()
+    V[interior] = rng.uniform(-1.0, 1.0, size=V[interior].shape)
+    amb = xi + np.einsum("md,tmn...->t...dn", basis, grid.center_gradient(V))
+    loads = [xi, *amb.reshape(-1, *xi.shape)]
+    values = np.array([res.value for res in tf_hom_batch(f, M, [s] * len(loads), loads, opts)])
+    reference = float(values[0])
+    residuals = reference - values[1:].reshape(trial_count, grid.n_elements).mean(axis=1)
     tol = tolerance_scale * (1.0 + float(np.sum(xi * xi)))
     return QuasiconvexityReport(s, xi, reference, residuals, tol)
 
@@ -331,12 +321,12 @@ def check_growth_lipschitz(
     only come from a solver defect.  For pairs at a shared base point the
     ratio |dv| / ((1 + |xi|^{p-1} + |xi'|^{p-1}) |xi - xi'|) is collected and
     its maximum reported as the fitted constant.  Samples are drawn one at a
-    time, so a longer run extends a shorter one with the same seed.
+    time, so a longer run extends a shorter one with the same seed; one
+    ``tf_hom_batch`` evaluates them all, and the first that escapes raises.
     """
     opts = opts or TfOptions()
     rng = np.random.default_rng(seed)
-    m = M.intrinsic_dim
-    N, d = f.dims
+    shape = (M.intrinsic_dim, f.dims[0])
 
     ratios = []
     lower_margin = -np.inf
@@ -352,20 +342,21 @@ def check_growth_lipschitz(
             )
         return lo, hi
 
+    samples = []
     for _ in range(sample_count):
         s = M.random_point(rng)
-        z = rng.standard_normal((m, N))
+        z = rng.standard_normal(shape)
         z *= rng.uniform(0.0, coeff_radius) / max(float(np.linalg.norm(z)), 1e-12)
-        direction = rng.standard_normal((m, N))
+        direction = rng.standard_normal(shape)
         direction /= max(float(np.linalg.norm(direction)), 1e-12)
         radius = 10.0 ** rng.uniform(-3.0, np.log10(2.0))
         z2 = z + radius * direction
+        samples.append((s, M.tangent_from_coeffs(s, z), M.tangent_from_coeffs(s, z2)))
 
-        xi = M.tangent_from_coeffs(s, z)
-        xi2 = M.tangent_from_coeffs(s, z2)
-        v1 = tf_hom(f, M, s, xi, opts).value
-        v2 = tf_hom(f, M, s, xi2, opts).value
-
+    points = [s for s, _, _ in samples for _ in range(2)]
+    loads = [xi for _, *pair in samples for xi in pair]
+    values = [res.value for res in tf_hom_batch(f, M, points, loads, opts)]
+    for (s, xi, xi2), v1, v2 in zip(samples, values[0::2], values[1::2]):
         n1 = float(np.linalg.norm(xi))
         n2 = float(np.linalg.norm(xi2))
         lo1, hi1 = sandwich(v1, n1, s, xi)
@@ -711,7 +702,7 @@ def build_density_table(
     form of an effective tensor.  For every cube size ``_column_energies``
     solves one corrector ``phi_c`` per angle and gradient column at the load
     ``z_max`` (the largest |coefficient| on the lattice, or 1 when that is
-    0), every angle and column a row of one conjugate-gradient run, and
+    0), every angle and column a row of one ``solve_cell_batch``, and
     assembles the tensors from exact energies.  The angles are independent
     cell problems, each in the tangent space at its own base point; each row
     stops on its own target and then stays frozen, so the batch gives every

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tanhom import cell
 from tanhom.cell import (
     CellProblemSpec,
     CorrectorField,
@@ -21,6 +22,7 @@ from tanhom.grid import UniformGrid
 from tanhom.integrand import (
     StepProfile,
     make_fbar,
+    make_g_extension,
     make_isotropic_quadratic,
     make_laminate_quadratic,
     make_norm_linear,
@@ -369,8 +371,58 @@ def test_solve_cell_batch_rejects_mixed_settings(s1, laminate2, north, xi_harmon
     with pytest.raises(ShapeMismatch):
         solve_cell_batch(laminate2, specs)
     linear = make_norm_linear(StepProfile.constant(1.0), 2)
-    with pytest.raises(ValueError, match="quadratic"):
-        solve_cell_batch(linear, [specs[0], specs[0]])
+    with pytest.raises(ShapeMismatch):
+        solve_cell_batch(linear, specs)
+
+
+def test_solve_cell_batch_splits_at_the_element_budget(monkeypatch, s1, laminate1):
+    specs = []
+    for theta in (0.3, 1.0, 2.5, 4.0, 5.5):
+        s = circle_point(theta)
+        specs.append(spec_for(s1, s, s1.tangent_from_coeffs(s, [[1.5]])))
+    monkeypatch.setattr(cell, "BATCH_ELEMENTS", 2 * specs[0].grid().n_elements + 1)
+    runs = []
+    run_solver = cell._run_solver
+
+    def counted(run_specs, *args, **kwargs):
+        runs.append(len(run_specs))
+        return run_solver(run_specs, *args, **kwargs)
+
+    monkeypatch.setattr(cell, "_run_solver", counted)
+    batch = solve_cell_batch(laminate1, specs)
+    assert runs == [2, 2, 1]
+    for spec, res in zip(specs, batch, strict=True):
+        assert res.corrector.spec is spec
+        _assert_same_solve(res, solve_cell(laminate1, spec))
+
+
+def test_solve_cell_batch_non_quadratic_rows_match_lone_solves(s1, profile_a):
+    f = make_norm_linear(profile_a, 1)
+    specs = []
+    for theta, coeff in ((0.3, 1.0), (2.0, -0.5), (4.5, 0.0)):
+        s = circle_point(theta)
+        xi = s1.tangent_from_coeffs(s, [[coeff]])
+        specs.append(spec_for(s1, s, xi, tol_grad=1e-6, huber_mu=1e-2))
+    batch = solve_cell_batch(f, specs)
+    assert len(batch) == len(specs)
+    for spec, res in zip(specs, batch):
+        assert res.corrector.spec is spec
+        _assert_same_solve(res, solve_cell(f, spec))
+
+
+def test_linear_growth_seeded_pair_converges(s1, profile_a):
+    # The first pair that `verify` draws with seed 613753789: |z| = 0.067 at
+    # s = (-0.068, 0.998).  Without the stiffness preconditioner the constrained
+    # L-BFGS solve stopped unconverged at gradient norm 1.41, 1.7e-2 off.
+    rng = np.random.default_rng(613753789)
+    s = s1.random_point(rng)
+    xi = s1.tangent_from_coeffs(s, rng.uniform(-2.0, 2.0, (1, 1)))
+    f = make_norm_linear(profile_a, 1)
+    spec = spec_for(s1, s, xi, nodes_per_period=64, tol_grad=1e-6)
+    constrained = solve_cell(f, spec)
+    unconstrained = solve_cell_unconstrained(make_g_extension(f, s1, 0.5), spec)
+    assert constrained.converged and unconstrained.converged
+    assert abs(constrained.value - unconstrained.value) / (1.0 + constrained.value) <= 1e-3
 
 
 def test_energy_of_fields_matches_energy_of_field(s1, laminate2, north, xi_harmonic, xi_arithmetic):

@@ -136,6 +136,21 @@ def test_verify_command_pass(tmp_path):
     assert all(entry["passed"] for entry in report.values())
 
 
+def test_verify_linear_growth_equivalence(tmp_path):
+    # Seed 613753789 draws a pair at |z| = 0.067 whose constrained solve used to
+    # stall unpreconditioned (gap 1.7e-2 against the 1e-3 tolerance, exit 4).
+    config = {
+        "command": "verify",
+        "seed": 613753789,
+        "manifold": SPHERE,
+        "integrand": {"kind": "norm_linear", "c": {"breaks": [0.5], "values": [1, 2]}, "N": 1},
+        "verify": {"suites": ["equivalence"], "sample_points": 8, "n": 64, "tol_grad": 1e-6},
+    }
+    code, out = run_cli(tmp_path, config)
+    assert code == 0
+    assert json.loads((out / "verify_report.json").read_text())["equivalence"]["passed"]
+
+
 def test_verify_empty_suites(tmp_path, capsys):
     config = {
         "command": "verify",
@@ -403,6 +418,7 @@ REMOVED_KEYS = [
     ("gamma", "dp_elements"),
     ("gamma", "dp_theta_count"),
     ("gamma", "dp_band"),
+    ("gamma", "huber_mu"),
 ]
 
 

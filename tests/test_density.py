@@ -15,10 +15,12 @@ from tanhom.density import (
     check_tangential_quasiconvexity,
     laminate_oracle,
     tf_hom,
+    tf_hom_batch,
     verify_equivalence_fbar,
 )
 from tanhom.artifacts import read_csv
 from tanhom.errors import GrowthViolation, MalformedArtifact, NotTangent
+from tanhom.grid import UniformGrid
 from tanhom.integrand import (
     Integrand,
     StepProfile,
@@ -180,6 +182,171 @@ def test_growth_samples_nested(s1, laminate2):
     small = check_growth_lipschitz(laminate2, s1, 10, seed=9, opts=PERIODIC_1)
     big = check_growth_lipschitz(laminate2, s1, 20, seed=9, opts=PERIODIC_1)
     np.testing.assert_allclose(big.ratios[: len(small.ratios)], small.ratios)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def _trace_bits(res):
+    return [(e.t, _bits(e.value), e.iterations, e.converged) for e in res.trace]
+
+
+def _assert_same_tf_hom(batched, alone):
+    assert _bits(batched.value) == _bits(alone.value)
+    assert _trace_bits(batched) == _trace_bits(alone)
+    assert _bits(batched.rel_change) == _bits(alone.rel_change)
+    assert batched.converged == alone.converged
+    assert batched.solver_converged == alone.solver_converged
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet0"])
+@pytest.mark.parametrize("N", [1, 2])
+def test_tf_hom_batch_rows_match_lone_tf_hom(s1, profile_a, profile_b, N, boundary):
+    f = make_laminate_quadratic(profile_a, profile_b, N)
+    opts = TfOptions(t_list=(1, 2), n=8, boundary=boundary)
+    rng = np.random.default_rng(17 + N)
+    # Mixed base points, one repeated, and a zero load.
+    points = [circle_point(theta) for theta in (0.0, 0.4, np.pi / 2, 4.0, 0.4)]
+    loads = [s1.tangent_from_coeffs(s, rng.uniform(-2.0, 2.0, (1, N))) for s in points]
+    loads[-1] = np.zeros((2, N))
+    batch = tf_hom_batch(f, s1, points, loads, opts)
+    assert len(batch) == len(points)
+    for s, xi, res in zip(points, loads, batch):
+        _assert_same_tf_hom(res, tf_hom(f, s1, s, xi, opts))
+
+
+def test_tf_hom_batch_non_quadratic_and_empty(s1, profile_a):
+    f = make_norm_linear(profile_a, 1)
+    opts = TfOptions(t_list=(1, 2), n=8, boundary="periodic", tol_grad=1e-6, huber_mu=1e-2)
+    points = [circle_point(0.3), circle_point(2.5), circle_point(0.3)]
+    loads = [s1.tangent_from_coeffs(s, [[c]]) for s, c in zip(points, (0.8, -1.5, 0.0))]
+    batch = tf_hom_batch(f, s1, points, loads, opts)
+    for s, xi, res in zip(points, loads, batch):
+        _assert_same_tf_hom(res, tf_hom(f, s1, s, xi, opts))
+    assert tf_hom_batch(f, s1, [], [], opts) == []
+    with pytest.raises(ValueError):
+        tf_hom_batch(f, s1, points, loads[:2], opts)
+
+
+def _quasiconvexity_by_gradient(f, M, s, xi, trial_count, seed, opts, trial_grid=4):
+    """(reference, residuals) of the quasiconvexity check from one ``tf_hom`` per
+    gradient, the trial fields drawn one trial at a time."""
+    basis = M.tangent_basis(s)
+    grid = UniformGrid(xi.shape[1], trial_grid, 1.0 / trial_grid, periodic=False)
+    interior = (slice(None),) + grid.interior()
+    rng = np.random.default_rng(seed)
+    reference = tf_hom(f, M, s, xi, opts).value
+    residuals = []
+    for trial in range(trial_count):
+        V = np.zeros((M.intrinsic_dim,) + grid.node_shape)
+        if trial > 0:
+            V[interior] = rng.uniform(-1.0, 1.0, size=V[interior].shape)
+        amb = xi + np.einsum("md,mn...->...dn", basis, grid.center_gradient(V))
+        values = [tf_hom(f, M, s, load, opts).value for load in amb.reshape(-1, *xi.shape)]
+        residuals.append(reference - float(np.mean(values)))
+    return reference, np.array(residuals)
+
+
+@pytest.mark.parametrize(
+    "N, theta, coeffs, opts",
+    [
+        (2, np.pi / 2, [[1.0, -0.5]], PERIODIC_1),
+        (1, 0.7, [[1.3]], TfOptions(t_list=(1, 2), n=8, boundary="dirichlet0")),
+    ],
+    ids=["N2-periodic", "N1-dirichlet-t12"],
+)
+def test_quasiconvexity_matches_gradient_loop(s1, profile_a, profile_b, N, theta, coeffs, opts):
+    f = make_laminate_quadratic(profile_a, profile_b, N)
+    s = circle_point(theta)
+    xi = s1.tangent_from_coeffs(s, np.array(coeffs))
+    rep = check_tangential_quasiconvexity(f, s1, s, xi, trial_count=6, seed=3, opts=opts)
+    reference, residuals = _quasiconvexity_by_gradient(f, s1, s, xi, 6, 3, opts)
+    assert _bits(rep.reference) == _bits(reference)
+    assert _bits(rep.residuals) == _bits(residuals)
+    assert rep.residuals[0] == 0.0
+
+
+def _growth_by_gradient(f, M, sample_count, seed, opts, coeff_radius=5.0):
+    """(ratios, lower margin, upper margin) of the growth check from one ``tf_hom``
+    per gradient, in draw order; raises ``GrowthViolation`` at the first escape."""
+    rng = np.random.default_rng(seed)
+    shape = (M.intrinsic_dim, f.dims[0])
+    ratios, lower, upper = [], -np.inf, -np.inf
+    for _ in range(sample_count):
+        s = M.random_point(rng)
+        z = rng.standard_normal(shape)
+        z *= rng.uniform(0.0, coeff_radius) / max(float(np.linalg.norm(z)), 1e-12)
+        direction = rng.standard_normal(shape)
+        direction /= max(float(np.linalg.norm(direction)), 1e-12)
+        z2 = z + 10.0 ** rng.uniform(-3.0, np.log10(2.0)) * direction
+        pair = [M.tangent_from_coeffs(s, z), M.tangent_from_coeffs(s, z2)]
+        values, norms = [], []
+        for xi in pair:
+            v = tf_hom(f, M, s, xi, opts).value
+            n = float(np.linalg.norm(xi))
+            lo, hi = f.alpha * n**f.p - v, v - f.beta * (1.0 + n**f.p)
+            if not (lo <= 0.0 and hi <= 0.0):
+                raise GrowthViolation("escaped", sample=(s, xi))
+            lower, upper = max(lower, lo), max(upper, hi)
+            values.append(v)
+            norms.append(n)
+        denom = (1.0 + norms[0] ** (f.p - 1.0) + norms[1] ** (f.p - 1.0))
+        ratios.append(abs(values[0] - values[1]) / (denom * float(np.linalg.norm(pair[0] - pair[1]))))
+    return np.array(ratios), lower, upper
+
+
+@pytest.mark.parametrize(
+    "N, opts",
+    [(2, PERIODIC_1), (1, TfOptions(t_list=(1, 2), n=8, boundary="dirichlet0"))],
+    ids=["N2-periodic", "N1-dirichlet-t12"],
+)
+def test_growth_lipschitz_matches_gradient_loop(s1, profile_a, profile_b, N, opts):
+    f = make_laminate_quadratic(profile_a, profile_b, N)
+    rep = check_growth_lipschitz(f, s1, 8, seed=21, opts=opts)
+    ratios, lower, upper = _growth_by_gradient(f, s1, 8, 21, opts)
+    assert _bits(rep.ratios) == _bits(ratios)
+    assert _bits(rep.fitted_constant) == _bits(np.max(ratios))
+    assert _bits([rep.sandwich_lower_margin, rep.sandwich_upper_margin]) == _bits([lower, upper])
+    # Nested samples: a shorter run is a prefix of a longer one, bit for bit.
+    short = check_growth_lipschitz(f, s1, 5, seed=21, opts=opts)
+    assert _bits(short.ratios) == _bits(rep.ratios[:5])
+
+
+def test_growth_violation_names_first_escaping_sample(s1):
+    # Declared beta = 1 under 1.5 |xi|^2: only samples with |xi|^2 > 2 escape.
+    # With this seed and radius the first to escape is the second load of pair 4.
+    steep = Integrand(
+        eval=lambda y, xi: 1.5 * np.sum(np.asarray(xi) ** 2, axis=(-2, -1)),
+        grad_xi=lambda y, xi: 3.0 * np.asarray(xi),
+        p=2,
+        alpha=1.0,
+        beta=1.0,
+        dims=(1, 2),
+        quadratic=True,
+    )
+    opts = TfOptions(t_list=(1,), n=4, boundary="periodic")
+    with pytest.raises(GrowthViolation) as expected:
+        _growth_by_gradient(steep, s1, 10, 25, opts, coeff_radius=1.6)
+    with pytest.raises(GrowthViolation) as raised:
+        check_growth_lipschitz(steep, s1, 10, seed=25, opts=opts, coeff_radius=1.6)
+    assert [_bits(a) for a in raised.value.sample] == [_bits(a) for a in expected.value.sample]
+
+
+def test_equivalence_matches_gradient_loop(s1, laminate2):
+    opts = TfOptions(t_list=(1, 2), n=8, boundary="periodic")
+    rng = np.random.default_rng(5)
+    samples = []
+    for _ in range(3):
+        s = s1.random_point(rng)
+        samples.append((s, s1.tangent_from_coeffs(s, rng.uniform(-2.0, 2.0, (1, 2)))))
+    rep = verify_equivalence_fbar(laminate2, s1, iter(samples), opts)
+    fbar = make_fbar(laminate2, s1)
+    for (s, xi), entry in zip(samples, rep.entries, strict=True):
+        constrained = tf_hom(laminate2, s1, s, xi, opts).value
+        unconstrained = solve_cell_unconstrained(fbar, opts.cell_spec(s1, s, xi, 2)).value
+        assert _bits([entry.constrained, entry.unconstrained]) == _bits([constrained, unconstrained])
+        assert entry.rel_gap == abs(constrained - unconstrained) / (1.0 + abs(constrained))
 
 
 def test_build_density_table_single_entry(s1, laminate1, north):
