@@ -1,10 +1,14 @@
 """CSV and JSON artifact files.
 
-Every artifact goes through one CSV writer (``write_columns``, block-buffered),
-one CSV reader (``read_csv``) and ``write_json``, so all of them share one byte
-format: floats as ``.17g`` (exact round trip), integers and flags as ``%d``,
-``\\n`` line ends, and JSON with two-space indent, sorted keys and a trailing
-newline.  Identical data therefore gives identical bytes.
+Every artifact goes through one CSV writer (``write_columns``), one CSV reader
+(``read_csv``) and ``write_json``, so all of them share one byte format: floats
+as ``.17g`` (exact round trip), integers and flags as ``%d``, ``\\n`` line ends,
+and JSON with two-space indent, sorted keys and a trailing newline.  Identical
+data therefore gives identical bytes.
+
+The writer formats each distinct value of a column once and builds the rows
+from those texts with numpy byte operations, ``BLOCK_ROWS`` rows at a time.
+Its bytes are those of one ``%.17g`` / ``%d`` per value.
 """
 
 from __future__ import annotations
@@ -13,25 +17,57 @@ import json
 
 import numpy as np
 
-from .errors import MalformedArtifact
+from .errors import MalformedArtifact, ShapeMismatch
 
-BLOCK_ROWS = 1024  # rows formatted per write: bounds the strings held at once
+BLOCK_ROWS = 1024  # rows assembled per write: bounds the bytes held at once
 
 
 def fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _distinct_texts(col: np.ndarray, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct value of ``col`` formatted once and followed by ``end``, and the
+    row-to-text index.
+
+    Floats are grouped by bit pattern, so ``-0.0`` and ``0.0`` (and NaNs with
+    different bits) are told apart, and each keeps the text ``%.17g`` gives it.
+    """
+    if col.dtype.kind == "f":
+        bits = np.ascontiguousarray(col, dtype=np.float64).view(np.uint64)
+        keys, inverse = np.unique(bits, return_inverse=True)
+        values, template = keys.view(np.float64).tolist(), "%.17g" + end
+    else:
+        keys, inverse = np.unique(col, return_inverse=True)
+        values, template = keys.tolist(), "%d" + end
+    # numpy 2.0 changed the inverse's shape for some inputs; keep it 1-D
+    return np.array(list(map(template.__mod__, values)), dtype=np.bytes_), inverse.reshape(-1)
+
+
 def write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length 1-D columns: floats as ``%.17g``, ints and bools as ``%d``."""
+    """Write equal-length 1-D columns: floats as ``%.17g``, ints and bools as ``%d``.
+
+    Raises ``ShapeMismatch``, before the file is opened, unless every column is
+    1-D, all have one length and ``header`` names each of them once.
+    """
     columns = [np.asarray(col) for col in columns]
-    template = ",".join("%.17g" if col.dtype.kind == "f" else "%d" for col in columns)
+    if len(header) != len(columns):
+        raise ShapeMismatch(f"{len(header)} header names over {len(columns)} columns")
+    if any(col.ndim != 1 for col in columns):
+        raise ShapeMismatch(f"columns must be 1-D, got shapes {[col.shape for col in columns]}")
+    if len({len(col) for col in columns}) > 1:
+        raise ShapeMismatch(f"columns differ in length: {[len(col) for col in columns]}")
     rows = len(columns[0]) if columns else 0
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    texts = [_distinct_texts(col, end) for col, end in zip(columns, ends)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, rows, BLOCK_ROWS):
-            block = [col[start : start + BLOCK_ROWS].tolist() for col in columns]
-            fh.write("\n".join(map(template.__mod__, zip(*block))) + "\n")
+            block = slice(start, start + BLOCK_ROWS)
+            fields = [table[index[block]] for table, index in texts]
+            # one fixed-width byte row per CSV row; the NUL padding is then dropped
+            buf = np.concatenate([f.view(np.uint8).reshape(len(f), -1) for f in fields], axis=1)
+            fh.write(buf[buf != 0].tobytes())
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:

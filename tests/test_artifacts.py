@@ -8,7 +8,7 @@ import pytest
 from tanhom.artifacts import BLOCK_ROWS, read_csv, write_columns
 from tanhom.cell import CellProblemSpec, solve_cell, write_corrector_csv
 from tanhom.density import CoefficientLattice, DensityTable, TfOptions, build_density_table
-from tanhom.errors import MalformedArtifact
+from tanhom.errors import MalformedArtifact, ShapeMismatch
 from tanhom.manifold import circle_point
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0]
@@ -52,25 +52,61 @@ def test_empty_lattice_table_round_trips(tmp_path, s1, laminate1):
     assert first[1].read_bytes() == again[1].read_bytes()
 
 
-@pytest.mark.parametrize("rows", [0, BLOCK_ROWS, BLOCK_ROWS + 1])
+def bits(pattern: int) -> float:
+    return float(np.array(pattern, dtype=np.uint64).view(np.float64))
+
+
+# Both zeros, NaNs of both signs and with a non-default payload, both
+# infinities, the smallest subnormal, and short beside 17-digit texts.
+EDGES = [0.0, -0.0, np.nan, -np.nan, bits(0x7FF8_0000_0000_0123), bits(0xFFF0_0000_0000_0001)]
+EDGES += [np.inf, -np.inf, 5e-324, 2.0, 0.5, 0.1, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1])
 def test_write_columns_matches_per_value_format(tmp_path, rows):
     rng = np.random.default_rng(rows)
     special = np.resize(np.array(SPECIAL), rows)
+    edges = rng.choice(np.array(EDGES), rows)
     spread = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    repeated = np.full(rows, -1.0 / 7.0)
     ints = np.arange(rows) - rows // 2
+    small = rng.integers(-(2**31), 2**31, rows, dtype=np.int32)
     flags = rng.random(rows) < 0.5
+    columns = [special, edges, spread, repeated, ints, small, flags]
     path = tmp_path / "cols.csv"
-    write_columns(path, ["f", "g", "i", "b"], [special, spread, ints, flags])
+    write_columns(path, ["f", "e", "g", "r", "i", "j", "b"], columns)
 
-    expected = ["f,g,i,b"] + [
-        f"{special[r]:.17g},{spread[r]:.17g},{ints[r]},{int(flags[r])}" for r in range(rows)
+    expected = ["f,e,g,r,i,j,b"] + [
+        ",".join(
+            [f"{col[r]:.17g}" for col in columns[:4]] + [f"{col[r]}" for col in columns[4:6]]
+        )
+        + f",{int(flags[r])}"
+        for r in range(rows)
     ]
     assert path.read_text() == "\n".join(expected) + "\n"
     header, data = read_csv(path)
-    assert header == ["f", "g", "i", "b"] and data.shape == (rows, 4)
-    for col, ref in zip(data.T, (special, spread, ints, flags)):
+    assert header == ["f", "e", "g", "r", "i", "j", "b"] and data.shape == (rows, 7)
+    for col, ref in zip(data.T, columns):
         np.testing.assert_array_equal(col, ref)
-    assert np.array_equal(np.signbit(data[:, 0]), np.signbit(special))
+    signed = np.stack([special, edges], axis=1)
+    numbers = ~np.isnan(signed)  # "%.17g" writes every NaN as "nan"
+    assert np.array_equal(np.signbit(data[:, :2])[numbers], np.signbit(signed)[numbers])
+
+
+@pytest.mark.parametrize(
+    "header, columns",
+    [
+        (["f", "i"], [np.zeros(5), np.arange(3)]),
+        (["a", "b", "c"], [np.zeros(2), np.arange(2)]),
+        (["m"], [np.zeros((2, 3))]),
+    ],
+    ids=["ragged-lengths", "header-wider-than-columns", "2d-column"],
+)
+def test_write_columns_rejects_malformed_columns(tmp_path, header, columns):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ShapeMismatch):
+        write_columns(path, header, columns)
+    assert not path.exists()
 
 
 def per_node_corrector_csv(phi) -> str:
@@ -89,9 +125,12 @@ def per_node_corrector_csv(phi) -> str:
 def test_corrector_csv_matches_per_node_writer(tmp_path, s1, laminate2):
     s = circle_point(0.7)
     xi = s1.tangent_from_coeffs(s, np.array([[0.4, -1.3]]))
-    spec = CellProblemSpec(s1, s, xi, t=1, nodes_per_period=8, boundary="dirichlet0")
-    phi = solve_cell(laminate2, spec).corrector
-    assert phi.coeffs.shape[1:] == (9, 9) and np.any(phi.coeffs != 0.0)
-    path = tmp_path / "corrector.csv"
-    write_corrector_csv(phi, path)
-    assert path.read_text() == per_node_corrector_csv(phi)
+    for n, boundary in [(8, "dirichlet0"), (64, "periodic")]:
+        spec = CellProblemSpec(s1, s, xi, t=1, nodes_per_period=n, boundary=boundary)
+        phi = solve_cell(laminate2, spec).corrector
+        assert np.any(phi.coeffs != 0.0)
+        path = tmp_path / f"corrector-{boundary}.csv"
+        write_corrector_csv(phi, path)
+        assert path.read_text() == per_node_corrector_csv(phi)
+    # the laminate varies along y1 only, so the periodic corrector repeats along y2
+    assert phi.coeffs.shape[1:] == (64, 64) and np.all(phi.coeffs == phi.coeffs[:, :, :1])
