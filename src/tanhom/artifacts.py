@@ -2,9 +2,10 @@
 
 Every artifact goes through one CSV writer (``write_columns``), one CSV reader
 (``read_csv``) and ``write_json``, so all of them share one byte format: floats
-as ``.17g`` (exact round trip), integers and flags as ``%d``, ``\\n`` line ends,
-and JSON with two-space indent, sorted keys and a trailing newline.  Identical
-data therefore gives identical bytes.
+as ``.17g`` (exact round trip, except that every NaN is written ``nan``),
+integers and flags as ``%d``, ``\\n`` line ends, and JSON with two-space indent,
+sorted keys and a trailing newline.  Identical data therefore gives identical
+bytes.
 
 The writer formats each distinct value of a column once and builds the rows
 from those texts with numpy byte operations, ``BLOCK_ROWS`` rows at a time.
