@@ -9,7 +9,10 @@ bytes.
 
 The writer formats each distinct value of a column once and builds the rows
 from those texts with numpy byte operations, ``BLOCK_ROWS`` rows at a time.
-Its bytes are those of one ``%.17g`` / ``%d`` per value.
+Its bytes are those of one ``%.17g`` / ``%d`` per value.  Float columns are
+grouped by a sort of their bit patterns; an int or bool column whose value
+range is shorter than the column (grid indices, flags) is indexed by offset
+from its minimum, without a sort.
 """
 
 from __future__ import annotations
@@ -29,20 +32,35 @@ def fmt(value: float) -> str:
 
 def _distinct_texts(col: np.ndarray, end: str) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct value of ``col`` formatted once and followed by ``end``, and the
-    row-to-text index.
+    row-to-text index, in the narrowest unsigned dtype that holds it.
 
     Floats are grouped by bit pattern, so ``-0.0`` and ``0.0`` (and NaNs with
     different bits) are told apart, and each keeps the text ``%.17g`` gives it.
+    An int or bool column whose range ``min..max`` is shorter than the column
+    needs no sort: every value in the range is formatted, and a row's index is
+    its offset from ``min``.
     """
+    if col.dtype.kind == "b":
+        col = col.view(np.uint8)
     if col.dtype.kind == "f":
         bits = np.ascontiguousarray(col, dtype=np.float64).view(np.uint64)
         keys, inverse = np.unique(bits, return_inverse=True)
         values, template = keys.view(np.float64).tolist(), "%.17g" + end
     else:
-        keys, inverse = np.unique(col, return_inverse=True)
-        values, template = keys.tolist(), "%d" + end
+        template = "%d" + end
+        # Python ints: the range of int64 or uint64 extremes does not overflow.
+        lo, hi = (int(col.min()), int(col.max())) if len(col) else (0, -1)
+        if hi - lo < len(col):
+            values = range(lo, hi + 1)
+            # Offsets may wrap in the column's dtype; the cast to the index
+            # dtype, no wider than the column, keeps them exact.
+            inverse = col - col.dtype.type(lo)
+        else:
+            keys, inverse = np.unique(col, return_inverse=True)
+            values = keys.tolist()
     # numpy 2.0 changed the inverse's shape for some inputs; keep it 1-D
-    return np.array(list(map(template.__mod__, values)), dtype=np.bytes_), inverse.reshape(-1)
+    index = inverse.reshape(-1).astype(np.min_scalar_type(max(len(values) - 1, 0)))
+    return np.array(list(map(template.__mod__, values)), dtype=np.bytes_), index
 
 
 def write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:

@@ -22,6 +22,13 @@ other density runs quasi-Newton descent with the same preconditioner ``P``
 in every smoothing stage; it measures the gradient as ``sqrt(g^T P g)``
 against the same target, so linear growth converges in tens of iterations.
 
+Each objective samples the density's coefficients at the element centers
+once, when it is built (``Integrand.sample``).  One conjugate-gradient step
+then costs one Hessian action ``grad(d) - g0``: a center gradient, one call
+of the density gradient ``grad_xi`` and its adjoint, with no coefficient
+lookup and no evaluation of the density itself.  The density is evaluated
+once per solve, for the reported value.
+
 Problems that share a grid and solver settings but differ in base point and
 load form a batch (``solve_cell_batch``): the objective carries a leading
 batch axis of tangent bases and loads, and one conjugate-gradient run treats
@@ -208,7 +215,9 @@ class _CellObjective:
     ``spec`` describes.  Packed unknowns have shape (B, n); a 1-D ``x`` is a
     batch of one, whose value comes back as a float.  The grid operators and
     integrands broadcast over the leading batch axis, so every row is
-    computed as it would be alone.
+    computed as it would be alone.  The forms are evaluated at
+    ``sample(centers)``, taken once here (``Integrand.sample``; raw centers
+    when ``sample`` is None).
     """
 
     def __init__(
@@ -218,6 +227,7 @@ class _CellObjective:
         eval_fn: Callable,
         grad_fn: Callable | None,
         loads: np.ndarray | None = None,
+        sample: Callable | None = None,
     ):
         self.spec = spec
         self.grid = spec.grid()
@@ -229,7 +239,8 @@ class _CellObjective:
         self.loads = loads.reshape((self.batch,) + (1,) * spec.ndim + spec.xi.shape)
         self.eval_fn = eval_fn
         self.grad_fn = grad_fn
-        self.centers = self.grid.centers()
+        centers = self.grid.centers()
+        self.y = centers if sample is None else sample(centers)
         self.node_shape = self.grid.node_shape
         self.dirichlet = spec.boundary == DIRICHLET
         if self.dirichlet:
@@ -262,32 +273,38 @@ class _CellObjective:
         return (V - mean).reshape(x.shape)
 
     def ambient_gradient(self, V: np.ndarray) -> np.ndarray:
-        G = self.grid.center_gradient(V)
-        return self.loads + np.einsum("bmd,bmn...->b...dn", self.bases, G)
+        amb = np.einsum("bmd,bmn...->b...dn", self.bases, self.grid.center_gradient(V))
+        amb += self.loads
+        return amb
 
     def energies(self, V: np.ndarray, eval_fn: Callable | None = None) -> np.ndarray:
         """Cell average of each row's density at the nodal fields ``V``, shape (B,).
 
         ``eval_fn`` defaults to the solver's density.
         """
-        vals = (eval_fn or self.eval_fn)(self.centers, self.ambient_gradient(V))
+        vals = (eval_fn or self.eval_fn)(self.y, self.ambient_gradient(V))
         return vals.reshape(self.batch, -1).mean(axis=1)
 
     def value(self, x: np.ndarray):
         energies = self.energies(self.unpack(x))
         return float(energies[0]) if x.ndim == 1 else energies
 
+    def _assembled(self, df: np.ndarray, shape: tuple) -> np.ndarray:
+        """Gradient in the packed unknowns, of shape ``shape``, of the density gradients ``df``."""
+        W = np.einsum("bmd,b...dn->bmn...", self.bases, df)
+        del df  # the adjoint's temporaries need not sit beside it
+        W /= self.grid.n_elements
+        return self.pack(self.grid.center_gradient_adjoint(W)).reshape(shape)
+
     def value_and_grad(self, x: np.ndarray):
         amb = self.ambient_gradient(self.unpack(x))
-        vals = self.eval_fn(self.centers, amb)
-        df = self.grad_fn(self.centers, amb)
-        W = np.einsum("bmd,b...dn->bmn...", self.bases, df) / self.grid.n_elements
-        grad = self.pack(self.grid.center_gradient_adjoint(W)).reshape(x.shape)
-        energies = vals.reshape(self.batch, -1).mean(axis=1)
+        energies = self.eval_fn(self.y, amb).reshape(self.batch, -1).mean(axis=1)
+        grad = self._assembled(self.grad_fn(self.y, amb), x.shape)
         return (float(energies[0]) if x.ndim == 1 else energies), grad
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(x)[1]
+        """``value_and_grad(x)[1]`` without evaluating the density."""
+        return self._assembled(self.grad_fn(self.y, self.ambient_gradient(self.unpack(x))), x.shape)
 
 
 def _continuation_schedule(mu_target: float) -> list[float]:
@@ -433,7 +450,7 @@ def energy_of_fields(
         _check_conforms(spec, phi)
     bases = np.stack([phi.basis for phi in fields])
     loads = np.stack([spec.xi for spec in specs])
-    objective = _CellObjective(specs[0], bases, f.eval, None, loads)
+    objective = _CellObjective(specs[0], bases, f.eval, None, loads, f.sample)
     return objective.energies(np.stack([phi.coeffs for phi in fields]))
 
 
@@ -462,7 +479,7 @@ def solve_cell_batch(f: Integrand, specs: list[CellProblemSpec]) -> list[CellSol
     loads = np.stack([spec.xi for spec in specs])
     return _run_solver(
         specs,
-        lambda mu: _CellObjective(specs[0], bases, *f.solver_forms(mu), loads),
+        lambda mu: _CellObjective(specs[0], bases, *f.solver_forms(mu), loads, f.sample),
         quadratic=f.quadratic,
         smoothing=f.p == 1,
         exact_eval=f.eval,
@@ -496,7 +513,8 @@ def solve_cell_unconstrained(
     def fixed_s_objective(mu: float) -> _CellObjective:
         ev, gr = fext.solver_forms(mu)
         return _CellObjective(
-            spec, basis, lambda y, xi: ev(y, s, xi), lambda y, xi: gr(y, s, xi)
+            spec, basis, lambda y, xi: ev(y, s, xi), lambda y, xi: gr(y, s, xi),
+            sample=fext.sample,
         )
 
     return _run_solver(

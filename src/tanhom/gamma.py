@@ -138,7 +138,7 @@ class _OscillatingEnergy:
     def __init__(self, config: GammaExperimentConfig, eps: float):
         self.grid = config.grid()
         self.f = config.integrand
-        self.y = self.grid.centers() / eps
+        self.y = self.f.sample(self.grid.centers() / eps)
         self.eval_fn, self.grad_fn = self.f.solver_forms(config.huber_mu)
 
     def _ambient(self, U: np.ndarray) -> np.ndarray:

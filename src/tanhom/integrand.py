@@ -6,6 +6,16 @@ vectorized: ``y`` has shape (..., N), ``xi`` has shape (..., d, N) and values
 come back with shape (...,).  The leading batch axes are what make the cell
 solver fast, so custom integrands must follow the same convention.
 
+A solver evaluates a density many times at the same points ``y`` (the element
+centers of its grid).  ``Integrand.sample(y)`` reads the density's
+y-dependent coefficients there once, and every form of the integrand
+(``eval``, ``grad_xi`` and the smoothed pair) accepts the sample in place of
+``y`` and reads the stored coefficients instead of looking them up again; the
+values are bit for bit those at the raw points.  ``np.asarray`` of a sample
+gives the points back, so a form that only knows raw points still reads it
+correctly.  A custom integrand built from bare ``(y, xi)`` callables declares
+no ``coefficients``, and its sample is ``y`` itself: nothing changes for it.
+
 Two extension constructions are provided for a fixed base point on the
 manifold: one that projects the gradient argument onto the tangent space and
 penalizes the normal remainder with its p-th power, and a linear-growth
@@ -46,6 +56,9 @@ class StepProfile:
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "breakpoints", breaks)
         object.__setattr__(self, "values", vals)
+        # Lookup arrays, built once; they are not dataclass fields.
+        object.__setattr__(self, "_break_array", np.array(breaks, dtype=float))
+        object.__setattr__(self, "_value_array", np.array(vals, dtype=float))
         if len(vals) != len(breaks) + 1:
             raise InvalidProfile(
                 f"need {len(breaks) + 1} values for {len(breaks)} breakpoints, got {len(vals)}"
@@ -64,8 +77,7 @@ class StepProfile:
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         frac = y - np.floor(y)
-        idx = np.searchsorted(np.asarray(self.breakpoints), frac, side="right")
-        return np.asarray(self.values)[idx]
+        return self._value_array[np.searchsorted(self._break_array, frac, side="right")]
 
     def min_value(self) -> float:
         return min(self.values)
@@ -83,10 +95,32 @@ class StepProfile:
 
     def reciprocal_integral(self) -> float:
         """Exact value of the integral of 1/profile over one period."""
-        return float(np.dot(self._interval_lengths(), 1.0 / np.asarray(self.values)))
+        return float(np.dot(self._interval_lengths(), 1.0 / self._value_array))
 
     def to_config(self) -> dict:
         return {"breaks": list(self.breakpoints), "values": list(self.values)}
+
+
+class CoefficientSample:
+    """Points ``y`` with the coefficients that one ``coefficients`` sampler reads there."""
+
+    __slots__ = ("points", "sampler", "values")
+
+    def __init__(self, points, sampler: Callable):
+        self.points = np.asarray(points, dtype=float)
+        self.sampler = sampler
+        self.values = sampler(self.points)
+
+    def __array__(self, dtype=None, copy=None):
+        points = np.asarray(self.points, dtype=dtype)
+        return points.copy() if copy else points
+
+
+def coefficients_at(y, sampler: Callable):
+    """``sampler(y)``, read from ``y`` when it is a sample that ``sampler`` took."""
+    if isinstance(y, CoefficientSample) and y.sampler is sampler:
+        return y.values
+    return sampler(np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -96,7 +130,9 @@ class Integrand:
     ``eval`` and ``grad_xi`` follow the batched convention described in the
     module docstring.  ``smoothed``, when present, maps a regularization
     parameter mu to a (value, gradient) pair usable by gradient-based solvers
-    when the exact density is nonsmooth (linear growth).
+    when the exact density is nonsmooth (linear growth).  ``coefficients``,
+    when present, maps points y to the y-dependent coefficients that the
+    forms read through ``coefficients_at``; see ``sample``.
     """
 
     eval: Callable
@@ -109,6 +145,7 @@ class Integrand:
     quadratic: bool = False
     smoothed: Callable[[float], tuple[Callable, Callable]] | None = None
     describe: dict = field(default_factory=dict)
+    coefficients: Callable | None = None
 
     def __post_init__(self):
         if self.p < 1:
@@ -117,6 +154,14 @@ class Integrand:
             raise ValueError("growth constants must satisfy 0 < alpha <= beta")
         if self.p == 1 and self.lipschitz_L is None:
             raise ValueError("linear-growth integrands must declare lipschitz_L")
+
+    def sample(self, y):
+        """``y`` with the coefficients sampled once, for forms evaluated there repeatedly.
+
+        Every form accepts the result in place of ``y``; it is ``y`` itself
+        when the integrand declares no ``coefficients``.
+        """
+        return y if self.coefficients is None else CoefficientSample(y, self.coefficients)
 
     def gradient(self, y, xi, h: float = 1e-6):
         """Analytic gradient when available, central differences otherwise."""
@@ -182,21 +227,22 @@ def make_laminate_quadratic(a: StepProfile, b: StepProfile, N: int) -> Integrand
     if N < 1:
         raise ValueError("need at least one gradient column")
 
+    def coefficients(y):
+        return a(y[..., 0]), b(y[..., 0])
+
     def ev(y, xi):
-        y = np.asarray(y, dtype=float)
+        wa, wb = coefficients_at(y, coefficients)
         xi = np.asarray(xi, dtype=float)
-        wa = a(y[..., 0])
-        wb = b(y[..., 0])
         return wa * np.sum(xi[..., 0, :] ** 2, axis=-1) + wb * np.sum(
             xi[..., 1, :] ** 2, axis=-1
         )
 
     def gr(y, xi):
-        y = np.asarray(y, dtype=float)
+        wa, wb = coefficients_at(y, coefficients)
         xi = np.asarray(xi, dtype=float)
         out = np.empty_like(xi)
-        out[..., 0, :] = 2.0 * a(y[..., 0])[..., None] * xi[..., 0, :]
-        out[..., 1, :] = 2.0 * b(y[..., 0])[..., None] * xi[..., 1, :]
+        out[..., 0, :] = 2.0 * wa[..., None] * xi[..., 0, :]
+        out[..., 1, :] = 2.0 * wb[..., None] * xi[..., 1, :]
         return out
 
     alpha = min(a.min_value(), b.min_value())
@@ -210,6 +256,7 @@ def make_laminate_quadratic(a: StepProfile, b: StepProfile, N: int) -> Integrand
         dims=(N, 2),
         quadratic=True,
         describe={"kind": "laminate", "a": a.to_config(), "b": b.to_config(), "N": N},
+        coefficients=coefficients,
     )
 
 
@@ -222,30 +269,29 @@ def _huber(r, mu):
 def make_norm_linear(c: StepProfile, N: int, d: int = 2) -> Integrand:
     """Linear-growth density c(y_1) |xi| with |.| the Frobenius norm."""
 
+    def coefficients(y):
+        return c(y[..., 0])
+
     def ev(y, xi):
-        y = np.asarray(y, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        return c(y[..., 0]) * np.sqrt(np.sum(xi * xi, axis=(-2, -1)))
+        return coefficients_at(y, coefficients) * np.sqrt(np.sum(xi * xi, axis=(-2, -1)))
 
     def gr(y, xi):
-        y = np.asarray(y, dtype=float)
         xi = np.asarray(xi, dtype=float)
         norm = np.sqrt(np.sum(xi * xi, axis=(-2, -1)))
         safe = np.maximum(norm, 1e-300)
-        return (c(y[..., 0]) / safe)[..., None, None] * xi
+        return (coefficients_at(y, coefficients) / safe)[..., None, None] * xi
 
     def smoothed(mu):
         def ev_mu(y, xi):
-            y = np.asarray(y, dtype=float)
             xi = np.asarray(xi, dtype=float)
             norm = np.sqrt(np.sum(xi * xi, axis=(-2, -1)))
-            return c(y[..., 0]) * _huber(norm, mu)
+            return coefficients_at(y, coefficients) * _huber(norm, mu)
 
         def gr_mu(y, xi):
-            y = np.asarray(y, dtype=float)
             xi = np.asarray(xi, dtype=float)
             norm = np.sqrt(np.sum(xi * xi, axis=(-2, -1)))
-            return (c(y[..., 0]) / np.maximum(norm, mu))[..., None, None] * xi
+            return (coefficients_at(y, coefficients) / np.maximum(norm, mu))[..., None, None] * xi
 
         return ev_mu, gr_mu
 
@@ -259,6 +305,7 @@ def make_norm_linear(c: StepProfile, N: int, d: int = 2) -> Integrand:
         lipschitz_L=c.max_value(),
         smoothed=smoothed,
         describe={"kind": "norm_linear", "c": c.to_config(), "N": N, "d": d},
+        coefficients=coefficients,
     )
 
 
@@ -289,6 +336,10 @@ class ExtendedIntegrand:
         if self.smoothed is not None:
             return self.smoothed(mu)
         return self.eval, self.grad_xi
+
+    def sample(self, y):
+        """The base integrand's sample: the extension reads y only through it."""
+        return self.base.sample(y)
 
 
 def make_fbar(f: Integrand, M: EmbeddedManifold) -> ExtendedIntegrand:

@@ -72,22 +72,35 @@ def test_write_columns_matches_per_value_format(tmp_path, rows):
     ints = np.arange(rows) - rows // 2
     small = rng.integers(-(2**31), 2**31, rows, dtype=np.int32)
     flags = rng.random(rows) < 0.5
-    columns = [special, edges, spread, repeated, ints, small, flags]
+    # Int columns with a range wider than the column, negative, at the int64
+    # and uint64 extremes, and int8 over its full range (offsets wrap in int8).
+    wide = np.resize(np.array([0, 10**6]), rows)
+    negative = -(np.arange(rows) % 5) - 3
+    int64 = np.iinfo(np.int64)
+    extremes = np.resize(np.array([int64.min, int64.max, -1, 0]), rows)
+    near_min = int64.min + np.arange(rows) % 3
+    huge = np.resize(np.array([2**63, 2**64 - 1, 2**63 + 5], dtype=np.uint64), rows)
+    top = np.resize(np.array([2**64 - 1, 2**64 - 2], dtype=np.uint64), rows)
+    int8 = np.resize(np.arange(-128, 128).astype(np.int8), rows)
+    int32 = (np.arange(rows) % 3 - 1).astype(np.int32)
+    one_flag = np.ones(rows, dtype=bool)
+    columns = [special, edges, spread, repeated, ints, small, flags, wide, negative, extremes]
+    columns += [near_min, huge, top, int8, int32, one_flag]
+    names = [f"x{k}" for k in range(len(columns))]
     path = tmp_path / "cols.csv"
-    write_columns(path, ["f", "e", "g", "r", "i", "j", "b"], columns)
+    write_columns(path, names, columns)
 
-    expected = ["f,e,g,r,i,j,b"] + [
+    expected = [",".join(names)] + [
         ",".join(
-            [f"{col[r]:.17g}" for col in columns[:4]] + [f"{col[r]}" for col in columns[4:6]]
+            [f"{col[r]:.17g}" for col in columns[:4]] + [f"{int(col[r])}" for col in columns[4:]]
         )
-        + f",{int(flags[r])}"
         for r in range(rows)
     ]
     assert path.read_text() == "\n".join(expected) + "\n"
     header, data = read_csv(path)
-    assert header == ["f", "e", "g", "r", "i", "j", "b"] and data.shape == (rows, 7)
+    assert header == names and data.shape == (rows, len(columns))
     for col, ref in zip(data.T, columns):
-        np.testing.assert_array_equal(col, ref)
+        np.testing.assert_array_equal(col, ref.astype(float))
     signed = np.stack([special, edges], axis=1)
     numbers = ~np.isnan(signed)  # "%.17g" writes every NaN as "nan"
     assert np.array_equal(np.signbit(data[:, :2])[numbers], np.signbit(signed)[numbers])

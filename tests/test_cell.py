@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -464,3 +466,84 @@ def test_cg_batch_freezes_finished_rows():
     assert _bits(res.x[1:]) == _bits(np.zeros((2, 12)))
     assert isinstance(res.iterations, int) and res.iterations == alone.iterations + 1
     assert not res.converged
+
+
+def _bare(f):
+    """``f`` rebuilt from its bare (y, xi) callables: its sample is the raw points."""
+    return dataclasses.replace(f, coefficients=None)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet0", "periodic"])
+@pytest.mark.parametrize("kind", ["laminate", "norm_linear"])
+def test_objective_grad_equals_value_and_grad(s1, profile_a, boundary, kind):
+    if kind == "laminate":
+        f = make_laminate_quadratic(FOUR_PHASE, profile_a, 2)
+        forms = (f.eval, f.grad_xi)
+    else:
+        f = make_norm_linear(FOUR_PHASE, 2)
+        forms = f.solver_forms(1e-2)
+    specs, bases = [], []
+    for theta in (0.4, 2.0):
+        s = circle_point(theta)
+        specs.append(spec_for(s1, s, s1.tangent_from_coeffs(s, [[0.7, -1.2]]), boundary=boundary))
+        bases.append(s1.tangent_basis(s))
+    loads = np.stack([spec.xi for spec in specs])
+    rng = np.random.default_rng(3)
+    for rows in (2, 1):
+        obj = _CellObjective(specs[0], np.stack(bases[:rows]), *forms, loads[:rows], f.sample)
+        x = rng.standard_normal((obj.batch, obj.n_unknowns))
+        x = x if rows > 1 else x[0]
+        assert np.array_equal(obj.grad(x), obj.value_and_grad(x)[1])
+
+
+def test_sampled_solves_match_bare_callable_solves(s1, profile_a):
+    s = circle_point(0.9)
+    laminate = make_laminate_quadratic(FOUR_PHASE, profile_a, 2)
+    spec = spec_for(s1, s, s1.tangent_from_coeffs(s, [[1.5, -0.4]]), nodes_per_period=64)
+    linear = make_norm_linear(FOUR_PHASE, 1)
+    linear_spec = spec_for(s1, s, s1.tangent_from_coeffs(s, [[0.8]]), tol_grad=1e-6, huber_mu=1e-2)
+    fbar_spec = spec_for(s1, s, s1.tangent_from_coeffs(s, [[1.1]]), boundary="dirichlet0")
+    one = make_laminate_quadratic(FOUR_PHASE, profile_a, 1)
+    pairs = [
+        (solve_cell(laminate, spec), solve_cell(_bare(laminate), spec)),
+        (solve_cell(linear, linear_spec), solve_cell(_bare(linear), linear_spec)),
+        (
+            solve_cell_unconstrained(make_fbar(one, s1), fbar_spec),
+            solve_cell_unconstrained(make_fbar(_bare(one), s1), fbar_spec),
+        ),
+    ]
+    for sampled, bare in pairs:
+        assert sampled.converged and sampled.iterations > 0
+        _assert_same_solve(sampled, bare)
+
+
+def test_profile_lookups_do_not_grow_with_iterations(monkeypatch, s1, profile_b):
+    lookups = []
+    lookup = StepProfile.__call__
+
+    def counted(profile, y):
+        lookups.append(profile)
+        return lookup(profile, y)
+
+    monkeypatch.setattr(StepProfile, "__call__", counted)
+    laminate = make_laminate_quadratic(FOUR_PHASE, profile_b, 1)
+    values = []
+
+    def counted_eval(y, xi):
+        values.append(y)
+        return laminate.eval(y, xi)
+
+    f = dataclasses.replace(laminate, eval=counted_eval)
+    s = circle_point(0.3)
+    iterations = []
+    for tol_grad in (1e-2, 1e-12):
+        lookups.clear()
+        values.clear()
+        spec = spec_for(s1, s, s1.tangent_from_coeffs(s, [[1.0]]), nodes_per_period=32, tol_grad=tol_grad)
+        res = solve_cell(f, spec)
+        iterations.append(res.iterations)
+        assert res.converged
+        assert lookups.count(FOUR_PHASE) == 1 and lookups.count(profile_b) == 1
+        # Conjugate gradients evaluate gradients only; the density once, for the reported value.
+        assert len(values) == 1
+    assert iterations[0] < iterations[1] and iterations[1] >= 3

@@ -8,6 +8,7 @@ from tanhom.errors import (
     UnsupportedGrowth,
 )
 from tanhom.integrand import (
+    CoefficientSample,
     Integrand,
     StepProfile,
     finite_difference_grad,
@@ -242,3 +243,59 @@ def test_smoothed_forms_bias():
     assert f.eval(y, xi) == pytest.approx(5.0)
     assert 0.0 <= f.eval(y, xi) - ev(y, xi) <= 5e-4  # huber bias at most mu/2
     np.testing.assert_allclose(gr(y, xi), f.grad_xi(y, xi), atol=1e-12)
+
+
+def _forms(kind):
+    """(integrand, its forms, leading arguments after y) of one shipped kind."""
+    s1 = Sphere(2)
+    c = StepProfile((0.3, 0.7), (1.0, 2.5, 1.5))
+    laminate = make_laminate_quadratic(StepProfile((0.25, 0.5), (1.0, 3.0, 2.0)), c, 2)
+    linear = make_norm_linear(c, 2)
+    s = np.array([0.6, 0.8])
+    f = {
+        "laminate": laminate,
+        "isotropic": make_isotropic_quadratic(2, 2),
+        "norm_linear": linear,
+        "fbar-laminate": make_fbar(laminate, s1),
+        "fbar-norm_linear": make_fbar(linear, s1),
+        "g_extension-on": make_g_extension(linear, s1, 0.5),
+        "g_extension-cutoff": make_g_extension(linear, s1, 0.5),
+    }[kind]
+    lead = () if isinstance(f, Integrand) else ((1.2 * s,) if kind.endswith("cutoff") else (s,))
+    forms = [f.eval, f.grad_xi]
+    if f.smoothed is not None:
+        forms += [*f.smoothed(1e-2), *f.smoothed(1.0)]
+    return f, forms, lead
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "laminate", "isotropic", "norm_linear", "fbar-laminate", "fbar-norm_linear",
+        "g_extension-on", "g_extension-cutoff",
+    ],
+)
+def test_sampled_forms_equal_raw_forms(kind):
+    f, forms, lead = _forms(kind)
+    rng = np.random.default_rng(11)
+    # Element centers of a grid and a batch of two fields over them, as the cell solver passes.
+    y = rng.uniform(-1.0, 2.0, size=(6, 5, 2))
+    xi = rng.standard_normal((2, 6, 5, 2, 2))
+    xi[0, 0, 0] = 0.0  # the kink of the linear-growth norms
+    sample = f.sample(y)
+    assert isinstance(sample, CoefficientSample) == (kind != "isotropic")
+    assert np.array_equal(np.asarray(sample), y)
+    for form in forms:
+        assert np.array_equal(form(sample, *lead, xi), form(y, *lead, xi))
+
+
+def test_sample_of_another_integrand_reads_its_points():
+    c = StepProfile((0.5,), (1.0, 2.0))
+    laminate = make_laminate_quadratic(c, StepProfile.constant(3.0), 1)
+    linear = make_norm_linear(StepProfile((0.25,), (4.0, 1.0)), 1)
+    y = np.random.default_rng(2).uniform(0.0, 1.0, size=(7, 1))
+    xi = np.random.default_rng(3).standard_normal((7, 2, 1))
+    assert np.array_equal(laminate.eval(linear.sample(y), xi), laminate.eval(y, xi))
+    bare = Integrand(eval=lambda y, xi: np.asarray(y)[..., 0], p=2, alpha=1.0, beta=1.0, dims=(1, 2))
+    assert bare.sample(y) is y
+    assert np.array_equal(bare.eval(laminate.sample(y), xi), y[..., 0])

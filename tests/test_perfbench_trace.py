@@ -128,3 +128,36 @@ def test_tracer_records_a_density_run(tmp_path):
     assert metrics["optim.cg.iterations"] > 0
     assert isinstance(rec.counts["optim.cg.iterations"], int)
     assert all(math.isfinite(value) for value in metrics.values())
+
+
+def test_tracer_counts_sampled_integrand_calls(tmp_path):
+    # The cell solver hands the integrand's forms a coefficient sample in place of
+    # the raw points; those calls must still pass through the traced fields.
+    import tanhom.cli
+
+    config = {
+        "command": "cell",
+        "manifold": {"kind": "sphere", "d": 2},
+        "integrand": {
+            "kind": "laminate",
+            "a": {"breaks": [0.5], "values": [1, 2]},
+            "b": {"values": [1]},
+            "N": 2,
+        },
+        "cell": {"s": {"theta": 0.7}, "xi_coeffs": [[1.5, -0.5]], "n": 32, "boundary": "periodic"},
+    }
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps(config))
+    spans = load_spans()
+    rec = spans.Recorder()
+    tracer = spans.Tracer(rec)
+    try:
+        tracer.install()
+        code = tanhom.cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    metrics = spans.layer_metrics(rec, 1)
+    assert metrics["integrand.eval.calls"] > 0 and metrics["integrand.grad.calls"] > 0
+    assert metrics["integrand.eval.points"] == 32 * 32
+    assert all(math.isfinite(value) for value in metrics.values())
