@@ -83,7 +83,8 @@ def write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, rows, BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            fields = [table[index[block]] for table, index in texts]
+            # take: [] with a uint8/uint16 index is several times slower
+            fields = [table.take(index[block]) for table, index in texts]
             # one fixed-width byte row per CSV row; the NUL padding is then dropped
             buf = np.concatenate([f.view(np.uint8).reshape(len(f), -1) for f in fields], axis=1)
             fh.write(buf[buf != 0].tobytes())
