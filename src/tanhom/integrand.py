@@ -241,8 +241,8 @@ def make_laminate_quadratic(a: StepProfile, b: StepProfile, N: int) -> Integrand
         wa, wb = coefficients_at(y, coefficients)
         xi = np.asarray(xi, dtype=float)
         out = np.empty_like(xi)
-        out[..., 0, :] = 2.0 * wa[..., None] * xi[..., 0, :]
-        out[..., 1, :] = 2.0 * wb[..., None] * xi[..., 1, :]
+        np.multiply(2.0 * wa[..., None], xi[..., 0, :], out=out[..., 0, :])
+        np.multiply(2.0 * wb[..., None], xi[..., 1, :], out=out[..., 1, :])
         return out
 
     alpha = min(a.min_value(), b.min_value())
