@@ -2,46 +2,39 @@
 
 The corrector lives in tangent coordinates: the tangent space at the base
 point is a fixed linear subspace, so the manifold-constrained problem is an
-unconstrained minimization over m scalar nodal fields, with m the intrinsic
-dimension.  Reconstruction uses Q1 elements with one-point quadrature at
-element centers; for even nodes-per-period counts the centers never touch
-coefficient breakpoints that sit on grid lines.
-
-Conventions: a cube side of t periods is discretized with n elements per
-period (spacing h = 1/n).  Zero-boundary correctors store (t n + 1)^N nodes;
-periodic correctors store (t n)^N nodes and wrap.  The reported energy is the
-cell average, i.e. the mean of the density over element centers.
+unconstrained minimization over m scalar nodal fields, m the intrinsic
+dimension.  Q1 elements with one-point quadrature at element centers; for
+even nodes-per-period counts the centers never touch coefficient breakpoints
+on grid lines.  A cube side of t periods has n elements per period (h = 1/n).
+Zero-boundary correctors store (t n + 1)^N nodes, periodic ones (t n)^N nodes
+and wrap.  The reported energy is the mean of the density over element centers.
 
 Quadratic densities are solved by conjugate gradients preconditioned, channel
-by channel, with the inverse of the unit-coefficient stiffness
-(``UniformGrid.stiffness_inverse``): the iteration count is then bounded by
-the coefficient contrast instead of growing with the grid.  The stopping test
-is unchanged by the preconditioner: the plain gradient norm must fall below
-``tol_grad * (1 + |g0|)``, ``g0`` the gradient at the zero corrector.  Every
-other density runs quasi-Newton descent with the same preconditioner ``P``
-in every smoothing stage; it measures the gradient as ``sqrt(g^T P g)``
-against the same target, so linear growth converges in tens of iterations.
+by channel, with the inverse unit-coefficient stiffness
+(``UniformGrid.stiffness_inverse``), so the iteration count follows the
+coefficient contrast, not the grid.  A row stops once its plain gradient norm
+is at most ``tol_grad * (1 + |g0|)``, ``g0`` the gradient at the zero
+corrector.  Every other density runs quasi-Newton descent under the same
+preconditioner ``P`` in every smoothing stage, measuring the gradient as
+``sqrt(g^T P g)`` against the same target.  Each objective samples the
+density's coefficients once (``Integrand.sample``); a conjugate-gradient step
+costs one Hessian action ``grad(d) - g0``, and the density itself is
+evaluated once per solve, for the reported value.
 
-Each objective samples the density's coefficients at the element centers
-once, when it is built (``Integrand.sample``).  One conjugate-gradient step
-then costs one Hessian action ``grad(d) - g0``: a center gradient, one call
-of the density gradient ``grad_xi`` and its adjoint, with no coefficient
-lookup and no evaluation of the density itself.  The density is evaluated
-once per solve, for the reported value.
-
-Problems that share a grid and solver settings but differ in base point and
-load form a batch (``solve_cell_batch``): the objective carries a leading
-batch axis of tangent bases and loads, and one conjugate-gradient run treats
-each problem as a row with its own step length, stopping target and stop
-flag.  A row that has stopped stays frozen while the others go on, so every
-row ends exactly as a solve of its problem alone; ``solve_cell`` is the batch
-of one.
+Problems that share a manifold, a grid and solver settings form a
+``CellBatch``: base points (B, d) and loads (B, d, N), validated once by
+array checks.  ``solve_cell_batch`` runs them as the rows of one
+conjugate-gradient solve, each with its own step length, stopping target and
+stop flag; a row that has stopped stays frozen while the others go on, so
+every row ends exactly as a solve of its problem alone.  It returns the rows
+as arrays (``CellBatchResult``).  ``CellProblemSpec`` is one problem, the
+public type, and ``solve_cell`` its batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -77,15 +70,82 @@ def check_solve_settings(
         raise ValueError(f"max_iters must be at least 1 (or unset), got {max_iters}")
 
 
+def check_rows(manifold: EmbeddedManifold, points: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    """Tangent bases (B, m, d) of valid rows; raise at the first invalid one.
+
+    Points (B, d) must lie on the manifold (``check_points``), loads (B, d, N)
+    be finite with columns tangent at their row's point, to ``TANGENT_TOL``
+    relative to the column size.  Tests read ``not res <= tol``: NaN fails.
+    """
+    d = manifold.ambient_dim
+    if points.ndim != 2 or not len(points):
+        raise ShapeMismatch(f"points must be a (B, {d}) array with B >= 1, got {points.shape}")
+    if loads.ndim != 3 or loads.shape[:2] != (len(points), d):
+        raise ShapeMismatch(f"loads must be a ({len(points)}, {d}, N) array, got {loads.shape}")
+    manifold.check_points(points)
+    finite = np.isfinite(loads).all(axis=(1, 2))
+    if not finite.all():
+        raise NotTangent(f"row {np.argmin(finite)}: load is not finite")
+    bases = manifold.tangent_bases(points)
+    # The bases are orthonormal, so B^T B projects onto the tangent space.
+    normal = loads - np.einsum("bmd,bme,ben->bdn", bases, bases, loads)
+    scale = np.maximum(1.0, np.linalg.norm(loads, axis=1))
+    res = np.max(np.linalg.norm(normal, axis=1) / scale, axis=1, initial=0.0)
+    bad = np.flatnonzero(~(res <= TANGENT_TOL))
+    if bad.size:
+        raise NotTangent(f"row {bad[0]}: load has a normal component of relative size {res[bad[0]]:.3e}")
+    return bases
+
+
+@dataclass(frozen=True)
+class CellBatch:
+    """Cell problems that share a manifold, a grid and solver settings.
+
+    Row ``b`` has the base point ``points[b]`` of (B, d) and the load
+    ``loads[b]`` of (B, d, N), its columns tangent at that point.  Linear
+    growth is smoothed down to ``huber_mu``.  Validated once, by array checks
+    (``check_rows``); ``bases`` keeps the tangent bases (B, m, d) they made.
+    """
+
+    manifold: EmbeddedManifold
+    points: np.ndarray
+    loads: np.ndarray
+    t: int = 1
+    nodes_per_period: int = 16
+    boundary: str = DIRICHLET
+    tol_grad: float = 1e-8
+    max_iters: int | None = None
+    huber_mu: float = 1e-4
+    bases: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if int(self.t) != self.t or self.t < 1:
+            raise ValueError("cube side t must be a positive integer")
+        object.__setattr__(self, "t", int(self.t))
+        check_solve_settings(self.nodes_per_period, self.boundary, self.tol_grad, self.max_iters)
+        points = np.asarray(self.points, dtype=float)
+        loads = np.asarray(self.loads, dtype=float)
+        object.__setattr__(self, "bases", check_rows(self.manifold, points, loads))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "loads", loads)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    @property
+    def ndim(self) -> int:
+        return self.loads.shape[2]
+
+    def grid(self) -> UniformGrid:
+        n = self.nodes_per_period
+        return UniformGrid(self.ndim, self.t * n, 1.0 / n, self.boundary == PERIODIC)
+
+
 @dataclass(frozen=True)
 class CellProblemSpec:
-    """Data of one corrector cell problem.
+    """One corrector cell problem: base point ``s`` and a d x N load ``xi`` tangent at it.
 
-    ``s`` is the base point on the manifold and ``xi`` a d x N matrix whose
-    columns are tangent at ``s`` (checked to 1e-9 per column).  The solver
-    follows the integrand: conjugate gradients for densities declared
-    quadratic, limited-memory quasi-Newton descent otherwise, with smoothing
-    continuation down to ``huber_mu`` for linear growth.
+    ``batch`` is its validated ``CellBatch`` of one row.
     """
 
     manifold: EmbeddedManifold
@@ -97,42 +157,24 @@ class CellProblemSpec:
     tol_grad: float = 1e-8
     max_iters: int | None = None
     huber_mu: float = 1e-4
+    batch: CellBatch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        if int(self.t) != self.t or self.t < 1:
-            raise ValueError("cube side t must be a positive integer")
-        object.__setattr__(self, "t", int(self.t))
-        check_solve_settings(
-            self.nodes_per_period, self.boundary, self.tol_grad, self.max_iters
+        batch = CellBatch(
+            self.manifold, self.s[None], self.xi[None], self.t, self.nodes_per_period,
+            self.boundary, self.tol_grad, self.max_iters, self.huber_mu,
         )
-        self.manifold.check_point(self.s)
-        if self.xi.ndim != 2 or self.xi.shape[0] != self.manifold.ambient_dim:
-            raise ShapeMismatch(
-                f"xi must be a ({self.manifold.ambient_dim}, N) matrix, got {self.xi.shape}"
-            )
-        res = self.manifold.tangency_residual(self.s, self.xi)
-        if res > TANGENT_TOL:
-            raise NotTangent(
-                f"xi has a normal component of relative size {res:.3e} at s"
-            )
+        object.__setattr__(self, "t", batch.t)
+        object.__setattr__(self, "batch", batch)
 
     @property
     def ndim(self) -> int:
         return self.xi.shape[1]
 
-    @property
-    def elements_per_side(self) -> int:
-        return self.t * self.nodes_per_period
-
     def grid(self) -> UniformGrid:
-        return UniformGrid(
-            self.ndim,
-            self.elements_per_side,
-            1.0 / self.nodes_per_period,
-            self.boundary == PERIODIC,
-        )
+        return self.batch.grid()
 
 
 @dataclass
@@ -149,7 +191,6 @@ class CorrectorField:
     boundary: str
     t: int
     nodes_per_period: int
-    spec: CellProblemSpec | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -177,72 +218,58 @@ class CellSolveResult:
     warning: str | None = None
 
 
-def zero_corrector(spec: CellProblemSpec, basis: np.ndarray) -> CorrectorField:
-    shape = (basis.shape[0],) + spec.grid().node_shape
-    return CorrectorField(
-        coeffs=np.zeros(shape),
-        basis=basis,
-        boundary=spec.boundary,
-        t=spec.t,
-        nodes_per_period=spec.nodes_per_period,
-        spec=spec,
-    )
+@dataclass
+class CellBatchResult:
+    """The rows of a batched cell solve, as arrays along the batch axis.
 
+    ``coeffs`` (B, m, *nodes) holds the correctors in the rows of the batch's
+    tangent bases.  ``converged``: the solver's test passed and the value is finite.
+    """
 
-def _check_conforms(spec: CellProblemSpec, phi: CorrectorField) -> UniformGrid:
-    grid = spec.grid()
-    expected = grid.node_shape
-    if phi.coeffs.shape[1:] != expected:
-        raise ShapeMismatch(
-            f"corrector grid {phi.coeffs.shape[1:]} does not match spec grid {expected}"
-        )
-    if phi.boundary != spec.boundary or phi.t != spec.t:
-        raise ShapeMismatch("corrector boundary/size metadata disagrees with the spec")
-    if phi.basis.shape[1] != spec.manifold.ambient_dim:
-        raise ShapeMismatch("corrector basis does not live in the ambient space")
-    if spec.boundary == DIRICHLET:
-        mask = grid.boundary_mask()
-        if phi.coeffs.size and np.max(np.abs(phi.coeffs[:, mask])) > 0.0:
-            raise ShapeMismatch("zero-boundary corrector has nonzero boundary values")
-    return grid
+    values: np.ndarray
+    iterations: np.ndarray
+    grad_norms: np.ndarray
+    solver_converged: np.ndarray
+    coeffs: np.ndarray
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.solver_converged & np.isfinite(self.values)
 
 
 class _CellObjective:
     """Discrete cell energies and assembled gradients of a batch of problems.
 
-    Row ``b`` of the batch has the tangent basis ``bases[b]`` (m x d) and the
-    load ``loads[b]`` (d x N, the spec's ``xi`` when None) on the grid that
-    ``spec`` describes.  Packed unknowns have shape (B, n); a 1-D ``x`` is a
-    batch of one, whose value comes back as a float.  The grid operators and
-    integrands broadcast over the leading batch axis, so every row is
-    computed as it would be alone.  The forms are evaluated at
-    ``sample(centers)``, taken once here (``Integrand.sample``; raw centers
-    when ``sample`` is None).
+    Row ``b`` has the tangent basis ``bases[b]`` (m x d) and the load
+    ``loads[b]`` (d x N; the batch's loads when None) on ``batch``'s grid.
+    Packed unknowns are (B, n); a 1-D ``x`` is a batch of one, valued as a
+    float.  Every operator broadcasts over the batch axis, so each row is
+    computed as it would be alone.  The forms see ``sample(centers)``, taken
+    once here (raw centers when ``sample`` is None).
     """
 
     def __init__(
         self,
-        spec: CellProblemSpec,
+        batch: CellBatch,
         bases: np.ndarray,
         eval_fn: Callable,
         grad_fn: Callable | None,
         loads: np.ndarray | None = None,
         sample: Callable | None = None,
     ):
-        self.spec = spec
-        self.grid = spec.grid()
+        self.grid = batch.grid()
         bases = np.asarray(bases, dtype=float)
         self.bases = bases.reshape((-1,) + bases.shape[-2:])
         self.batch, self.m = self.bases.shape[:2]
-        loads = spec.xi if loads is None else np.asarray(loads, dtype=float)
+        loads = batch.loads if loads is None else np.asarray(loads, dtype=float)
         # Loads broadcast against the (B, *elements, d, N) ambient gradients.
-        self.loads = loads.reshape((self.batch,) + (1,) * spec.ndim + spec.xi.shape)
+        self.loads = loads.reshape((self.batch,) + (1,) * batch.ndim + loads.shape[-2:])
         self.eval_fn = eval_fn
         self.grad_fn = grad_fn
         centers = self.grid.centers()
         self.y = centers if sample is None else sample(centers)
         self.node_shape = self.grid.node_shape
-        self.dirichlet = spec.boundary == DIRICHLET
+        self.dirichlet = batch.boundary == DIRICHLET
         if self.dirichlet:
             self.interior = (slice(None), slice(None)) + self.grid.interior()
             nodes = tuple(k - 2 for k in self.node_shape)
@@ -320,42 +347,29 @@ def _continuation_schedule(mu_target: float) -> list[float]:
     return mus
 
 
-def _check_batch(specs: list[CellProblemSpec], dims: tuple[int, int]) -> None:
-    """Raise ``ShapeMismatch`` unless every spec fits ``dims`` and shares the first's grid and settings."""
+def _check_dims(batch: CellBatch, dims: tuple[int, int]) -> None:
+    """Raise ``ShapeMismatch`` unless the batch's loads are (d, N) matrices for ``dims = (N, d)``."""
     N, d = dims
-
-    def settings(spec):
-        return (
-            spec.manifold, spec.t, spec.nodes_per_period, spec.boundary,
-            spec.tol_grad, spec.max_iters, spec.huber_mu,
-        )
-
-    for spec in specs:
-        if spec.xi.shape != (d, N):
-            raise ShapeMismatch(f"xi has shape {spec.xi.shape}, integrand expects {(d, N)}")
-        if settings(spec) != settings(specs[0]):
-            raise ShapeMismatch("a batch of cell problems must share grid and solver settings")
+    if batch.loads.shape[1:] != (d, N):
+        raise ShapeMismatch(f"loads have shape {batch.loads.shape[1:]}, integrand expects {(d, N)}")
 
 
 def _run_solver(
-    specs: list[CellProblemSpec],
+    batch: CellBatch,
     make_objective: Callable[[float], _CellObjective],
     quadratic: bool,
     smoothing: bool,
     exact_eval: Callable,
-) -> list[CellSolveResult]:
-    """Minimize ``make_objective(huber_mu)`` from the zero corrector, one row per spec.
+) -> CellBatchResult:
+    """Minimize ``make_objective(huber_mu)`` from the zero corrector, one row per problem.
 
-    Quadratic densities go to preconditioned conjugate gradients, all rows in
-    one run: each row stops on its own target and then stays frozen, so it
-    ends exactly as a solve of that spec alone.  Everything else goes to
-    quasi-Newton descent on a single spec, under the same preconditioner;
-    with ``smoothing`` (linear growth) it first solves ``make_objective(mu)``
-    for decreasing mu, each stage warm started from the last.  Values are the
-    exact energies under ``exact_eval``.
+    Quadratic densities run all rows in one preconditioned conjugate-gradient
+    solve, each row frozen once it meets its own target.  Everything else is
+    quasi-Newton descent on one problem under the same preconditioner; with
+    ``smoothing`` (linear growth) it first solves ``make_objective(mu)`` for
+    decreasing mu, warm started.  Values are exact energies under ``exact_eval``.
     """
-    spec = specs[0]
-    objective = make_objective(spec.huber_mu)
+    objective = make_objective(batch.huber_mu)
     x = np.zeros((objective.batch, objective.n_unknowns))
     g0 = objective.grad(x)
     # Precondition each channel by the unit-coefficient stiffness, for rows
@@ -367,24 +381,24 @@ def _run_solver(
         return inverse(v.reshape(channels)).reshape(v.shape)
 
     if quadratic:
-        max_iters = spec.max_iters or max(1000, 2 * objective.n_unknowns)
+        max_iters = batch.max_iters or max(1000, 2 * objective.n_unknowns)
 
         def apply_h(v):
             return objective.grad(v) - g0
 
         project = None if objective.dirichlet else objective.project_gauge
         res = cg_quadratic(
-            apply_h, g0, spec.tol_grad, max_iters, project=project, precondition=precondition
+            apply_h, g0, batch.tol_grad, max_iters, project=project, precondition=precondition
         )
         solved = res.x
-        rows = zip(res.row_iterations, res.row_grad_norms, res.row_converged)
+        rows = (res.row_iterations, res.row_grad_norms, res.row_converged)
     else:
         # One problem.  The stopping target is anchored at the zero corrector
         # of the final objective, the contract of the conjugate-gradient path.
-        max_iters = spec.max_iters or 5000
-        final_target = spec.tol_grad * (1.0 + float(np.linalg.norm(g0)))
+        max_iters = batch.max_iters or 5000
+        final_target = batch.tol_grad * (1.0 + float(np.linalg.norm(g0)))
         stage_target = max(100.0 * final_target, 1e-6)
-        stages = _continuation_schedule(spec.huber_mu)[:-1] if smoothing else []
+        stages = _continuation_schedule(batch.huber_mu)[:-1] if smoothing else []
         total_iters = 0
         x = x[0]
         for mu in stages:
@@ -396,93 +410,94 @@ def _run_solver(
             total_iters += stage_res.iterations
         res = lbfgs(objective.value_and_grad, x, final_target, max_iters, precondition)
         solved = res.x[None]
-        rows = [(res.iterations + total_iters, res.grad_norm, res.converged)]
+        rows = ([res.iterations + total_iters], [res.grad_norm], [res.converged])
 
     V = objective.unpack(solved)
     if not objective.dirichlet:
         # Gauge fix: periodic correctors are reported with zero nodal mean.
         V = V - V.mean(axis=tuple(range(2, V.ndim)), keepdims=True)
-    values = objective.energies(V, exact_eval)
-    results = []
-    for spec_b, basis, coeffs, value, (iterations, grad_norm, solver_ok) in zip(
-        specs, objective.bases, V, values, rows
-    ):
-        value = float(value)
-        converged = bool(solver_ok) and math.isfinite(value)
-        warning = None
-        if not solver_ok:
-            warning = (
-                f"solver stopped after {iterations} iterations with gradient "
-                f"norm {grad_norm:.3e} above tolerance"
-            )
-        elif not converged:
-            warning = f"cell energy is not finite ({value})"
-        corrector = CorrectorField(
-            coeffs=coeffs,
-            basis=basis,
-            boundary=spec_b.boundary,
-            t=spec_b.t,
-            nodes_per_period=spec_b.nodes_per_period,
-            spec=spec_b,
+    iterations, grad_norms, solver_ok = rows
+    return CellBatchResult(
+        values=objective.energies(V, exact_eval),
+        iterations=np.asarray(iterations, dtype=int),
+        grad_norms=np.asarray(grad_norms, dtype=float),
+        solver_converged=np.asarray(solver_ok, dtype=bool),
+        coeffs=V,
+    )
+
+
+def _lone_result(rows: CellBatchResult, spec: CellProblemSpec, basis: np.ndarray) -> CellSolveResult:
+    """The ``CellSolveResult`` of a batch of one, its corrector in the rows of ``basis``."""
+    value, grad_norm = float(rows.values[0]), float(rows.grad_norms[0])
+    iterations = int(rows.iterations[0])
+    warning = None
+    if not rows.solver_converged[0]:
+        warning = (
+            f"solver stopped after {iterations} iterations with gradient "
+            f"norm {grad_norm:.3e} above tolerance"
         )
-        results.append(
-            CellSolveResult(
-                value=value,
-                corrector=corrector,
-                iterations=int(iterations),
-                converged=converged,
-                grad_norm=float(grad_norm),
-                warning=warning,
-            )
-        )
-    return results
+    elif not math.isfinite(value):
+        warning = f"cell energy is not finite ({value})"
+    corrector = CorrectorField(rows.coeffs[0], basis, spec.boundary, spec.t, spec.nodes_per_period)
+    return CellSolveResult(value, corrector, iterations, warning is None, grad_norm, warning)
 
 
 def energy_of_fields(
-    f: Integrand, specs: list[CellProblemSpec], fields: list[CorrectorField]
+    f: Integrand, batch: CellBatch, coeffs: np.ndarray, bases: np.ndarray | None = None
 ) -> np.ndarray:
-    """Cell averages of f(y, xi + grad phi), one per (spec, field) pair, in one evaluation.
+    """Cell averages of f(y, loads[b] + grad phi_b), one per row of ``batch``, in one evaluation.
 
-    The specs must share grid and solver settings; each field must conform to its spec.
+    ``coeffs`` (B, m, *nodes) holds each row's corrector in the rows of
+    ``bases`` (B, m, d), the batch's tangent bases when None.  Zero-boundary
+    correctors must vanish on every face.
     """
-    _check_batch(specs, f.dims)
-    for spec, phi in zip(specs, fields, strict=True):
-        _check_conforms(spec, phi)
-    bases = np.stack([phi.basis for phi in fields])
-    loads = np.stack([spec.xi for spec in specs])
-    objective = _CellObjective(specs[0], bases, f.eval, None, loads, f.sample)
-    return objective.energies(np.stack([phi.coeffs for phi in fields]))
+    _check_dims(batch, f.dims)
+    bases = batch.bases if bases is None else np.asarray(bases, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float)
+    grid = batch.grid()
+    expected = (len(batch), bases.shape[1]) + grid.node_shape
+    if coeffs.shape != expected:
+        raise ShapeMismatch(f"correctors have shape {coeffs.shape}, the batch grid needs {expected}")
+    if bases.shape[::2] != (len(batch), batch.manifold.ambient_dim):
+        raise ShapeMismatch("corrector bases do not live in the ambient space")
+    if batch.boundary == DIRICHLET and np.any(coeffs[:, :, grid.boundary_mask()]):
+        raise ShapeMismatch("zero-boundary corrector has nonzero boundary values")
+    return _CellObjective(batch, bases, f.eval, None, sample=f.sample).energies(coeffs)
 
 
 def energy_of_field(f: Integrand, spec: CellProblemSpec, phi: CorrectorField) -> float:
     """Cell average of f(y, xi + grad phi) over element centers."""
-    return float(energy_of_fields(f, [spec], [phi])[0])
+    if phi.boundary != spec.boundary or phi.t != spec.t:
+        raise ShapeMismatch("corrector boundary/size metadata disagrees with the spec")
+    return float(energy_of_fields(f, spec.batch, phi.coeffs[None], phi.basis[None])[0])
 
 
-def solve_cell_batch(f: Integrand, specs: list[CellProblemSpec]) -> list[CellSolveResult]:
-    """Minimize the cell energy of every spec; the specs share grid and solver settings.
+def solve_cell_batch(f: Integrand, batch: CellBatch) -> CellBatchResult:
+    """Minimize the cell energy of every row of ``batch``.
 
-    A quadratic density runs the specs in conjugate-gradient solves of up to
-    ``BATCH_ELEMENTS`` elements whose rows stop one by one; each result is
-    bit-identical to ``solve_cell`` of its spec alone.  Any other density is
-    solved one spec at a time.
+    A quadratic density runs the rows in conjugate-gradient solves of up to
+    ``BATCH_ELEMENTS`` elements whose rows stop one by one; each row is
+    bit-identical to ``solve_cell`` of its problem alone.  Any other density
+    is solved one row at a time.
     """
-    specs = list(specs)
-    if not specs:
-        return []
-    _check_batch(specs, f.dims)
-    rows = max(1, BATCH_ELEMENTS // specs[0].grid().n_elements) if f.quadratic else 1
-    if len(specs) > rows:
-        chunks = [specs[k : k + rows] for k in range(0, len(specs), rows)]
-        return [res for chunk in chunks for res in solve_cell_batch(f, chunk)]
-    bases = np.stack([spec.manifold.tangent_basis(spec.s) for spec in specs])
-    loads = np.stack([spec.xi for spec in specs])
-    return _run_solver(
-        specs,
-        lambda mu: _CellObjective(specs[0], bases, *f.solver_forms(mu), loads, f.sample),
-        quadratic=f.quadratic,
-        smoothing=f.p == 1,
-        exact_eval=f.eval,
+    _check_dims(batch, f.dims)
+    size = max(1, BATCH_ELEMENTS // batch.grid().n_elements) if f.quadratic else 1
+    parts = []
+    for k in range(0, len(batch), size):
+        bases, loads = batch.bases[k : k + size], batch.loads[k : k + size]
+        parts.append(
+            _run_solver(
+                batch,
+                lambda mu: _CellObjective(batch, bases, *f.solver_forms(mu), loads, f.sample),
+                quadratic=f.quadratic,
+                smoothing=f.p == 1,
+                exact_eval=f.eval,
+            )
+        )
+    if len(parts) == 1:
+        return parts[0]
+    return CellBatchResult(
+        *(np.concatenate([getattr(p, a.name) for p in parts]) for a in fields(CellBatchResult))
     )
 
 
@@ -494,7 +509,7 @@ def solve_cell(f: Integrand, spec: CellProblemSpec) -> CellSolveResult:
     upper bound for the discrete minimum.  A non-finite value is reported
     unconverged.  The batch of one of ``solve_cell_batch``.
     """
-    return solve_cell_batch(f, [spec])[0]
+    return _lone_result(solve_cell_batch(f, spec.batch), spec, spec.batch.bases[0])
 
 
 def solve_cell_unconstrained(
@@ -506,24 +521,25 @@ def solve_cell_unconstrained(
     the spec.  Used to verify that tangentially constrained and extended
     minima coincide.
     """
-    _check_batch([spec], fext.dims)
+    _check_dims(spec.batch, fext.dims)
     basis = np.eye(fext.dims[1])[None]
     s = spec.s
 
     def fixed_s_objective(mu: float) -> _CellObjective:
         ev, gr = fext.solver_forms(mu)
         return _CellObjective(
-            spec, basis, lambda y, xi: ev(y, s, xi), lambda y, xi: gr(y, s, xi),
+            spec.batch, basis, lambda y, xi: ev(y, s, xi), lambda y, xi: gr(y, s, xi),
             sample=fext.sample,
         )
 
-    return _run_solver(
-        [spec],
+    rows = _run_solver(
+        spec.batch,
         fixed_s_objective,
         quadratic=fext.quadratic,
         smoothing=fext.p == 1,
         exact_eval=lambda y, xi: fext.eval(y, s, xi),
-    )[0]
+    )
+    return _lone_result(rows, spec, basis[0])
 
 
 def tile_corrector(phi: CorrectorField, k: int) -> CorrectorField:
@@ -552,7 +568,6 @@ def tile_corrector(phi: CorrectorField, k: int) -> CorrectorField:
         boundary=DIRICHLET,
         t=k * phi.t,
         nodes_per_period=phi.nodes_per_period,
-        spec=None,
     )
 
 

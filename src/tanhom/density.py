@@ -1,20 +1,16 @@
 """Homogenized-density evaluation, closed-form references and verifiers.
 
-``tf_hom_batch`` drives the cell solver along a sequence of cube sizes, one
-batched solve per size over many (base point, gradient) pairs, and reports
-each pair's last value with its convergence trace; ``tf_hom`` is its batch of
-one.  Each verifier puts every gradient it evaluates into one such query,
-so it costs one batched solve per cube size.  For laminate densities
-on the circle the effective coefficients are known exactly (harmonic mean in
-the oscillation direction, arithmetic mean across it), which provides the
-independent reference used throughout the test suite.  Density tables sample
-the homogenized density on an angle x coefficient grid and interpolate
-multilinearly; coefficients outside the table clamp.  A quadratic density
-has cell minimizers linear in the gradient, so its table comes from one
-corrector per gradient column and angle: an effective tensor per angle, which
-the table keeps.  Each angle is its own cell problem, in the tangent space at
-its own base point, so all angles and columns of one cube size are rows of
-one batched solve.  Every other density is tabulated entry by entry.
+``tf_hom_batch`` solves many (base point, gradient) pairs as one
+``CellBatch`` per cube size and reports each pair's last value with its
+convergence trace; ``tf_hom`` is its batch of one, and each verifier puts
+every gradient it evaluates into one such query.  For laminate densities on
+the circle the effective coefficients are known exactly (harmonic mean in the
+oscillation direction, arithmetic mean across it), the independent reference
+of the test suite.  Density tables sample the homogenized density on an angle
+x coefficient grid.  A quadratic density's table comes from one corrector per
+gradient column and angle, each angle a row of one batched solve, and keeps
+the effective tensor per angle; every other density is tabulated entry by
+entry.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -31,13 +27,15 @@ from .artifacts import read_csv, write_columns, write_json
 from .cell import (
     DIRICHLET,
     PERIODIC,
+    CellBatch,
     CellProblemSpec,
+    check_rows,
     check_solve_settings,
     energy_of_fields,
     solve_cell_batch,
     solve_cell_unconstrained,
 )
-from .errors import GrowthViolation, MalformedArtifact, NotTangent, ShapeMismatch
+from .errors import GrowthViolation, MalformedArtifact, ShapeMismatch
 from .grid import UniformGrid
 from .integrand import Integrand, StepProfile, make_fbar, make_g_extension
 from .manifold import EmbeddedManifold, Sphere, circle_point
@@ -61,11 +59,12 @@ class TfOptions:
             raise ValueError("t_list must not be empty")
         check_solve_settings(self.n, self.boundary, self.tol_grad, self.max_iters)
 
+    def cell_batch(self, M, points, loads, t, cls=CellBatch):
+        """``cls(M, points, loads)`` on the cube of side ``t``, with these settings."""
+        return cls(M, points, loads, t, self.n, self.boundary, self.tol_grad, self.max_iters, self.huber_mu)
+
     def cell_spec(self, M, s, xi, t) -> CellProblemSpec:
-        return CellProblemSpec(
-            manifold=M, s=s, xi=xi, t=t, nodes_per_period=self.n, boundary=self.boundary,
-            tol_grad=self.tol_grad, max_iters=self.max_iters, huber_mu=self.huber_mu,
-        )
+        return self.cell_batch(M, s, xi, t, CellProblemSpec)
 
 
 @dataclass
@@ -113,25 +112,30 @@ def tf_hom_batch(
 ) -> list[TfHomResult]:
     """``tf_hom`` at every pair ``(points[b], loads[b])``, one result per pair.
 
-    Each cube size in ``opts.t_list`` is one ``solve_cell_batch`` over all
-    pairs, so every result has the bits ``tf_hom`` gives its pair alone.
+    ``points`` stacks to (B, d) and ``loads`` to (B, d, N).  Each cube size
+    in ``opts.t_list`` is one ``solve_cell_batch`` over all pairs, so every
+    result has the bits ``tf_hom`` gives its pair alone.
     """
     opts = opts or TfOptions()
-    pairs = list(zip(points, loads, strict=True))
-    per_size = [
-        solve_cell_batch(f, [opts.cell_spec(M, s, xi, t) for s, xi in pairs]) for t in opts.t_list
-    ]
-    values = np.array([[res.value for res in solves] for solves in per_size])
-    rel, ok = _trace_verdict(values, opts.rel_tol)
-    results = []
-    for b, row in enumerate(zip(*per_size)):
-        trace = [
-            TfTraceEntry(t, res.value, res.iterations, res.converged)
-            for t, res in zip(opts.t_list, row)
+    points = np.asarray(points, dtype=float)
+    loads = np.asarray(loads, dtype=float)
+    if len(points) != len(loads):
+        raise ValueError(f"{len(points)} base points but {len(loads)} loads")
+    if not len(points):
+        return []
+    per_size = [solve_cell_batch(f, opts.cell_batch(M, points, loads, t)) for t in opts.t_list]
+    rel, ok = _trace_verdict(np.array([rows.values for rows in per_size]), opts.rel_tol)
+    per_t = [
+        [
+            TfTraceEntry(t, *entry)
+            for entry in zip(rows.values.tolist(), rows.iterations.tolist(), rows.converged.tolist())
         ]
-        solver_ok = all(res.converged for res in row)
-        results.append(TfHomResult(trace[-1].value, trace, float(rel[b]), bool(ok[b]), solver_ok))
-    return results
+        for t, rows in zip(opts.t_list, per_size)
+    ]
+    return [
+        TfHomResult(trace[-1].value, list(trace), rel_b, ok_b, all(e.converged for e in trace))
+        for trace, rel_b, ok_b in zip(zip(*per_t), rel.tolist(), ok.tolist())
+    ]
 
 
 def _trace_verdict(values, rel_tol: float):
@@ -169,13 +173,8 @@ def laminate_oracle(a: StepProfile, b: StepProfile, s, xi) -> float:
     mean, every other column its arithmetic mean.  Integrals are evaluated in
     closed form from the step profiles.
     """
-    M = Sphere(2)
-    s = M.check_point(s)
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 2 or xi.shape[0] != 2:
-        raise ShapeMismatch(f"xi must be a (2, N) matrix, got {xi.shape}")
-    if M.tangency_residual(s, xi) > 1e-9:
-        raise NotTangent("laminate reference needs tangent columns")
+    s, xi = np.asarray(s, dtype=float), np.asarray(xi, dtype=float)
+    check_rows(Sphere(2), s[None], xi[None])
     vals, lengths = _merged_weight(a, b, s[0] ** 2, s[1] ** 2)
     harmonic = 1.0 / float(np.dot(lengths, 1.0 / vals))
     arithmetic = float(np.dot(lengths, vals))
@@ -289,8 +288,9 @@ def check_tangential_quasiconvexity(
     interior = (slice(1, None), slice(None)) + grid.interior()
     V[interior] = rng.uniform(-1.0, 1.0, size=V[interior].shape)
     amb = xi + np.einsum("md,tmn...->t...dn", basis, grid.center_gradient(V))
-    loads = [xi, *amb.reshape(-1, *xi.shape)]
-    values = np.array([res.value for res in tf_hom_batch(f, M, [s] * len(loads), loads, opts)])
+    loads = np.concatenate([xi[None], amb.reshape(-1, *xi.shape)])
+    points = np.broadcast_to(s, (len(loads), len(s)))
+    values = np.array([res.value for res in tf_hom_batch(f, M, points, loads, opts)])
     reference = float(values[0])
     residuals = reference - values[1:].reshape(trial_count, grid.n_elements).mean(axis=1)
     tol = tolerance_scale * (1.0 + float(np.sum(xi * xi)))
@@ -350,13 +350,14 @@ def check_growth_lipschitz(
         direction = rng.standard_normal(shape)
         direction /= max(float(np.linalg.norm(direction)), 1e-12)
         radius = 10.0 ** rng.uniform(-3.0, np.log10(2.0))
-        z2 = z + radius * direction
-        samples.append((s, M.tangent_from_coeffs(s, z), M.tangent_from_coeffs(s, z2)))
+        samples.append((s, z, z + radius * direction))
 
-    points = [s for s, _, _ in samples for _ in range(2)]
-    loads = [xi for _, *pair in samples for xi in pair]
+    # Rows 2i and 2i + 1 are the pair of sample i, at its base point.
+    points = np.repeat([s for s, _, _ in samples], 2, axis=0).reshape(-1, M.ambient_dim)
+    coeffs = np.array([pair for _, *pair in samples]).reshape((-1,) + shape)
+    loads = np.matmul(M.tangent_bases(points).transpose(0, 2, 1), coeffs)
     values = [res.value for res in tf_hom_batch(f, M, points, loads, opts)]
-    for (s, xi, xi2), v1, v2 in zip(samples, values[0::2], values[1::2]):
+    for s, xi, xi2, v1, v2 in zip(points[0::2], loads[0::2], loads[1::2], values[0::2], values[1::2]):
         n1 = float(np.linalg.norm(xi))
         n2 = float(np.linalg.norm(xi2))
         lo1, hi1 = sandwich(v1, n1, s, xi)
@@ -651,40 +652,32 @@ def check_angle_count(s_count: int) -> None:
 
 
 def _column_energies(
-    f: Integrand, M: EmbeddedManifold, points: list[np.ndarray], scale: float, t: int,
-    opts: TfOptions,
+    f: Integrand, M: EmbeddedManifold, points: np.ndarray, scale: float, t: int, opts: TfOptions,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Energy matrices of the column correctors of a quadratic density at one cube size.
+    """Energy matrices (P, N, N) of a quadratic density's column correctors, and their flags (P, N).
 
-    At every base point in ``points`` column ``c`` is loaded with tangent
-    coefficient ``scale`` in column ``c`` and 0 elsewhere; all
-    ``len(points) * N`` loads are one ``solve_cell_batch``.  Entry (c, c) is
-    the exact energy of a column corrector; entry (c, d) follows by
-    polarization from the exact energy of the summed corrector under the
-    summed load, all points in one evaluation per pair.  Each (N, N) matrix
-    is ``scale**2`` times the effective tensor at its point.  Returns the
-    matrices, shape (len(points), N, N), and the converged flag of each
-    column solve, shape (len(points), N).
+    At every row of ``points`` (P, d), column ``c`` is loaded with tangent
+    coefficient ``scale`` in column ``c`` and 0 elsewhere; all ``P * N``
+    loads are one ``solve_cell_batch``.  Entry (c, c) is a column corrector's
+    exact energy; entry (c, e) follows by polarization from the summed
+    corrector under the summed load, all points in one evaluation per pair.
+    Each matrix is ``scale**2`` times the effective tensor at its point.
     """
     N = f.dims[0]
-    unit = scale * np.eye(N)
-    loads = [[M.tangent_from_coeffs(s, unit[c : c + 1]) for c in range(N)] for s in points]
-    specs = [opts.cell_spec(M, s, xi, t) for s, row in zip(points, loads) for xi in row]
-    solves = solve_cell_batch(f, specs)
-    columns = [solves[c::N] for c in range(N)]  # column c at every point
-    energies = np.zeros((len(points), N, N))
-    for c in range(N):
-        energies[:, c, c] = [res.value for res in columns[c]]
-    for c, d in itertools.combinations(range(N), 2):
-        pair_specs = [opts.cell_spec(M, s, row[c] + row[d], t) for s, row in zip(points, loads)]
-        both = [
-            replace(sc.corrector, coeffs=sc.corrector.coeffs + sd.corrector.coeffs, spec=spec)
-            for sc, sd, spec in zip(columns[c], columns[d], pair_specs)
-        ]
-        cross = energy_of_fields(f, pair_specs, both) - energies[:, c, c] - energies[:, d, d]
-        energies[:, c, d] = energies[:, d, c] = 0.5 * cross
-    converged = np.array([[res.converged for res in column] for column in columns]).T
-    return energies, converged
+    P, d = points.shape
+    # loads[p, c] = B_p^T (scale e_c^T): the tangent matrix of coefficients scale e_c.
+    unit = scale * np.eye(N)[:, None, :]
+    loads = np.matmul(M.tangent_bases(points).transpose(0, 2, 1)[:, None], unit)
+    solves = solve_cell_batch(f, opts.cell_batch(M, points.repeat(N, axis=0), loads.reshape(-1, d, N), t))
+    energies = np.zeros((P, N, N))
+    energies[:, range(N), range(N)] = solves.values.reshape(P, N)
+    coeffs = solves.coeffs.reshape((P, N) + solves.coeffs.shape[1:])
+    for c, e in itertools.combinations(range(N), 2):
+        pair = opts.cell_batch(M, points, loads[:, c] + loads[:, e], t)
+        cross = energy_of_fields(f, pair, coeffs[:, c] + coeffs[:, e])
+        cross = cross - energies[:, c, c] - energies[:, e, e]
+        energies[:, c, e] = energies[:, e, c] = 0.5 * cross
+    return energies, solves.converged.reshape(P, N)
 
 
 def build_density_table(
@@ -696,21 +689,15 @@ def build_density_table(
 ) -> DensityTable:
     """Sample the homogenized density on a uniform angle x coefficient grid.
 
-    Quadratic densities (``f.quadratic``) cost one batched cell solve per
-    cube size, of ``s_count * N`` loads.  Their cell minimizer is linear in
-    the gradient, so the homogenized density at an angle is the quadratic
-    form of an effective tensor.  For every cube size ``_column_energies``
-    solves one corrector ``phi_c`` per angle and gradient column at the load
-    ``z_max`` (the largest |coefficient| on the lattice, or 1 when that is
-    0), every angle and column a row of one ``solve_cell_batch``, and
-    assembles the tensors from exact energies.  The angles are independent
-    cell problems, each in the tangent space at its own base point; each row
-    stops on its own target and then stays frozen, so the batch gives every
-    angle the bits of a solve of its own.  Entry ``z`` is then
-    ``z^T A z / z_max**2``, the exact energy of the corrector
-    ``sum_c (z_c / z_max) phi_c`` under the load ``z``.  The table keeps
-    ``A / z_max**2`` of the largest cube size as ``tensor`` (NaN at an angle
-    whose solve raised).
+    A quadratic density (``f.quadratic``) has cell minimizers linear in the
+    gradient, so at each angle it is the quadratic form of an effective
+    tensor.  Per cube size, ``_column_energies`` solves one corrector
+    ``phi_c`` per angle and column at the load ``z_max`` (the largest
+    |coefficient| on the lattice, or 1 when that is 0), all of them rows of
+    one ``solve_cell_batch``.  Entry ``z`` is ``z^T A z / z_max**2``, the
+    exact energy of ``sum_c (z_c / z_max) phi_c`` under the load ``z``; the
+    table keeps ``A / z_max**2`` of the largest cube size as ``tensor`` (NaN
+    at an angle whose solve raised).
 
     Stopping targets: the CG residual and the load gradient ``g0`` are both
     linear in the load.  For N = 1 the entry's residual is therefore
@@ -750,7 +737,7 @@ def build_density_table(
     errors: list[str] = []
     scale = float(np.max(np.abs(axis), initial=0.0)) or 1.0
     weights = np.stack(np.meshgrid(*axes, indexing="ij")) / scale
-    points = [circle_point(theta) for theta in thetas]
+    points = np.array([circle_point(theta) for theta in thetas])
 
     def fill(angles: list[int], per_t: list[tuple[np.ndarray, np.ndarray]]) -> None:
         """Write the entries of ``angles`` from their per-size energy matrices and flags."""

@@ -30,10 +30,11 @@ def _as_point(x) -> np.ndarray:
 class EmbeddedManifold:
     """Shared behavior for the manifold catalog.
 
-    Subclasses provide ``project``, ``distance``, ``tangent_projector``,
-    ``tangent_basis`` and the descriptor attributes ``kind``, ``ambient_dim``,
-    ``intrinsic_dim``, ``tubular_radius``.  Instances are immutable value
-    objects.
+    Subclasses provide ``distances``, ``project``, ``tangent_projector``,
+    ``tangent_basis``, ``tangent_bases``, ``kind``, ``ambient_dim``,
+    ``intrinsic_dim`` and ``tubular_radius``.  The first three and ``cutoff``
+    take a point (d,) or a stack (..., d), each stacked point with the bits it
+    has alone; ``tangent_bases`` takes rows (B, d).  Immutable value objects.
     """
 
     kind: str
@@ -43,9 +44,9 @@ class EmbeddedManifold:
 
     # -- constraint handling -------------------------------------------------
 
-    def constraint_residual(self, s) -> float:
-        """Distance of ``s`` from the manifold (0 for on-manifold points)."""
-        return self.distance(s)
+    def distance(self, x) -> float:
+        """Distance of ``x`` from the manifold (0 for on-manifold points)."""
+        return float(self.distances(_as_point(x)))
 
     def check_point(self, s, tol: float = ON_MANIFOLD_TOL) -> np.ndarray:
         s = _as_point(s)
@@ -53,12 +54,22 @@ class EmbeddedManifold:
             raise DegeneratePoint(
                 f"point has shape {s.shape}, expected ({self.ambient_dim},)"
             )
-        res = self.constraint_residual(s)
-        if not np.isfinite(res) or res > tol:
-            raise DegeneratePoint(
-                f"point violates the {self.kind} constraint by {res:.3e} (tol {tol:.0e})"
-            )
-        return s
+        return self.check_points(s, tol)
+
+    def check_points(self, points, tol: float = ON_MANIFOLD_TOL) -> np.ndarray:
+        """``points`` (..., d) as floats; raise unless every one lies on the manifold.
+
+        The test is ``not res <= tol``, so a non-finite point fails it.
+        """
+        points = _as_point(points)
+        if points.shape[-1:] != (self.ambient_dim,):
+            raise DegeneratePoint(f"points have shape {points.shape}, expected (..., {self.ambient_dim})")
+        res = self.distances(points)
+        if not np.all(res <= tol):
+            at = np.unravel_index(np.argmin(res <= tol), np.shape(res))
+            where = "".join(f" {i}" for i in at)
+            raise DegeneratePoint(f"point{where} violates the {self.kind} constraint by {res[at]:.3e}")
+        return points
 
     # -- tangent space helpers ----------------------------------------------
 
@@ -68,16 +79,16 @@ class EmbeddedManifold:
         xi = np.asarray(xi, dtype=float)
         return P @ xi
 
+    def tangent_bases(self, points: np.ndarray) -> np.ndarray:
+        """Tangent bases (B, m, d) at the rows of ``points`` (B, d), one ``tangent_basis`` each."""
+        bases = [self.tangent_basis(s) for s in points]
+        return np.array(bases).reshape(len(points), self.intrinsic_dim, self.ambient_dim)
+
     def tangent_from_coeffs(self, s, coeffs) -> np.ndarray:
         """Assemble a d x N tangent matrix from (m, N) basis coefficients."""
         B = self.tangent_basis(s)
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
         return B.T @ coeffs
-
-    def coeffs_of_tangent(self, s, xi) -> np.ndarray:
-        """Coordinates of the columns of ``xi`` in the tangent basis at ``s``."""
-        B = self.tangent_basis(s)
-        return B @ np.asarray(xi, dtype=float)
 
     def tangency_residual(self, s, xi) -> float:
         """Largest per-column normal component of ``xi`` relative to column size."""
@@ -104,13 +115,8 @@ class EmbeddedManifold:
         """
         if delta0 <= 0:
             raise ValueError("delta0 must be positive")
-        dist = self.distance(_as_point(s))
         lo, hi = 0.5 * delta0, 0.75 * delta0
-        if dist <= lo:
-            return 1.0
-        if dist >= hi:
-            return 0.0
-        u = (dist - lo) / (hi - lo)
+        u = np.clip((self.distances(_as_point(s)) - lo) / (hi - lo), 0.0, 1.0)
         return 1.0 - (u * u * u * (10.0 + u * (-15.0 + 6.0 * u)))
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
@@ -134,41 +140,38 @@ class Sphere(EmbeddedManifold):
     def intrinsic_dim(self) -> int:
         return self.ambient_dim - 1
 
-    def distance(self, x) -> float:
-        x = _as_point(x)
-        return float(abs(np.linalg.norm(x) - 1.0))
+    def distances(self, points) -> np.ndarray:
+        return np.abs(_norms(points) - 1.0)
 
     def project(self, x) -> np.ndarray:
         x = _as_point(x)
-        r = np.linalg.norm(x)
-        if r < _PROJECTION_TOL:
+        r = _norms(x)[..., None]
+        if np.any(r < _PROJECTION_TOL):
             raise DegeneratePoint("cannot project a near-zero vector onto the sphere")
         return x / r
 
     def tangent_projector(self, s) -> np.ndarray:
-        s = self.check_point(s)
-        return np.eye(self.ambient_dim) - np.outer(s, s)
+        s = self.check_points(s)
+        return np.eye(self.ambient_dim) - s[..., :, None] * s[..., None, :]
 
     def tangent_basis(self, s) -> np.ndarray:
         s = self.check_point(s)
         if self.ambient_dim == 2:
-            # Angular parametrization: at (cos t, sin t) the basis is (-sin t, cos t).
-            return np.array([[-s[1], s[0]]])
+            return self.tangent_bases(s[None])[0]
         return _gram_schmidt_columns(self.tangent_projector(s), self.intrinsic_dim)
+
+    def tangent_bases(self, points: np.ndarray) -> np.ndarray:
+        if self.ambient_dim != 2:
+            return super().tangent_bases(points)
+        # Angular parametrization: at (cos t, sin t) the basis is (-sin t, cos t).
+        return np.stack([-points[:, 1], points[:, 0]], axis=-1)[:, None, :]
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         v = rng.standard_normal(self.ambient_dim)
         return self.project(v)
 
-    # Batched variants over a trailing ambient axis, used by the convergence
-    # experiment on the circle.
-
-    def project_batch(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        norms = np.linalg.norm(points, axis=-1)
-        if np.any(norms < _PROJECTION_TOL):
-            raise DegeneratePoint("cannot project a near-zero vector onto the sphere")
-        return points / norms[..., None]
+    # ``project`` takes stacks; perfbench/spans.py still wraps this name.
+    project_batch = project
 
     def tangent_project_batch(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -199,41 +202,49 @@ class CircleProduct(EmbeddedManifold):
         return self.factors
 
     def _pairs(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float).reshape(self.factors, 2)
+        x = _as_point(x)
+        return x.reshape(x.shape[:-1] + (self.factors, 2))
 
-    def distance(self, x) -> float:
-        radii = np.linalg.norm(self._pairs(x), axis=1)
-        return float(np.linalg.norm(radii - 1.0))
+    def distances(self, points) -> np.ndarray:
+        return _norms(np.linalg.norm(self._pairs(points), axis=-1) - 1.0)
 
     def project(self, x) -> np.ndarray:
         pairs = self._pairs(x)
-        radii = np.linalg.norm(pairs, axis=1)
+        radii = np.linalg.norm(pairs, axis=-1)
         if np.any(radii < _PROJECTION_TOL):
             raise DegeneratePoint(
                 "cannot project: some circle factor sits at the origin"
             )
-        return (pairs / radii[:, None]).ravel()
+        return (pairs / radii[..., None]).reshape(pairs.shape[:-2] + (-1,))
 
     def tangent_projector(self, s) -> np.ndarray:
-        s = self.check_point(s)
-        P = np.zeros((self.ambient_dim, self.ambient_dim))
+        s = self.check_points(s)
+        P = np.zeros(s.shape[:-1] + (self.ambient_dim, self.ambient_dim))
         for k in range(self.factors):
-            x, y = s[2 * k], s[2 * k + 1]
-            tau = np.array([-y, x])
-            P[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = np.outer(tau, tau)
+            tau = np.stack([-s[..., 2 * k + 1], s[..., 2 * k]], axis=-1)
+            P[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = tau[..., :, None] * tau[..., None, :]
         return P
 
     def tangent_basis(self, s) -> np.ndarray:
-        s = self.check_point(s)
-        B = np.zeros((self.factors, self.ambient_dim))
-        for k in range(self.factors):
-            B[k, 2 * k] = -s[2 * k + 1]
-            B[k, 2 * k + 1] = s[2 * k]
-        return B
+        return self.tangent_bases(self.check_point(s)[None])[0]
+
+    def tangent_bases(self, points: np.ndarray) -> np.ndarray:
+        # Factor k spans (-y_k, x_k) in its own coordinate pair.
+        k = np.arange(self.factors)
+        bases = np.zeros((len(points), self.factors, self.ambient_dim))
+        bases[:, k, 2 * k] = -points[:, 1::2]
+        bases[:, k, 2 * k + 1] = points[:, 0::2]
+        return bases
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         angles = rng.uniform(0.0, 2.0 * np.pi, size=self.factors)
         return np.stack([np.cos(angles), np.sin(angles)], axis=1).ravel()
+
+
+def _norms(x) -> np.ndarray:
+    """Euclidean norms along the last axis, each with the bits of ``np.linalg.norm`` of its vector."""
+    x = _as_point(x)
+    return np.sqrt(np.vecdot(x, x))
 
 
 def _gram_schmidt_columns(P: np.ndarray, m: int) -> np.ndarray:

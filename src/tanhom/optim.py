@@ -82,8 +82,9 @@ def cg_quadratic(
     Every row has its own step length, ``beta``, target and stop flag.  A row
     that meets its target, or whose curvature ``d^T H d`` is lost, is frozen:
     its iterate, residual norm and count stay as they were while the other
-    rows go on.  Dot products are taken row by row, so each row's iterates
-    are bit-identical to a solve of that row alone.
+    rows go on.  Row dot products and norms are one ``np.vecdot`` over the
+    active rows, with the bits of ``a[b] @ c[b]`` and ``np.linalg.norm``: each
+    row's iterates are bit-identical to a solve of that row alone.
     """
     single = np.ndim(grad0) == 1
     if single:
@@ -100,11 +101,16 @@ def cg_quadratic(
         return project(v) if project is not None else v
 
     apply_p = precondition or (lambda v: v)
+
+    def dots(a, c, rows):
+        """``a[b] @ c[b]`` for every listed row, in one ``np.vecdot``."""
+        return np.vecdot(a, c) if len(rows) == len(a) else np.vecdot(a[rows], c[rows])
+
     batch = len(g0)
     x = np.zeros_like(g0)
     r = proj(-g0)
-    rnorm = np.array([float(np.linalg.norm(row)) for row in r])
-    target = tol * (1.0 + np.array([float(np.linalg.norm(row)) for row in g0]))
+    rnorm = np.sqrt(np.vecdot(r, r))
+    target = tol * (1.0 + np.sqrt(np.vecdot(g0, g0)))
     iterations = np.zeros(batch, dtype=int)
     converged = rnorm <= target
     active = ~converged
@@ -115,22 +121,19 @@ def cg_quadratic(
     if rows.size:
         z = apply_p(r)
         d = z
-        for b in rows:
-            delta[b] = float(r[b] @ z[b])
+        delta[rows] = dots(r, z, rows)
     for k in range(1, max_iters + 1):
         if not rows.size:
             break
         hd = proj(apply_hessian(d))
-        for b in rows:
-            dhd = float(d[b] @ hd[b])
-            if not dhd > 0.0:
-                # Curvature lost to round-off (or not a number); the current
-                # iterate is the row's best answer.
-                active[b] = False
-                iterations[b] = k
-            else:
-                step[b] = delta[b] / dhd
-        rows = np.flatnonzero(active)
+        dhd = dots(d, hd, rows)
+        # Curvature lost to round-off (or not a number): the current iterate
+        # is the row's best answer.
+        lost = ~(dhd > 0.0)
+        active[rows[lost]] = False
+        iterations[rows[lost]] = k
+        step[rows[~lost]] = delta[rows[~lost]] / dhd[~lost]
+        rows = rows[~lost]
         x = _rows_axpy(x, step, d, rows)
         if k % recompute_every == 0:
             fresh = proj(-(g0 + apply_hessian(x)))
@@ -138,20 +141,18 @@ def cg_quadratic(
             r[rows] = fresh[rows]
         else:
             r = _rows_axpy(r, -step, hd, rows)
-        for b in rows:
-            rnorm[b] = float(np.linalg.norm(r[b]))
-            if rnorm[b] <= target[b]:
-                active[b] = False
-                converged[b] = True
-                iterations[b] = k
-        rows = np.flatnonzero(active)
+        rnorm[rows] = np.sqrt(dots(r, r, rows))
+        done = rnorm[rows] <= target[rows]
+        active[rows[done]] = False
+        converged[rows[done]] = True
+        iterations[rows[done]] = k
+        rows = rows[~done]
         if not rows.size:
             break
         z = apply_p(r)
-        for b in rows:
-            delta_new = float(r[b] @ z[b])
-            beta[b] = delta_new / float(delta[b])
-            delta[b] = delta_new
+        delta_new = dots(r, z, rows)
+        beta[rows] = delta_new / delta[rows]
+        delta[rows] = delta_new
         d = _rows_axpy(z, beta, d, rows)
     iterations[active] = max_iters
 

@@ -338,11 +338,11 @@ def test_criterion_9_gradient_correctness():
         xi = S1.tangent_from_coeffs(s, rng.uniform(-2, 2, size=(1, ndim)))
         spec = CellProblemSpec(S1, s, xi, t=1, nodes_per_period=4, boundary=boundary)
         if fbar is None:
-            obj = _CellObjective(spec, S1.tangent_basis(s), f.eval, f.grad_xi)
+            obj = _CellObjective(spec.batch, S1.tangent_basis(s), f.eval, f.grad_xi)
         else:
             sc = spec.s
             obj = _CellObjective(
-                spec,
+                spec.batch,
                 np.eye(2),
                 lambda y, a: fbar.eval(y, sc, a),
                 lambda y, a: fbar.grad_xi(y, sc, a),

@@ -5,6 +5,7 @@ import pytest
 
 from tanhom import cell
 from tanhom.cell import (
+    CellBatch,
     CellProblemSpec,
     CorrectorField,
     _CellObjective,
@@ -16,10 +17,9 @@ from tanhom.cell import (
     solve_cell_unconstrained,
     tile_corrector,
     write_corrector_csv,
-    zero_corrector,
 )
 from tanhom.density import TfOptions, laminate_oracle
-from tanhom.errors import NotTangent, ShapeMismatch, UnsupportedBoundary
+from tanhom.errors import DegeneratePoint, NotTangent, ShapeMismatch, UnsupportedBoundary
 from tanhom.grid import UniformGrid
 from tanhom.integrand import (
     StepProfile,
@@ -37,6 +37,12 @@ FOUR_PHASE = StepProfile((0.25, 0.5, 0.75), (1.0, 3.0, 2.0, 5.0))
 FOUR_PHASE_HARMONIC = 4.0 / (1.0 + 1.0 / 3.0 + 1.0 / 2.0 + 1.0 / 5.0)
 
 
+def zero_corrector(spec, basis):
+    """The zero corrector of ``spec`` in the rows of ``basis``."""
+    shape = (basis.shape[0],) + spec.grid().node_shape
+    return CorrectorField(np.zeros(shape), basis, spec.boundary, spec.t, spec.nodes_per_period)
+
+
 def spec_for(s1, s, xi, **kw):
     kw.setdefault("t", 1)
     kw.setdefault("nodes_per_period", 8)
@@ -47,6 +53,48 @@ def spec_for(s1, s, xi, **kw):
 def test_spec_validates_tangency(s1, laminate2, north):
     with pytest.raises(NotTangent):
         CellProblemSpec(s1, north, np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_refused_before_any_solve(monkeypatch, s1, laminate1, bad):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on non-finite data")
+
+    monkeypatch.setattr(cell, "_run_solver", no_solve)
+    east = np.array([1.0, 0.0])
+    # A NaN tangency residual used to pass `res > tol`; the solve then returned NaN.
+    with pytest.raises(NotTangent, match="not finite"):
+        solve_cell(laminate1, CellProblemSpec(s1, east, [[bad], [0.0]]))
+    with pytest.raises(DegeneratePoint):
+        solve_cell(laminate1, CellProblemSpec(s1, [bad, 0.0], [[0.0], [1.0]]))
+    points = np.array([east, [0.0, 1.0], east])
+    loads = np.array([[[0.0], [1.0]], [[-2.0], [0.0]], [[0.0], [bad]]])
+    with pytest.raises(NotTangent, match="row 2: load is not finite"):
+        solve_cell_batch(laminate1, CellBatch(s1, points, loads))
+    points[1, 0] = bad
+    with pytest.raises(DegeneratePoint, match="point 1 violates"):
+        CellBatch(s1, points, np.zeros((3, 2, 1)))
+
+
+def test_batch_checks_match_the_per_point_checks(s1):
+    rng = np.random.default_rng(11)
+    points = np.array([circle_point(theta) for theta in rng.uniform(0.0, 2.0 * np.pi, 6)])
+    loads = np.einsum("bmd,bmn->bdn", s1.tangent_bases(points), rng.standard_normal((6, 1, 2)))
+    batch = CellBatch(s1, points, loads, t=2, boundary="periodic")
+    for s, xi, basis in zip(points, loads, batch.bases):
+        assert _bits(basis) == _bits(s1.tangent_basis(s))
+        assert s1.tangency_residual(s, xi) <= 1e-12
+    off = loads.copy()
+    off[4, :, 1] += 1e-6 * points[4]  # a normal component the per-point check also refuses
+    assert s1.tangency_residual(points[4], off[4]) > cell.TANGENT_TOL
+    with pytest.raises(NotTangent, match="row 4"):
+        CellBatch(s1, points, off)
+    with pytest.raises(DegeneratePoint, match="point 0 violates"):
+        CellBatch(s1, 1.5 * points, loads)
+    with pytest.raises(ShapeMismatch):
+        CellBatch(s1, points, loads[:5])
+    with pytest.raises(ShapeMismatch):
+        CellBatch(s1, points[:0], loads[:0])
 
 
 def test_energy_of_zero_field(s1, laminate2, north, xi_harmonic):
@@ -291,7 +339,7 @@ def test_assembled_gradient_matches_fd(s1, boundary, ndim, profile_a, profile_b)
     spec = CellProblemSpec(
         s1, s, xi, t=1, nodes_per_period=4, boundary=boundary
     )
-    obj = _CellObjective(spec, s1.tangent_basis(s), f.eval, f.grad_xi)
+    obj = _CellObjective(spec.batch, s1.tangent_basis(s), f.eval, f.grad_xi)
     rng = np.random.default_rng(42 + ndim)
     x = rng.standard_normal(obj.n_unknowns)
     _, g = obj.value_and_grad(x)
@@ -336,6 +384,27 @@ def _assert_same_solve(batched, alone):
     assert _bits(batched.corrector.basis) == _bits(alone.corrector.basis)
 
 
+def _batch_of(specs):
+    """The ``CellBatch`` of specs that share their settings."""
+    spec = specs[0]
+    return CellBatch(
+        spec.manifold, [sp.s for sp in specs], [sp.xi for sp in specs], spec.t,
+        spec.nodes_per_period, spec.boundary, spec.tol_grad, spec.max_iters, spec.huber_mu,
+    )
+
+
+def _assert_rows_match_lone_solves(f, batch, rows, specs):
+    assert len(rows.values) == len(specs)
+    for b, spec in enumerate(specs):
+        alone = solve_cell(f, spec)
+        assert _bits(rows.values[b]) == _bits(alone.value)
+        assert rows.iterations[b] == alone.iterations
+        assert rows.converged[b] == alone.converged
+        assert _bits(rows.grad_norms[b]) == _bits(alone.grad_norm)
+        assert _bits(rows.coeffs[b]) == _bits(alone.corrector.coeffs)
+        assert _bits(batch.bases[b]) == _bits(alone.corrector.basis)
+
+
 @pytest.mark.parametrize(
     "N, boundary, profile, max_iters",
     [
@@ -355,26 +424,27 @@ def test_solve_cell_batch_rows_match_lone_solves(s1, profile_a, N, boundary, pro
         s = circle_point(theta)
         xi = s1.tangent_from_coeffs(s, rng.uniform(-2.0, 2.0, (1, N)))
         specs.append(spec_for(s1, s, xi, boundary=boundary, max_iters=max_iters))
-    batch = solve_cell_batch(f, specs)
-    assert len(batch) == len(specs)
-    for spec, res in zip(specs, batch):
-        assert res.corrector.spec is spec
-        _assert_same_solve(res, solve_cell(f, spec))
+    batch = _batch_of(specs)
+    rows = solve_cell_batch(f, batch)
+    _assert_rows_match_lone_solves(f, batch, rows, specs)
     if max_iters is not None:
         # At theta = 0 and pi the load misses the oscillating coefficient: those
         # rows stop at once while the capped rows run out of iterations.
-        assert [res.converged for res in batch] == [True, False, False, True, False]
-        assert [res.iterations for res in batch] == [0, 2, 2, 0, 2]
+        assert rows.converged.tolist() == [True, False, False, True, False]
+        assert rows.iterations.tolist() == [0, 2, 2, 0, 2]
 
 
-def test_solve_cell_batch_rejects_mixed_settings(s1, laminate2, north, xi_harmonic):
-    assert solve_cell_batch(laminate2, []) == []
-    specs = [spec_for(s1, north, xi_harmonic), spec_for(s1, north, xi_harmonic, nodes_per_period=4)]
+def test_solve_cell_batch_rejects_mixed_settings(s1, laminate1, laminate2, north, xi_harmonic):
+    # One batch carries one set of settings; what can still disagree is the
+    # load shape against the integrand, and an empty batch is refused.
+    batch = _batch_of([spec_for(s1, north, xi_harmonic)] * 2)
     with pytest.raises(ShapeMismatch):
-        solve_cell_batch(laminate2, specs)
-    linear = make_norm_linear(StepProfile.constant(1.0), 2)
+        solve_cell_batch(laminate1, batch)
     with pytest.raises(ShapeMismatch):
-        solve_cell_batch(linear, specs)
+        energy_of_fields(laminate1, batch, np.zeros((2, 1, 8, 8)))
+    with pytest.raises(ShapeMismatch):
+        CellBatch(s1, np.zeros((0, 2)), np.zeros((0, 2, 2)))
+    assert len(solve_cell_batch(laminate2, batch).values) == 2
 
 
 def test_solve_cell_batch_splits_at_the_element_budget(monkeypatch, s1, laminate1):
@@ -386,16 +456,17 @@ def test_solve_cell_batch_splits_at_the_element_budget(monkeypatch, s1, laminate
     runs = []
     run_solver = cell._run_solver
 
-    def counted(run_specs, *args, **kwargs):
-        runs.append(len(run_specs))
-        return run_solver(run_specs, *args, **kwargs)
+    def counted(*args, **kwargs):
+        rows = run_solver(*args, **kwargs)
+        runs.append(len(rows.values))
+        return rows
 
     monkeypatch.setattr(cell, "_run_solver", counted)
-    batch = solve_cell_batch(laminate1, specs)
+    batch = _batch_of(specs)
+    rows = solve_cell_batch(laminate1, batch)
     assert runs == [2, 2, 1]
-    for spec, res in zip(specs, batch, strict=True):
-        assert res.corrector.spec is spec
-        _assert_same_solve(res, solve_cell(laminate1, spec))
+    runs.clear()
+    _assert_rows_match_lone_solves(laminate1, batch, rows, specs)
 
 
 def test_solve_cell_batch_non_quadratic_rows_match_lone_solves(s1, profile_a):
@@ -405,11 +476,8 @@ def test_solve_cell_batch_non_quadratic_rows_match_lone_solves(s1, profile_a):
         s = circle_point(theta)
         xi = s1.tangent_from_coeffs(s, [[coeff]])
         specs.append(spec_for(s1, s, xi, tol_grad=1e-6, huber_mu=1e-2))
-    batch = solve_cell_batch(f, specs)
-    assert len(batch) == len(specs)
-    for spec, res in zip(specs, batch):
-        assert res.corrector.spec is spec
-        _assert_same_solve(res, solve_cell(f, spec))
+    batch = _batch_of(specs)
+    _assert_rows_match_lone_solves(f, batch, solve_cell_batch(f, batch), specs)
 
 
 def test_linear_growth_seeded_pair_converges(s1, profile_a):
@@ -430,9 +498,28 @@ def test_linear_growth_seeded_pair_converges(s1, profile_a):
 def test_energy_of_fields_matches_energy_of_field(s1, laminate2, north, xi_harmonic, xi_arithmetic):
     specs = [spec_for(s1, north, xi_harmonic), spec_for(s1, north, xi_arithmetic)]
     fields = [solve_cell(laminate2, spec).corrector for spec in specs]
-    batched = energy_of_fields(laminate2, specs, fields)
+    batch = _batch_of(specs)
+    batched = energy_of_fields(laminate2, batch, np.stack([phi.coeffs for phi in fields]))
     alone = [energy_of_field(laminate2, spec, phi) for spec, phi in zip(specs, fields)]
     assert _bits(batched) == _bits(alone)
+    ambient = solve_cell_unconstrained(make_fbar(laminate2, s1), specs[0]).corrector
+    with pytest.raises(ShapeMismatch):  # ambient coordinates in the tangent bases
+        energy_of_fields(laminate2, batch, np.stack([ambient.coeffs] * 2))
+
+
+@pytest.mark.parametrize("n", [16, 17, 256, 4097, 65536])
+@pytest.mark.parametrize("batch", [1, 3, 32])
+def test_vecdot_rows_equal_row_dot_products(n, batch):
+    # cg_quadratic takes every row's dot product and norm in one np.vecdot and
+    # relies on these bits; a numpy or BLAS change that moved them would move
+    # artifact bytes.
+    rng = np.random.default_rng(n + batch)
+    a, c = rng.standard_normal((2, batch, n)) * rng.uniform(0.1, 10.0, (2, batch, 1))
+    rows = np.arange(batch)[::2]
+    for dots, sel in ((np.vecdot(a, c), np.arange(batch)), (np.vecdot(a[rows], c[rows]), rows)):
+        assert _bits(dots) == _bits([a[b] @ c[b] for b in sel])
+    norms = np.sqrt(np.vecdot(a, a))
+    assert _bits(norms) == _bits([np.linalg.norm(row) for row in a])
 
 
 def test_cg_batch_freezes_finished_rows():
@@ -490,7 +577,7 @@ def test_objective_grad_equals_value_and_grad(s1, profile_a, boundary, kind):
     loads = np.stack([spec.xi for spec in specs])
     rng = np.random.default_rng(3)
     for rows in (2, 1):
-        obj = _CellObjective(specs[0], np.stack(bases[:rows]), *forms, loads[:rows], f.sample)
+        obj = _CellObjective(specs[0].batch, np.stack(bases[:rows]), *forms, loads[:rows], f.sample)
         x = rng.standard_normal((obj.batch, obj.n_unknowns))
         x = x if rows > 1 else x[0]
         assert np.array_equal(obj.grad(x), obj.value_and_grad(x)[1])

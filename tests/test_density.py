@@ -451,9 +451,9 @@ def test_quadratic_table_matches_tf_hom(s1, f, opts, lattice):
 def test_quadratic_table_solves_one_corrector_per_column(monkeypatch, s1, laminate2):
     batches = []
 
-    def counted(f, specs):
-        batches.append((specs[0].t, len(specs)))
-        return solve_cell_batch(f, specs)
+    def counted(f, batch):
+        batches.append((batch.t, len(batch)))
+        return solve_cell_batch(f, batch)
 
     monkeypatch.setattr(density, "solve_cell_batch", counted)
     opts = TfOptions(t_list=(1, 2), n=4, boundary="periodic")
@@ -680,9 +680,9 @@ def test_table_resave_keeps_max_rel_change(tmp_path, s1, laminate2):
 def test_quadratic_table_empty_lattice_solves_nothing(monkeypatch, s1, laminate2):
     calls = []
 
-    def counted(f, specs):
-        calls.append(len(specs))
-        return solve_cell_batch(f, specs)
+    def counted(f, batch):
+        calls.append(len(batch))
+        return solve_cell_batch(f, batch)
 
     monkeypatch.setattr(density, "solve_cell_batch", counted)
     opts = TfOptions(t_list=(1, 2), n=4, boundary="periodic")

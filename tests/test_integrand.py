@@ -21,7 +21,7 @@ from tanhom.integrand import (
     verify_extension_bounds,
     verify_hypotheses,
 )
-from tanhom.manifold import Sphere
+from tanhom.manifold import CircleProduct, Sphere
 
 
 def test_step_profile_basic():
@@ -158,6 +158,62 @@ def test_g_extension_sampled_bounds(s1):
     g = make_g_extension(f, s1, 0.5)
     report = verify_extension_bounds(g, 10000, seed=9)
     assert report.periodicity_residual <= 1e-12  # restriction residual slot
+
+
+def _extension_bounds_by_sample(ext, sample_count, seed):
+    """(restriction, growth lo, growth hi, Lipschitz) margins of
+    ``verify_extension_bounds``, one sample and one evaluation at a time."""
+    M, (N, d) = ext.manifold, ext.dims
+    rng = np.random.default_rng(seed)
+    restriction = lo = hi = lip_s = lip_xi = 0.0
+    for _ in range(sample_count):
+        y = rng.uniform(0.0, 1.0, size=N)
+        s = M.random_point(rng)
+        xi_t = M.tangent_from_coeffs(s, rng.uniform(-3.0, 3.0, size=(M.intrinsic_dim, N)))
+        restriction = max(restriction, abs(float(ext.eval(y, s, xi_t)) - float(ext.base.eval(y, xi_t))))
+        xi = rng.standard_normal((d, N)) * rng.uniform(0.0, 5.0)
+        v = float(ext.eval(y, s, xi))
+        xi_p = float(np.sum(xi * xi) ** (ext.p / 2.0))
+        lo, hi = max(lo, ext.alpha * xi_p - v), max(hi, v - ext.beta * (1.0 + xi_p))
+        if ext.s_lipschitz is not None:
+            s2 = s + rng.standard_normal(d) * rng.uniform(0.0, 0.5)
+            dv = abs(float(ext.eval(y, s2, xi)) - v)
+            lip_s = max(lip_s, dv - ext.s_lipschitz * np.linalg.norm(s2 - s) * np.sqrt(np.sum(xi * xi)))
+        if ext.xi_lipschitz is not None:
+            xi2 = xi + rng.standard_normal((d, N)) * rng.uniform(0.0, 2.0)
+            dv = abs(float(ext.eval(y, s, xi2)) - v)
+            lip_xi = max(lip_xi, dv - ext.xi_lipschitz * np.linalg.norm(xi2 - xi))
+    return restriction, lo, hi, max(lip_s, lip_xi)
+
+
+@pytest.mark.parametrize("M", [Sphere(2), Sphere(3), CircleProduct(2)], ids=str)
+@pytest.mark.parametrize("kind", ["g", "fbar"])
+def test_extension_bounds_match_sample_by_sample(M, kind):
+    c = StepProfile((0.25, 0.75), (2.0, 1.0, 3.0))
+    if kind == "g":
+        ext = make_g_extension(make_norm_linear(c, 2, M.ambient_dim), M, 0.5)
+    else:
+        ext = make_fbar(make_isotropic_quadratic(2, M.ambient_dim), M)
+    report = verify_extension_bounds(ext, 300, seed=5)
+    batched = (
+        report.periodicity_residual,
+        report.coercivity_margin,
+        report.growth_margin,
+        report.lipschitz_margin,
+    )
+    assert np.array(batched).tobytes() == np.array(_extension_bounds_by_sample(ext, 300, 5)).tobytes()
+
+
+def test_extension_forms_take_stacked_base_points(s1):
+    rng = np.random.default_rng(8)
+    f = make_norm_linear(StepProfile((0.5,), (1.0, 2.0)), 1)
+    s = rng.standard_normal((40, 2)) * rng.uniform(0.0, 1.5, (40, 1))  # some outside the cutoff
+    y = rng.uniform(0.0, 1.0, (40, 1))
+    xi = rng.standard_normal((40, 2, 1))
+    fbar = make_fbar(make_isotropic_quadratic(1, 2), s1)
+    for ext, points in ((make_g_extension(f, s1, 0.5), s), (fbar, s1.project(s))):
+        alone = [ext.eval(y[k], points[k], xi[k]) for k in range(40)]
+        assert ext.eval(y, points, xi).tobytes() == np.array(alone).tobytes()
 
 
 def test_verify_hypotheses_pass(laminate2):
