@@ -313,6 +313,7 @@ def make_norm_linear(c: StepProfile, N: int, d: int = 2) -> Integrand:
 class ExtendedIntegrand:
     """Density (y, s, xi) -> value for a base point s, with derived growth data.
 
+    ``eval`` also takes stacked base points (K, d) with y (K, N) and xi (K, d, N).
     ``alpha`` and ``beta`` are growth constants of the extension itself; they
     are derived from the base integrand, not quoted from anywhere.  The
     optional Lipschitz fields are recorded for the ambient-space extension.
