@@ -87,10 +87,7 @@ def check_rows(manifold: EmbeddedManifold, points: np.ndarray, loads: np.ndarray
     if not finite.all():
         raise NotTangent(f"row {np.argmin(finite)}: load is not finite")
     bases = manifold.tangent_bases(points)
-    # The bases are orthonormal, so B^T B projects onto the tangent space.
-    normal = loads - np.einsum("bmd,bme,ben->bdn", bases, bases, loads)
-    scale = np.maximum(1.0, np.linalg.norm(loads, axis=1))
-    res = np.max(np.linalg.norm(normal, axis=1) / scale, axis=1, initial=0.0)
+    res = manifold.tangency_residuals(points, loads, bases)
     bad = np.flatnonzero(~(res <= TANGENT_TOL))
     if bad.size:
         raise NotTangent(f"row {bad[0]}: load has a normal component of relative size {res[bad[0]]:.3e}")

@@ -92,11 +92,16 @@ class EmbeddedManifold:
 
     def tangency_residual(self, s, xi) -> float:
         """Largest per-column normal component of ``xi`` relative to column size."""
-        xi = np.asarray(xi, dtype=float)
-        normal = xi - self.project_columns(s, xi)
-        col_norm = np.linalg.norm(normal, axis=0)
-        col_scale = np.maximum(1.0, np.linalg.norm(xi, axis=0))
-        return float(np.max(col_norm / col_scale)) if xi.size else 0.0
+        s = self.check_point(s)
+        return float(self.tangency_residuals(s[None], np.asarray(xi, dtype=float)[None])[0])
+
+    def tangency_residuals(self, points, loads, bases=None) -> np.ndarray:
+        """``tangency_residual`` of each row of ``points`` (B, d), ``loads`` (B, d, N); ``bases`` if known."""
+        bases = self.tangent_bases(points) if bases is None else bases
+        # The bases are orthonormal, so B^T B projects onto the tangent space.
+        normal = loads - np.einsum("bmd,bme,ben->bdn", bases, bases, loads)
+        scale = np.maximum(1.0, np.linalg.norm(loads, axis=1))
+        return np.max(np.linalg.norm(normal, axis=1) / scale, axis=1, initial=0.0)
 
     # -- motion on the manifold ----------------------------------------------
 
