@@ -28,7 +28,8 @@ conjugate-gradient solve, each with its own step length, stopping target and
 stop flag; a row that has stopped stays frozen while the others go on, so
 every row ends exactly as a solve of its problem alone.  It returns the rows
 as arrays (``CellBatchResult``).  ``CellProblemSpec`` is one problem, the
-public type, and ``solve_cell`` its batch of one.
+public type, and ``solve_cell`` its batch of one.  ``solve_cell_unconstrained``
+runs an extended density over the same split, each part bound to its base points.
 """
 
 from __future__ import annotations
@@ -57,15 +58,16 @@ BATCH_ELEMENTS = 1 << 16
 
 
 def check_solve_settings(
-    nodes_per_period: int, boundary: str, tol_grad: float, max_iters: int | None
+    nodes_per_period: int, boundary: str, tol_grad: float, max_iters: int | None, huber_mu: float
 ) -> None:
     """Raise ``ValueError`` for settings no cell solve accepts."""
     if nodes_per_period < 2:
         raise ValueError("need at least 2 nodes per period")
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}")
-    if tol_grad <= 0:
-        raise ValueError("tol_grad must be positive")
+    for name, value in (("tol_grad", tol_grad), ("huber_mu", huber_mu)):
+        if not 0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if max_iters is not None and max_iters < 1:
         raise ValueError(f"max_iters must be at least 1 (or unset), got {max_iters}")
 
@@ -119,7 +121,9 @@ class CellBatch:
         if int(self.t) != self.t or self.t < 1:
             raise ValueError("cube side t must be a positive integer")
         object.__setattr__(self, "t", int(self.t))
-        check_solve_settings(self.nodes_per_period, self.boundary, self.tol_grad, self.max_iters)
+        check_solve_settings(
+            self.nodes_per_period, self.boundary, self.tol_grad, self.max_iters, self.huber_mu
+        )
         points = np.asarray(self.points, dtype=float)
         loads = np.asarray(self.loads, dtype=float)
         object.__setattr__(self, "bases", check_rows(self.manifold, points, loads))
@@ -220,7 +224,8 @@ class CellBatchResult:
     """The rows of a batched cell solve, as arrays along the batch axis.
 
     ``coeffs`` (B, m, *nodes) holds the correctors in the rows of the batch's
-    tangent bases.  ``converged``: the solver's test passed and the value is finite.
+    tangent bases (of the identity for ``solve_cell_unconstrained``).
+    ``converged``: the solver's test passed and the value is finite.
     """
 
     values: np.ndarray
@@ -423,22 +428,6 @@ def _run_solver(
     )
 
 
-def _lone_result(rows: CellBatchResult, spec: CellProblemSpec, basis: np.ndarray) -> CellSolveResult:
-    """The ``CellSolveResult`` of a batch of one, its corrector in the rows of ``basis``."""
-    value, grad_norm = float(rows.values[0]), float(rows.grad_norms[0])
-    iterations = int(rows.iterations[0])
-    warning = None
-    if not rows.solver_converged[0]:
-        warning = (
-            f"solver stopped after {iterations} iterations with gradient "
-            f"norm {grad_norm:.3e} above tolerance"
-        )
-    elif not math.isfinite(value):
-        warning = f"cell energy is not finite ({value})"
-    corrector = CorrectorField(rows.coeffs[0], basis, spec.boundary, spec.t, spec.nodes_per_period)
-    return CellSolveResult(value, corrector, iterations, warning is None, grad_norm, warning)
-
-
 def energy_of_fields(
     f: Integrand, batch: CellBatch, coeffs: np.ndarray, bases: np.ndarray | None = None
 ) -> np.ndarray:
@@ -469,26 +458,28 @@ def energy_of_field(f: Integrand, spec: CellProblemSpec, phi: CorrectorField) ->
     return float(energy_of_fields(f, spec.batch, phi.coeffs[None], phi.basis[None])[0])
 
 
-def solve_cell_batch(f: Integrand, batch: CellBatch) -> CellBatchResult:
-    """Minimize the cell energy of every row of ``batch``.
+def _solve_in_parts(f, batch: CellBatch, bases: np.ndarray, bind: Callable) -> CellBatchResult:
+    """Minimize the cell energy of every row of ``batch`` over correctors in ``bases`` (B, m, d).
 
-    A quadratic density runs the rows in conjugate-gradient solves of up to
-    ``BATCH_ELEMENTS`` elements whose rows stop one by one; each row is
-    bit-identical to ``solve_cell`` of its problem alone.  Any other density
-    is solved one row at a time.
+    A quadratic density ``f`` runs the rows in conjugate-gradient solves of
+    up to ``BATCH_ELEMENTS`` elements whose rows stop one by one; any other
+    density is solved one row at a time.  ``bind(rows)`` gives the density's
+    ``(solver_forms, eval)`` at the rows ``rows`` (a slice), as (y, xi) forms.
     """
     _check_dims(batch, f.dims)
     size = max(1, BATCH_ELEMENTS // batch.grid().n_elements) if f.quadratic else 1
     parts = []
     for k in range(0, len(batch), size):
-        bases, loads = batch.bases[k : k + size], batch.loads[k : k + size]
+        rows = slice(k, k + size)
+        forms, exact = bind(rows)
+        part_bases, loads = bases[rows], batch.loads[rows]
         parts.append(
             _run_solver(
                 batch,
-                lambda mu: _CellObjective(batch, bases, *f.solver_forms(mu), loads, f.sample),
+                lambda mu: _CellObjective(batch, part_bases, *forms(mu), loads, f.sample),
                 quadratic=f.quadratic,
                 smoothing=f.p == 1,
-                exact_eval=f.eval,
+                exact_eval=exact,
             )
         )
     if len(parts) == 1:
@@ -496,6 +487,14 @@ def solve_cell_batch(f: Integrand, batch: CellBatch) -> CellBatchResult:
     return CellBatchResult(
         *(np.concatenate([getattr(p, a.name) for p in parts]) for a in fields(CellBatchResult))
     )
+
+
+def solve_cell_batch(f: Integrand, batch: CellBatch) -> CellBatchResult:
+    """Minimize the cell energy of every row of ``batch`` over tangent-valued correctors.
+
+    Each row is bit-identical to ``solve_cell`` of its problem alone.
+    """
+    return _solve_in_parts(f, batch, batch.bases, lambda rows: (f.solver_forms, f.eval))
 
 
 def solve_cell(f: Integrand, spec: CellProblemSpec) -> CellSolveResult:
@@ -506,37 +505,44 @@ def solve_cell(f: Integrand, spec: CellProblemSpec) -> CellSolveResult:
     upper bound for the discrete minimum.  A non-finite value is reported
     unconverged.  The batch of one of ``solve_cell_batch``.
     """
-    return _lone_result(solve_cell_batch(f, spec.batch), spec, spec.batch.bases[0])
-
-
-def solve_cell_unconstrained(
-    fext: ExtendedIntegrand, spec: CellProblemSpec
-) -> CellSolveResult:
-    """Minimize the extended density over unconstrained ambient correctors.
-
-    The corrector carries full R^d nodal values; the base point is fixed from
-    the spec.  Used to verify that tangentially constrained and extended
-    minima coincide.
-    """
-    _check_dims(spec.batch, fext.dims)
-    basis = np.eye(fext.dims[1])[None]
-    s = spec.s
-
-    def fixed_s_objective(mu: float) -> _CellObjective:
-        ev, gr = fext.solver_forms(mu)
-        return _CellObjective(
-            spec.batch, basis, lambda y, xi: ev(y, s, xi), lambda y, xi: gr(y, s, xi),
-            sample=fext.sample,
+    rows = solve_cell_batch(f, spec.batch)
+    value, grad_norm = float(rows.values[0]), float(rows.grad_norms[0])
+    iterations = int(rows.iterations[0])
+    warning = None
+    if not rows.solver_converged[0]:
+        warning = (
+            f"solver stopped after {iterations} iterations with gradient "
+            f"norm {grad_norm:.3e} above tolerance"
         )
-
-    rows = _run_solver(
-        spec.batch,
-        fixed_s_objective,
-        quadratic=fext.quadratic,
-        smoothing=fext.p == 1,
-        exact_eval=lambda y, xi: fext.eval(y, s, xi),
+    elif not math.isfinite(value):
+        warning = f"cell energy is not finite ({value})"
+    corrector = CorrectorField(
+        rows.coeffs[0], spec.batch.bases[0], spec.boundary, spec.t, spec.nodes_per_period
     )
-    return _lone_result(rows, spec, basis[0])
+    return CellSolveResult(value, corrector, iterations, warning is None, grad_norm, warning)
+
+
+def solve_cell_unconstrained(fext: ExtendedIntegrand, batch: CellBatch) -> CellBatchResult:
+    """Minimize the extended density of every row over unconstrained ambient correctors.
+
+    Row ``b`` fixes the base point ``batch.points[b]``; its corrector carries
+    full R^d nodal values.  The rows split as in ``solve_cell_batch``, each
+    bit-identical to a batch of its row alone.  Used to verify that
+    tangentially constrained and extended minima coincide.
+    """
+    d = fext.dims[1]
+
+    def bind(rows):
+        # The rows' base points, broadcast against (b, *elements, d, N) gradients.
+        s = batch.points[rows].reshape((-1,) + (1,) * batch.ndim + (d,))
+
+        def solver_forms(mu):
+            ev, gr = fext.solver_forms(mu)
+            return (lambda y, xi: ev(y, s, xi)), (lambda y, xi: gr(y, s, xi))
+
+        return solver_forms, lambda y, xi: fext.eval(y, s, xi)
+
+    return _solve_in_parts(fext, batch, np.broadcast_to(np.eye(d), (len(batch), d, d)), bind)
 
 
 def tile_corrector(phi: CorrectorField, k: int) -> CorrectorField:

@@ -28,7 +28,6 @@ from .cell import (
     DIRICHLET,
     PERIODIC,
     CellBatch,
-    CellProblemSpec,
     check_rows,
     check_solve_settings,
     energy_of_fields,
@@ -57,14 +56,13 @@ class TfOptions:
         object.__setattr__(self, "t_list", tuple(int(t) for t in self.t_list))
         if not self.t_list:
             raise ValueError("t_list must not be empty")
-        check_solve_settings(self.n, self.boundary, self.tol_grad, self.max_iters)
+        check_solve_settings(self.n, self.boundary, self.tol_grad, self.max_iters, self.huber_mu)
 
-    def cell_batch(self, M, points, loads, t, cls=CellBatch):
-        """``cls(M, points, loads)`` on the cube of side ``t``, with these settings."""
-        return cls(M, points, loads, t, self.n, self.boundary, self.tol_grad, self.max_iters, self.huber_mu)
-
-    def cell_spec(self, M, s, xi, t) -> CellProblemSpec:
-        return self.cell_batch(M, s, xi, t, CellProblemSpec)
+    def cell_batch(self, M, points, loads, t) -> CellBatch:
+        """``CellBatch(M, points, loads)`` on the cube of side ``t``, with these settings."""
+        return CellBatch(
+            M, points, loads, t, self.n, self.boundary, self.tol_grad, self.max_iters, self.huber_mu
+        )
 
 
 @dataclass
@@ -216,11 +214,11 @@ def verify_equivalence_fbar(
     """Compare tangentially constrained and extended unconstrained cell minima.
 
     The constrained values of all samples come from one ``tf_hom_batch``;
-    each unconstrained one from minimizing the matching extension over full
-    ambient correctors on the grid of the largest cube, the one whose value
-    ``tf_hom`` reports.  Superlinear growth uses the tangent-projection
-    extension; linear growth uses the ambient cutoff extension (solved
-    through its smoothed forms, evaluated unsmoothed).
+    the unconstrained ones from one ``solve_cell_unconstrained`` of the
+    matching extension over full ambient correctors, on the grid of the
+    largest cube, the one whose value ``tf_hom`` reports.  Superlinear growth
+    uses the tangent-projection extension; linear growth uses the ambient
+    cutoff extension (solved through its smoothed forms, evaluated unsmoothed).
     """
     opts = opts or TfOptions()
     if f.p == 1:
@@ -229,13 +227,15 @@ def verify_equivalence_fbar(
         ext, ext_name = make_fbar(f, M), "tangent_projection"
 
     samples = [(np.asarray(s), np.asarray(xi)) for s, xi in samples]
-    constrained = tf_hom_batch(f, M, [s for s, _ in samples], [xi for _, xi in samples], opts)
-    entries = []
-    for (s, xi), res in zip(samples, constrained):
-        spec = opts.cell_spec(M, s, xi, opts.t_list[-1])
-        value_u = solve_cell_unconstrained(ext, spec).value
-        rel = abs(res.value - value_u) / (1.0 + abs(res.value))
-        entries.append(EquivalenceEntry(s, xi, res.value, value_u, rel))
+    if not samples:
+        return EquivalenceReport(extension=ext_name, entries=[])
+    points, loads = zip(*samples)
+    constrained = tf_hom_batch(f, M, points, loads, opts)
+    unconstrained = solve_cell_unconstrained(ext, opts.cell_batch(M, points, loads, opts.t_list[-1]))
+    entries = [
+        EquivalenceEntry(s, xi, res.value, value_u, abs(res.value - value_u) / (1.0 + abs(res.value)))
+        for (s, xi), res, value_u in zip(samples, constrained, unconstrained.values.tolist())
+    ]
     return EquivalenceReport(extension=ext_name, entries=entries)
 
 

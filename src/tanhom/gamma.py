@@ -42,6 +42,12 @@ class OptimizerOptions:
     max_iters: int = 50000
     tol: float = 1e-12
 
+    def __post_init__(self):
+        if not 0 < self.tol < np.inf:  # an infinite tol passes the initial field; NaN fails
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+
 
 @dataclass
 class GammaExperimentConfig:
@@ -91,6 +97,8 @@ class GammaExperimentConfig:
             inv = 1.0 / e
             if abs(inv - round(inv)) > 1e-9:
                 raise ValueError(f"1/epsilon must be an integer, got epsilon={e}")
+            if round(inv) < 1:
+                raise ValueError(f"1/epsilon must be at least 1, got epsilon={e}")
             if elements % round(inv) != 0:
                 raise ValueError(
                     f"period 1/{round(inv)} does not tile the {elements}-element mesh"

@@ -313,7 +313,8 @@ def make_norm_linear(c: StepProfile, N: int, d: int = 2) -> Integrand:
 class ExtendedIntegrand:
     """Density (y, s, xi) -> value for a base point s, with derived growth data.
 
-    ``eval`` also takes stacked base points (K, d) with y (K, N) and xi (K, d, N).
+    Every form takes stacked base points (..., d), broadcast against y (..., N)
+    and xi (..., d, N), each point with the bits it has alone.
     ``alpha`` and ``beta`` are growth constants of the extension itself; they
     are derived from the base integrand, not quoted from anywhere.  The
     optional Lipschitz fields are recorded for the ambient-space extension.
@@ -368,7 +369,7 @@ def make_fbar(f: Integrand, M: EmbeddedManifold) -> ExtendedIntegrand:
 
         def gr(y, s, xi):
             P, tang, perp = _split(s, xi)
-            return np.einsum("ab,...bn->...an", P, f_gr(y, tang)) + pen_grad(perp)
+            return np.einsum("...ab,...bn->...an", P, f_gr(y, tang)) + pen_grad(perp)
 
         return ev, gr
 
@@ -380,7 +381,8 @@ def make_fbar(f: Integrand, M: EmbeddedManifold) -> ExtendedIntegrand:
             return 2.0 * perp
         return (p * norm(perp) ** (p - 1.0) / np.maximum(norm(perp), 1e-300))[..., None, None] * perp
 
-    ev, gr = forms(f.eval, f.gradient, lambda sq: sq ** (p / 2.0), power_grad)
+    # np.sqrt for p = 1: a power of 0.5 rounds differently for scalars and arrays.
+    ev, gr = forms(f.eval, f.gradient, lambda sq: np.sqrt(sq) if p == 1 else sq ** (p / 2.0), power_grad)
     smoothed = None
     if p == 1:
 
@@ -428,15 +430,11 @@ def make_g_extension(
     L = float(f.lipschitz_L)
 
     def _blend(s, xi):
-        s = np.asarray(s, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        chi = M.cutoff(s, delta0)
-        if not np.any(chi):
-            return 0.0, None, np.zeros_like(xi)
-        # A stacked point outside the cutoff support gets weight 0 and the
-        # projector of a stand-in point, as its own may be undefined.
-        P = M.tangent_projector(M.project(np.where(chi[..., None] != 0.0, s, 1.0)))
-        return chi, P, chi[..., None, None] * np.einsum("...ab,...bn->...an", P, xi)
+        chi = np.asarray(M.cutoff(s, delta0))[..., None, None]
+        # A point outside the cutoff support gets weight 0 and the projector
+        # of a stand-in point, as its own may be undefined.
+        P = M.tangent_projector(M.project(np.where(chi[..., 0] != 0.0, s, 1.0)))
+        return chi, P, chi * np.einsum("...ab,...bn->...an", P, np.asarray(xi, dtype=float))
 
     def forms(f_ev, f_gr, pen, floor):
         """(value, gradient) from base forms, a penalty of the remainder's norm and a norm floor."""
@@ -450,10 +448,8 @@ def make_g_extension(
             chi, P, proj = _blend(s, xi)
             rem = np.asarray(xi, dtype=float) - proj
             u = rem / np.maximum(np.sqrt(np.sum(rem * rem, axis=(-2, -1))), floor)[..., None, None]
-            if chi == 0.0:
-                return u
-            return u - chi * np.einsum("ab,...bn->...an", P, u) + chi * np.einsum(
-                "ab,...bn->...an", P, f_gr(y, proj)
+            return u - chi * np.einsum("...ab,...bn->...an", P, u) + chi * np.einsum(
+                "...ab,...bn->...an", P, f_gr(y, proj)
             )
 
         return ev, gr

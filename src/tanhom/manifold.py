@@ -1,4 +1,4 @@
-"""Concrete embedded manifolds with projection, tangent structure and retraction.
+"""Concrete embedded manifolds with projection, tangent structure and a distance cutoff.
 
 The catalog covers unit spheres S^{d-1} in R^d and products of circles
 (S^1)^k in R^{2k}.  Both have closed-form nearest-point projections and
@@ -73,12 +73,6 @@ class EmbeddedManifold:
 
     # -- tangent space helpers ----------------------------------------------
 
-    def project_columns(self, s, xi) -> np.ndarray:
-        """Apply the tangent projector at ``s`` to every column of ``xi``."""
-        P = self.tangent_projector(s)
-        xi = np.asarray(xi, dtype=float)
-        return P @ xi
-
     def tangent_bases(self, points: np.ndarray) -> np.ndarray:
         """Tangent bases (B, m, d) at the rows of ``points`` (B, d), one ``tangent_basis`` each."""
         bases = [self.tangent_basis(s) for s in points]
@@ -103,13 +97,7 @@ class EmbeddedManifold:
         scale = np.maximum(1.0, np.linalg.norm(loads, axis=1))
         return np.max(np.linalg.norm(normal, axis=1) / scale, axis=1, initial=0.0)
 
-    # -- motion on the manifold ----------------------------------------------
-
-    def retract(self, s, v) -> np.ndarray:
-        """Nearest-point projection of ``s + v``; first-order exponential map."""
-        s = _as_point(s)
-        v = np.asarray(v, dtype=float)
-        return self.project(s + v)
+    # -- the tubular neighborhood ---------------------------------------------
 
     def cutoff(self, s, delta0: float) -> float:
         """C^2 bump of the distance to the manifold.

@@ -6,6 +6,7 @@ import pytest
 from tanhom import cell
 from tanhom.cell import (
     CellBatch,
+    CellBatchResult,
     CellProblemSpec,
     CorrectorField,
     _CellObjective,
@@ -29,7 +30,7 @@ from tanhom.integrand import (
     make_laminate_quadratic,
     make_norm_linear,
 )
-from tanhom.manifold import Sphere, circle_point
+from tanhom.manifold import CircleProduct, Sphere, circle_point
 from tanhom.optim import cg_quadratic
 
 
@@ -53,6 +54,19 @@ def spec_for(s1, s, xi, **kw):
 def test_spec_validates_tangency(s1, laminate2, north):
     with pytest.raises(NotTangent):
         CellProblemSpec(s1, north, np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("tol_grad", 0.0), ("tol_grad", np.inf), ("tol_grad", np.nan),
+    ("huber_mu", -1.0), ("huber_mu", 0.0), ("huber_mu", np.inf), ("huber_mu", np.nan),
+])
+def test_solve_settings_must_be_positive_and_finite(s1, north, xi_harmonic, key, bad):
+    # huber_mu = -1 used to grow the smoothing schedule without end; an infinite
+    # tol_grad or huber_mu reported the zero corrector converged.
+    with pytest.raises(ValueError, match=key):
+        CellBatch(s1, [north], [xi_harmonic], **{key: bad})
+    with pytest.raises(ValueError, match=key):
+        TfOptions(**{key: bad})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -309,15 +323,15 @@ def test_unconstrained_matches_constrained(s1, laminate2, north, xi_harmonic):
     fbar = make_fbar(laminate2, s1)
     spec = spec_for(s1, north, xi_harmonic, nodes_per_period=32, tol_grad=1e-10)
     vc = solve_cell(laminate2, spec).value
-    ru = solve_cell_unconstrained(fbar, spec)
-    assert ru.corrector.coeffs.shape[0] == s1.ambient_dim
-    assert abs(vc - ru.value) / (1.0 + abs(vc)) <= 1e-6
+    ru = solve_cell_unconstrained(fbar, spec.batch)
+    assert ru.coeffs.shape[1] == s1.ambient_dim
+    assert abs(vc - ru.values[0]) / (1.0 + abs(vc)) <= 1e-6
 
     s45 = circle_point(0.7)
     xi45 = s1.tangent_from_coeffs(s45, np.array([[0.8, -1.2]]))
     spec45 = spec_for(s1, s45, xi45, nodes_per_period=32, tol_grad=1e-10)
     vc = solve_cell(laminate2, spec45).value
-    vu = solve_cell_unconstrained(fbar, spec45).value
+    vu = solve_cell_unconstrained(fbar, spec45.batch).values[0]
     assert abs(vc - vu) / (1.0 + abs(vc)) <= 1e-6
 
 
@@ -325,9 +339,9 @@ def test_unconstrained_isotropic(s1, north, xi_harmonic):
     iso = make_isotropic_quadratic(2, 2)
     fbar = make_fbar(iso, s1)
     spec = spec_for(s1, north, xi_harmonic, nodes_per_period=8)
-    assert solve_cell_unconstrained(fbar, spec).value == pytest.approx(1.0, abs=1e-12)
+    assert solve_cell_unconstrained(fbar, spec.batch).values[0] == pytest.approx(1.0, abs=1e-12)
     spec0 = spec_for(s1, north, np.zeros((2, 2)))
-    assert solve_cell_unconstrained(fbar, spec0).value == pytest.approx(0.0, abs=1e-14)
+    assert solve_cell_unconstrained(fbar, spec0.batch).values[0] == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet0", "periodic"])
@@ -382,6 +396,12 @@ def _assert_same_solve(batched, alone):
     assert _bits(batched.grad_norm) == _bits(alone.grad_norm)
     assert _bits(batched.corrector.coeffs) == _bits(alone.corrector.coeffs)
     assert _bits(batched.corrector.basis) == _bits(alone.corrector.basis)
+
+
+def _assert_same_rows(batched, alone):
+    """Every array of two ``CellBatchResult``s agrees bit for bit."""
+    for a in dataclasses.fields(CellBatchResult):
+        assert _bits(getattr(batched, a.name)) == _bits(getattr(alone, a.name)), a.name
 
 
 def _batch_of(specs):
@@ -480,6 +500,31 @@ def test_solve_cell_batch_non_quadratic_rows_match_lone_solves(s1, profile_a):
     _assert_rows_match_lone_solves(f, batch, solve_cell_batch(f, batch), specs)
 
 
+@pytest.mark.parametrize("boundary", ["dirichlet0", "periodic"])
+@pytest.mark.parametrize("case", ["laminate1", "laminate2", "sphere3", "torus", "cutoff"])
+def test_unconstrained_rows_match_lone_solves(monkeypatch, s1, laminate1, laminate2, profile_a, case, boundary):
+    f, M = {
+        "laminate1": (laminate1, s1),
+        "laminate2": (laminate2, s1),
+        "sphere3": (make_isotropic_quadratic(2, 3), Sphere(3)),
+        "torus": (make_isotropic_quadratic(1, 4), CircleProduct(2)),
+        "cutoff": (make_norm_linear(profile_a, 1), s1),
+    }[case]
+    ext = make_g_extension(f, M, 0.5) if f.p == 1 else make_fbar(f, M)
+    rng = np.random.default_rng(4)
+    points = [M.random_point(rng) for _ in range(3)]
+    loads = [M.tangent_from_coeffs(s, rng.uniform(-2.0, 2.0, (M.intrinsic_dim, f.dims[0]))) for s in points]
+    opts = TfOptions(t_list=(1,), n=8, boundary=boundary, tol_grad=1e-7, huber_mu=1e-2)
+    batch = opts.cell_batch(M, points, loads, 1)
+    monkeypatch.setattr(cell, "BATCH_ELEMENTS", 2 * batch.grid().n_elements)  # parts of 2 and 1 rows
+    rows = solve_cell_unconstrained(ext, batch)
+    assert rows.coeffs.shape[:2] == (3, M.ambient_dim) and rows.converged.all()
+    for b in range(3):
+        alone = solve_cell_unconstrained(ext, opts.cell_batch(M, points[b : b + 1], loads[b : b + 1], 1))
+        for a in dataclasses.fields(CellBatchResult):
+            assert _bits(getattr(rows, a.name)[b]) == _bits(getattr(alone, a.name)[0]), a.name
+
+
 def test_linear_growth_seeded_pair_converges(s1, profile_a):
     # The first pair that `verify` draws with seed 613753789: |z| = 0.067 at
     # s = (-0.068, 0.998).  Without the stiffness preconditioner the constrained
@@ -490,9 +535,9 @@ def test_linear_growth_seeded_pair_converges(s1, profile_a):
     f = make_norm_linear(profile_a, 1)
     spec = spec_for(s1, s, xi, nodes_per_period=64, tol_grad=1e-6)
     constrained = solve_cell(f, spec)
-    unconstrained = solve_cell_unconstrained(make_g_extension(f, s1, 0.5), spec)
-    assert constrained.converged and unconstrained.converged
-    assert abs(constrained.value - unconstrained.value) / (1.0 + constrained.value) <= 1e-3
+    unconstrained = solve_cell_unconstrained(make_g_extension(f, s1, 0.5), spec.batch)
+    assert constrained.converged and unconstrained.converged[0]
+    assert abs(constrained.value - unconstrained.values[0]) / (1.0 + constrained.value) <= 1e-3
 
 
 def test_energy_of_fields_matches_energy_of_field(s1, laminate2, north, xi_harmonic, xi_arithmetic):
@@ -502,9 +547,9 @@ def test_energy_of_fields_matches_energy_of_field(s1, laminate2, north, xi_harmo
     batched = energy_of_fields(laminate2, batch, np.stack([phi.coeffs for phi in fields]))
     alone = [energy_of_field(laminate2, spec, phi) for spec, phi in zip(specs, fields)]
     assert _bits(batched) == _bits(alone)
-    ambient = solve_cell_unconstrained(make_fbar(laminate2, s1), specs[0]).corrector
+    ambient = solve_cell_unconstrained(make_fbar(laminate2, s1), specs[0].batch).coeffs[0]
     with pytest.raises(ShapeMismatch):  # ambient coordinates in the tangent bases
-        energy_of_fields(laminate2, batch, np.stack([ambient.coeffs] * 2))
+        energy_of_fields(laminate2, batch, np.stack([ambient] * 2))
 
 
 @pytest.mark.parametrize("n", [16, 17, 256, 4097, 65536])
@@ -594,14 +639,13 @@ def test_sampled_solves_match_bare_callable_solves(s1, profile_a):
     pairs = [
         (solve_cell(laminate, spec), solve_cell(_bare(laminate), spec)),
         (solve_cell(linear, linear_spec), solve_cell(_bare(linear), linear_spec)),
-        (
-            solve_cell_unconstrained(make_fbar(one, s1), fbar_spec),
-            solve_cell_unconstrained(make_fbar(_bare(one), s1), fbar_spec),
-        ),
     ]
     for sampled, bare in pairs:
         assert sampled.converged and sampled.iterations > 0
         _assert_same_solve(sampled, bare)
+    sampled = solve_cell_unconstrained(make_fbar(one, s1), fbar_spec.batch)
+    assert sampled.converged[0] and sampled.iterations[0] > 0
+    _assert_same_rows(sampled, solve_cell_unconstrained(make_fbar(_bare(one), s1), fbar_spec.batch))
 
 
 def test_profile_lookups_do_not_grow_with_iterations(monkeypatch, s1, profile_b):

@@ -501,6 +501,45 @@ def test_max_iters_below_one_exits_1(tmp_path, capsys, monkeypatch, command, sec
     assert err.startswith(f"error: {command}") and "max_iters" in err
 
 
+CELL_LOAD = {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [
+        ("cell", {**CELL_LOAD, "huber_mu": -1.0}, "huber_mu"),
+        ("cell", {**CELL_LOAD, "huber_mu": 0.0}, "huber_mu"),
+        ("cell", {**CELL_LOAD, "huber_mu": float("inf")}, "huber_mu"),
+        ("cell", {**CELL_LOAD, "tol_grad": float("inf")}, "tol_grad"),
+        ("cell", {**CELL_LOAD, "tol_grad": float("nan")}, "tol_grad"),
+        ("verify", {"suites": ["equivalence"], "tol_grad": float("nan")}, "tol_grad"),
+        ("density", {**MINIMAL_SECTIONS["density"], "huber_mu": float("inf")}, "huber_mu"),
+        ("gamma", {"epsilons": [0.25], "optimizer": {"tol": float("inf")}}, "tol"),
+        ("gamma", {"epsilons": [0.25], "optimizer": {"tol": float("nan")}}, "tol"),
+        ("gamma", {"epsilons": [0.25], "optimizer": {"tol": 0.0}}, "tol"),
+        ("gamma", {"epsilons": [0.25], "optimizer": {"max_iters": 0}}, "max_iters"),
+        ("gamma", {"epsilons": [1e12]}, "epsilon"),
+        ("gamma", {"epsilons": [float("inf")]}, "epsilon"),
+    ],
+)
+def test_out_of_range_settings_exit_1_naming_the_key(tmp_path, capsys, monkeypatch, command, section, key):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started before the config was validated")
+
+    for name in ("build_density_table", "solve_cell", "verify_equivalence_fbar", "run_gamma_experiment"):
+        monkeypatch.setattr(cli, name, no_solve)
+    config = {
+        "command": command,
+        "manifold": SPHERE,
+        "integrand": {**LAMINATE, "N": 1},
+        command: section,
+    }
+    code, _ = run_cli(tmp_path, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}") and key in err
+
+
 @pytest.mark.parametrize("seed", ["seven", 1.5, True])
 def test_non_integer_seed_exits_1(tmp_path, capsys, seed):
     config = {

@@ -97,17 +97,24 @@ def test_equivalence_report(s1, laminate2, north, xi_harmonic):
 def test_equivalence_solves_largest_cube_once(monkeypatch, s1, laminate2, north, xi_harmonic):
     calls = []
 
-    def counted(ext, spec):
-        calls.append(spec.t)
-        return solve_cell_unconstrained(ext, spec)
+    def counted(ext, batch):
+        calls.append(batch)
+        return solve_cell_unconstrained(ext, batch)
 
     monkeypatch.setattr(density, "solve_cell_unconstrained", counted)
     opts = TfOptions(t_list=(1, 2), n=8, boundary="periodic")
-    rep = verify_equivalence_fbar(laminate2, s1, [(north, xi_harmonic)], opts)
-    assert calls == [2]
-    direct = solve_cell_unconstrained(make_fbar(laminate2, s1), opts.cell_spec(s1, north, xi_harmonic, 2))
-    assert rep.entries[0].unconstrained == direct.value
+    s = circle_point(0.4)
+    samples = [(north, xi_harmonic), (s, s1.tangent_from_coeffs(s, [[0.5, -1.0]]))]
+    rep = verify_equivalence_fbar(laminate2, s1, samples, opts)
+    assert len(calls) == 1
+    batch = calls[0]
+    assert batch.t == 2 and len(batch) == len(samples)
+    assert _bits(batch.points) == _bits([s for s, _ in samples])
+    assert _bits(batch.loads) == _bits([xi for _, xi in samples])
+    direct = solve_cell_unconstrained(make_fbar(laminate2, s1), batch)
+    assert [e.unconstrained for e in rep.entries] == direct.values.tolist()
     assert rep.max_rel_gap <= 1e-6
+    assert verify_equivalence_fbar(laminate2, s1, [], opts).entries == [] and len(calls) == 1
 
 
 def test_equivalence_linear_growth(s1):
@@ -344,7 +351,7 @@ def test_equivalence_matches_gradient_loop(s1, laminate2):
     fbar = make_fbar(laminate2, s1)
     for (s, xi), entry in zip(samples, rep.entries, strict=True):
         constrained = tf_hom(laminate2, s1, s, xi, opts).value
-        unconstrained = solve_cell_unconstrained(fbar, opts.cell_spec(s1, s, xi, 2)).value
+        unconstrained = solve_cell_unconstrained(fbar, opts.cell_batch(s1, [s], [xi], 2)).values[0]
         assert _bits([entry.constrained, entry.unconstrained]) == _bits([constrained, unconstrained])
         assert entry.rel_gap == abs(constrained - unconstrained) / (1.0 + abs(constrained))
 

@@ -61,6 +61,25 @@ def test_config_validation(s1, laminate1):
                               epsilons=(0.25,), dim=1, mesh_nodes=129)
 
 
+@pytest.mark.parametrize("eps", [1e12, np.inf])
+def test_config_refuses_periods_below_one(s1, laminate1, eps):
+    # round(1 / eps) is 0 here, so the tiling test would divide by zero.
+    with pytest.raises(ValueError, match="at least 1"):
+        GammaExperimentConfig(manifold=s1, integrand=laminate1, epsilons=(eps,), mesh_nodes=129)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, np.inf, np.nan])
+def test_optimizer_tol_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol"):
+        OptimizerOptions(tol=tol)
+
+
+@pytest.mark.parametrize("max_iters", [0, -5])
+def test_optimizer_max_iters_at_least_one(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        OptimizerOptions(max_iters=max_iters)
+
+
 def test_constant_boundary_data_zero_energy(s1):
     iso = make_isotropic_quadratic(1, 2)
     cfg = GammaExperimentConfig(

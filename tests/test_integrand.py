@@ -204,16 +204,30 @@ def test_extension_bounds_match_sample_by_sample(M, kind):
     assert np.array(batched).tobytes() == np.array(_extension_bounds_by_sample(ext, 300, 5)).tobytes()
 
 
-def test_extension_forms_take_stacked_base_points(s1):
+def test_extension_forms_take_stacked_base_points():
     rng = np.random.default_rng(8)
-    f = make_norm_linear(StepProfile((0.5,), (1.0, 2.0)), 1)
-    s = rng.standard_normal((40, 2)) * rng.uniform(0.0, 1.5, (40, 1))  # some outside the cutoff
-    y = rng.uniform(0.0, 1.0, (40, 1))
-    xi = rng.standard_normal((40, 2, 1))
-    fbar = make_fbar(make_isotropic_quadratic(1, 2), s1)
-    for ext, points in ((make_g_extension(f, s1, 0.5), s), (fbar, s1.project(s))):
-        alone = [ext.eval(y[k], points[k], xi[k]) for k in range(40)]
-        assert ext.eval(y, points, xi).tobytes() == np.array(alone).tobytes()
+    K, N = 60, 2
+    for M in (Sphere(2), Sphere(3), CircleProduct(2)):
+        d = M.ambient_dim
+        f = make_norm_linear(StepProfile((0.5,), (1.0, 2.0)), N, d)
+        on = np.array([M.random_point(rng) for _ in range(K)])
+        s = on * rng.uniform(0.4, 1.6, (K, 1))  # inside, in the blend zone of and outside the cutoff
+        chi = M.cutoff(s, 0.5)
+        assert (chi == 1.0).any() and ((0.0 < chi) & (chi < 1.0)).any() and (chi == 0.0).any()
+        y = rng.uniform(0.0, 1.0, (K, N))
+        xi = rng.standard_normal((K, d, N))
+        cases = [
+            (make_g_extension(f, M, 0.5), s),
+            (make_fbar(make_isotropic_quadratic(N, d), M), on),
+            (make_fbar(f, M), on),  # p = 1
+        ]
+        for ext, points in cases:
+            forms = [ext.eval, ext.grad_xi]
+            if ext.smoothed is not None:
+                forms += ext.smoothed(1e-3)
+            for form in forms:
+                alone = [form(y[k], points[k], xi[k]) for k in range(K)]
+                assert form(y, points, xi).tobytes() == np.array(alone).tobytes()
 
 
 def test_verify_hypotheses_pass(laminate2):

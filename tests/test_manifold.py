@@ -48,17 +48,6 @@ def test_tangent_projector_rejects_off_manifold(s1):
         s1.tangent_projector([1.0, 1e-3])
 
 
-def test_project_columns(s1):
-    s = np.array([1.0, 0.0])
-    out = s1.project_columns(s, np.array([[3.0], [4.0]]))
-    np.testing.assert_allclose(out, [[0.0], [4.0]], atol=1e-15)
-    tangent = np.array([[0.0, 0.0], [2.0, -1.0]])
-    np.testing.assert_allclose(s1.project_columns(s, tangent), tangent, atol=1e-15)
-    np.testing.assert_allclose(
-        s1.project_columns(s, np.zeros((2, 3))), np.zeros((2, 3)), atol=1e-15
-    )
-
-
 def test_tangent_basis_examples(s1):
     np.testing.assert_allclose(s1.tangent_basis([1.0, 0.0]), [[0.0, 1.0]], atol=1e-15)
     np.testing.assert_allclose(s1.tangent_basis([0.0, 1.0]), [[-1.0, 0.0]], atol=1e-15)
@@ -67,27 +56,6 @@ def test_tangent_basis_examples(s1):
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
         atol=1e-15,
     )
-
-
-def test_retract_examples(s1):
-    s = np.array([1.0, 0.0])
-    np.testing.assert_allclose(s1.retract(s, [0.0, 0.0]), s)
-    np.testing.assert_allclose(
-        s1.retract(s, [0.0, 1.0]), np.array([1.0, 1.0]) / np.sqrt(2.0)
-    )
-
-
-def test_retract_first_order(s1):
-    # |retract(s, tv) - (s + tv)| = O(t^2) with a stable constant.
-    s = np.array([0.0, 1.0])
-    v = np.array([-1.0, 0.0])
-    consts = []
-    for t in (1e-2, 1e-3, 1e-4):
-        gap = np.linalg.norm(s1.retract(s, t * v) - (s + t * v))
-        consts.append(gap / t**2)
-    consts = np.array(consts)
-    assert np.all(consts < 1.0)
-    assert consts.max() - consts.min() <= 0.1 * consts.max()
 
 
 def test_cutoff_profile(s1):
@@ -135,7 +103,7 @@ def test_projection_optimality(manifold):
         base = np.linalg.norm(x - p)
         for _ in range(100):
             step = rng.standard_normal(manifold.intrinsic_dim) * rng.uniform(0, 0.5)
-            other = manifold.retract(p, manifold.tangent_basis(p).T @ step)
+            other = manifold.project(p + manifold.tangent_basis(p).T @ step)
             assert base <= np.linalg.norm(x - other) + 1e-12
 
 
