@@ -33,6 +33,7 @@ from .gamma import (
     GammaReport,
     OptimizerOptions,
     minimize_f_eps,
+    minimize_f_eps_sweep,
     minimize_f_hom,
     run_gamma_experiment,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "make_norm_linear",
     "manifold_from_config",
     "minimize_f_eps",
+    "minimize_f_eps_sweep",
     "minimize_f_hom",
     "run_gamma_experiment",
     "solve_cell",

@@ -395,24 +395,24 @@ def _run_solver(
         solved = res.x
         rows = (res.row_iterations, res.row_grad_norms, res.row_converged)
     else:
-        # One problem.  The stopping target is anchored at the zero corrector
-        # of the final objective, the contract of the conjugate-gradient path.
+        # One problem, as a row.  The stopping target is anchored at the zero
+        # corrector of the final objective, the contract of the
+        # conjugate-gradient path.
         max_iters = batch.max_iters or 5000
         final_target = batch.tol_grad * (1.0 + float(np.linalg.norm(g0)))
         stage_target = max(100.0 * final_target, 1e-6)
         stages = _continuation_schedule(batch.huber_mu)[:-1] if smoothing else []
-        total_iters = 0
-        x = x[0]
+        stage_iters = 0
         for mu in stages:
             stage_res = lbfgs(
                 make_objective(mu).value_and_grad, x, stage_target, min(800, max_iters),
                 precondition,
             )
             x = stage_res.x
-            total_iters += stage_res.iterations
+            stage_iters += stage_res.row_iterations
         res = lbfgs(objective.value_and_grad, x, final_target, max_iters, precondition)
-        solved = res.x[None]
-        rows = ([res.iterations + total_iters], [res.grad_norm], [res.converged])
+        solved = res.x
+        rows = (res.row_iterations + stage_iters, res.row_grad_norms, res.row_converged)
 
     V = objective.unpack(solved)
     if not objective.dirichlet:

@@ -4,9 +4,11 @@ Minimizes the oscillating functional for a decreasing sequence of period
 sizes and the homogenized functional of a quadratic density's tensor table,
 and reports the gaps between the minimum energies.  A field is
 ``U = (cos theta, sin theta)`` of its nodal angles.  Both minimizations run
-``optim.lbfgs`` over the interior angles, preconditioned by the inverse
-Hessian ``P`` of ``mean |grad theta|^2`` (a Sobolev gradient), and stop at
-``sqrt(g^T P g) <= sqrt(tol * max(|E0|, 1))`` for the initial energy ``E0``:
+``optim.lbfgs`` over the interior angles; the period sizes are the rows of
+one descent, stacked on a leading axis of the same grid, and each row stops
+on its own.  The descents are preconditioned by the inverse Hessian ``P`` of
+``mean |grad theta|^2`` (a Sobolev gradient), and a row stops at
+``sqrt(g^T P g) <= sqrt(tol * max(|E0|, 1))`` for its initial energy ``E0``:
 near a minimum ``g^T P g`` estimates the remaining decrease, so ``tol`` is a
 relative energy accuracy.  For one-dimensional domains the homogenized
 minimum has a closed form, the squared geodesic length ``(int A^(1/2) dtheta)^2``
@@ -141,27 +143,33 @@ class GammaRunResult:
 
 
 class _OscillatingEnergy:
-    """Discrete oscillating functional: mean over elements of f(x_c / eps, grad u)."""
+    """Discrete oscillating functionals, one row per period size: the mean over
+    elements of f(x_c / eps, grad u) for the fields ``U`` (B, d, *nodes)."""
 
-    def __init__(self, config: GammaExperimentConfig, eps: float):
+    def __init__(self, config: GammaExperimentConfig, epsilons: tuple[float, ...]):
         self.grid = config.grid()
         self.f = config.integrand
-        self.y = self.f.sample(self.grid.centers() / eps)
+        centers = self.grid.centers()
+        self.y = self.f.sample(np.stack([centers / eps for eps in epsilons]))
         self.eval_fn, self.grad_fn = self.f.solver_forms(config.huber_mu)
 
     def _ambient(self, U: np.ndarray) -> np.ndarray:
-        G = self.grid.center_gradient(U)  # (d, N, *E)
-        return np.moveaxis(G, (0, 1), (-2, -1))
+        G = self.grid.center_gradient(U)  # (B, d, N, *E)
+        return np.moveaxis(G, (1, 2), (-2, -1))
 
-    def exact_value(self, U: np.ndarray) -> float:
-        return float(np.mean(self.f.eval(self.y, self._ambient(U))))
+    @staticmethod
+    def _row_means(vals: np.ndarray) -> np.ndarray:
+        return vals.reshape(len(vals), -1).mean(axis=1)
 
-    def value_and_grad(self, U: np.ndarray) -> tuple[float, np.ndarray]:
+    def exact_value(self, U: np.ndarray) -> np.ndarray:
+        return self._row_means(self.f.eval(self.y, self._ambient(U)))
+
+    def value_and_grad(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         amb = self._ambient(U)
         vals = self.eval_fn(self.y, amb)
         df = self.grad_fn(self.y, amb)
-        W = np.moveaxis(df, (-2, -1), (0, 1)) / self.grid.n_elements
-        return float(np.mean(vals)), self.grid.center_gradient_adjoint(W)
+        W = np.moveaxis(df, (-2, -1), (1, 2)) / self.grid.n_elements
+        return self._row_means(vals), self.grid.center_gradient_adjoint(W)
 
 
 class _TableEnergy:
@@ -170,7 +178,8 @@ class _TableEnergy:
     Element cost ``z^T A(theta_c) z``: ``theta_c`` and the unit tangent ``tau``
     project the element's corner mean ``c`` onto the circle, and
     ``z_k = tau . g_k`` for the center gradients ``g_k`` (in 1D the chord
-    coefficient).  The gradient is the exact chain rule.
+    coefficient).  The gradient is the exact chain rule.  It is one row: the
+    fields ``U`` are (1, 2, *nodes) and the values (1,).
     """
 
     def __init__(self, config: GammaExperimentConfig):
@@ -179,8 +188,9 @@ class _TableEnergy:
         self.table = config.table
         self.grid = config.grid()
 
-    def value_and_grad(self, U: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_and_grad(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grid = self.grid
+        U = U[0]
         c = grid.center_value(U)  # (2, *E)
         g = grid.center_gradient(U)  # (2, dim, *E)
         r = np.hypot(c[0], c[1])
@@ -195,9 +205,9 @@ class _TableEnergy:
         d_c = d_theta * tau / (r * grid.n_elements) + np.sum(d_z * perp, axis=1)
         d_c -= np.sum(d_z * z, axis=0) * c / r**2
         grad = grid.center_gradient_adjoint(tau[:, None] * d_z) + grid.center_value_adjoint(d_c)
-        return float(np.mean(vals)), grad
+        return np.array([np.mean(vals)]), grad[None]
 
-    def exact_value(self, U: np.ndarray) -> float:
+    def exact_value(self, U: np.ndarray) -> np.ndarray:
         return self.value_and_grad(U)[0]
 
 
@@ -205,67 +215,86 @@ class _TableEnergy:
 
 
 class _AngleProblem:
-    """An energy of circle-valued fields as a function of the interior nodal angles ``x``.
+    """Energies of circle-valued fields as functions of the interior nodal angles.
 
-    Boundary angles keep the config's affine data.  For the field gradient
-    ``G``, ``dE/dtheta = U_0 G_1 - U_1 G_0``.
+    One row ``x[b]`` per row of ``energy``; boundary angles keep the config's
+    affine data.  For the field gradient ``G``, ``dE/dtheta = U_0 G_1 - U_1 G_0``.
     """
 
-    def __init__(self, config: GammaExperimentConfig, energy):
+    def __init__(self, config: GammaExperimentConfig, energy, rows: int):
         self.energy = energy
         grid = config.grid()
-        self.interior = grid.interior()
-        self.theta = config.node_angles()
+        self.interior = (slice(None), *grid.interior())
+        self.theta = np.repeat(config.node_angles()[None], rows, axis=0)
         self.shape = self.theta[self.interior].shape
-        self.x0 = self.theta[self.interior].flatten()
+        self.x0 = self.theta[self.interior].reshape(rows, -1)
         self._inverse = grid.stiffness_inverse()
 
     def field(self, x: np.ndarray) -> np.ndarray:
         self.theta[self.interior] = x.reshape(self.shape)
-        return np.stack([np.cos(self.theta), np.sin(self.theta)])
+        return np.stack([np.cos(self.theta), np.sin(self.theta)], axis=1)
 
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_and_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         U = self.field(x)
         E, G = self.energy.value_and_grad(U)
-        return E, (U[0] * G[1] - U[1] * G[0])[self.interior].ravel()
+        return E, (U[:, 0] * G[:, 1] - U[:, 1] * G[:, 0])[self.interior].reshape(x.shape)
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
-        return self._inverse(g.reshape(self.shape)).ravel()
+        return self._inverse(g.reshape((len(g), *self.shape[1:]))).reshape(g.shape)
 
 
-def _angle_descent(config: GammaExperimentConfig, energy) -> GammaRunResult:
+def _angle_descent(config: GammaExperimentConfig, energy, rows: int) -> list[GammaRunResult]:
+    """Minimize the ``rows`` energies of ``energy`` as the rows of one descent."""
     opt = config.optimizer
-    problem = _AngleProblem(config, energy)
-    E0, _ = problem.value_and_grad(problem.x0)
-    target = float(np.sqrt(opt.tol * max(abs(E0), 1.0)))
-    res = lbfgs(problem.value_and_grad, problem.x0, target, opt.max_iters, problem.precondition)
+    problem = _AngleProblem(config, energy, rows)
+    E0, g0 = problem.value_and_grad(problem.x0)
+    target = np.sqrt(opt.tol * np.maximum(np.abs(E0), 1.0))
+    res = lbfgs(
+        problem.value_and_grad, problem.x0, target, opt.max_iters, problem.precondition,
+        start=(E0, g0),
+    )
     U = problem.field(res.x)
-    warning = None if res.converged else (
-        f"descent stopped unconverged after {res.iterations} iterations "
-        f"(preconditioned gradient norm {res.grad_norm:.3e}, target {target:.3e})"
-    )
-    return GammaRunResult(
-        energy=energy.exact_value(U),
-        field=U,
-        iterations=res.iterations,
-        converged=res.converged,
-        warning=warning,
-    )
+    energies = energy.exact_value(U)
+    runs = []
+    for b in range(rows):
+        iterations, converged = int(res.row_iterations[b]), bool(res.row_converged[b])
+        warning = None if converged else (
+            f"descent stopped unconverged after {iterations} iterations "
+            f"(preconditioned gradient norm {res.row_grad_norms[b]:.3e}, "
+            f"target {target[b]:.3e})"
+        )
+        runs.append(GammaRunResult(
+            energy=float(energies[b]),
+            field=U[b],
+            iterations=iterations,
+            converged=converged,
+            warning=warning,
+        ))
+    return runs
+
+
+def minimize_f_eps_sweep(
+    config: GammaExperimentConfig, epsilons: tuple[float, ...]
+) -> list[GammaRunResult]:
+    """Minimize the oscillating functional at each period size, as the rows of one descent.
+
+    The period sizes share the grid and stack on a leading axis; each row
+    stops on its own and equals the lone minimization of its period size bit
+    for bit.  Deterministic from the angle-interpolated initial field.
+    Linear-growth densities are minimized through their smoothed forms; the
+    reported energy is always the exact one.
+    """
+    return _angle_descent(config, _OscillatingEnergy(config, epsilons), len(epsilons))
 
 
 def minimize_f_eps(config: GammaExperimentConfig, eps: float) -> GammaRunResult:
-    """Minimize the oscillating functional at one period size.
-
-    Deterministic from the angle-interpolated initial field.  Linear-growth
-    densities are minimized through their smoothed forms; the reported energy
-    is always the exact one.
-    """
-    return _angle_descent(config, _OscillatingEnergy(config, eps))
+    """Minimize the oscillating functional at one period size: the sweep of one."""
+    return minimize_f_eps_sweep(config, (eps,))[0]
 
 
 def minimize_f_hom(config: GammaExperimentConfig) -> GammaRunResult:
     """Minimize the homogenized functional through the table's effective tensor."""
-    return _angle_descent(config, _TableEnergy(config))
+    return _angle_descent(config, _TableEnergy(config), 1)[0]
 
 
 # -- geodesic certificate ---------------------------------------------------------
@@ -347,15 +376,15 @@ class GammaReport:
 
 
 def run_gamma_experiment(config: GammaExperimentConfig) -> GammaReport:
-    """Minimize the oscillating functional per period size, then the
-    homogenized one, and report the gap sequence.
+    """Minimize the oscillating functional at every period size as the rows
+    of one descent, then the homogenized one, and report the gap sequence.
 
     The trend statistic is the fraction of consecutive gap decreases; per-run
     warnings aggregate instead of aborting the sweep, and so does a
     homogenized minimum that misses the 1D certificate.
     """
     _TableEnergy(config)  # refuses a table without a tensor before any solve
-    eps_runs = [minimize_f_eps(config, e) for e in config.epsilons]
+    eps_runs = minimize_f_eps_sweep(config, config.epsilons)
     hom_run = minimize_f_hom(config)
 
     gaps = [abs(r.energy - hom_run.energy) for r in eps_runs]

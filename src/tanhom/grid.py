@@ -70,10 +70,16 @@ def _avg_adjoint(w: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
 
 def _dst1(values: np.ndarray, axis: int) -> np.ndarray:
     """Type-I sine transform by ``np.fft``: ``y_k = sum_j x_j sin(pi j k / (m + 1))``."""
-    x = np.moveaxis(values, axis, -1)
-    pad = np.zeros(x.shape[:-1] + (1,))
-    y = np.fft.rfft(np.concatenate([pad, x, pad, -x[..., ::-1]], axis=-1)).imag
-    return np.moveaxis(-0.5 * y[..., 1 : x.shape[-1] + 1], -1, axis)
+    last = axis in (-1, values.ndim - 1)
+    x = values if last else np.moveaxis(values, axis, -1)
+    m = x.shape[-1]
+    # The odd extension (0, x, 0, -reversed x) of period 2m + 2.
+    odd = np.empty(x.shape[:-1] + (2 * m + 2,))
+    odd[..., 0] = odd[..., m + 1] = 0.0
+    odd[..., 1 : m + 1] = x
+    np.negative(x[..., ::-1], out=odd[..., m + 2 :])
+    y = -0.5 * np.fft.rfft(odd).imag[..., 1 : m + 1]
+    return y if last else np.moveaxis(y, -1, axis)
 
 
 class UniformGrid:

@@ -1,4 +1,4 @@
-"""Matrix-free minimizers used by the cell solver.
+"""Matrix-free minimizers used by the cell solver and the angle descents.
 
 Both stop when the gradient norm falls below a target: ``cg_quadratic``
 takes tol * (1 + initial gradient norm), ``lbfgs`` an absolute target that
@@ -7,11 +7,11 @@ corrector).  Both take an optional preconditioner.  The conjugate-gradient
 path assumes the objective is an exact quadratic so that the Hessian action
 can be read off from gradient differences; its preconditioner only shapes the
 search directions, and the stopping test stays on the plain gradient norm.
-It also runs a batch of independent quadratics as rows: each row stops on its
-own target (or on lost curvature) and is then frozen, untouched while the
-other rows iterate.
 The limited-memory quasi-Newton path only needs values and gradients, and
 measures its gradient in the preconditioner's norm.
+Both run a batch of independent problems as rows: each row stops on its own
+target (or on lost curvature, or a failed line search) and is then frozen,
+untouched while the other rows iterate.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ MAX_BACKTRACKS = 40
 class MinimizeResult:
     """Outcome of a minimization.
 
-    For a batch of rows (``cg_quadratic`` on a (B, n) input) ``iterations`` is
-    the sum over the rows, ``grad_norm`` the largest row norm and
-    ``converged`` whether every row converged; the ``row_*`` arrays hold each
-    row's own values.  ``cg_quadratic`` fills them for one row too;
-    ``lbfgs`` leaves them None.
+    For a batch of rows (a (B, n) input) ``iterations`` is the sum over the
+    rows, ``grad_norm`` the largest row norm and ``converged`` whether every
+    row converged; the ``row_*`` arrays hold each row's own values.  Both
+    minimizers fill them for one row too.
     """
 
     x: np.ndarray
@@ -45,6 +44,11 @@ class MinimizeResult:
     row_iterations: np.ndarray | None = None
     row_grad_norms: np.ndarray | None = None
     row_converged: np.ndarray | None = None
+
+
+def _on_the_row(fn: Callable | None) -> Callable | None:
+    """A callable on (n,) vectors as one on a batch of one row, (1, n) -> (1, n)."""
+    return None if fn is None else (lambda v: fn(v[0])[None])
 
 
 def _rows_axpy(y: np.ndarray, a: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -89,11 +93,8 @@ def cg_quadratic(
     single = np.ndim(grad0) == 1
     if single:
         # A 1-D load is a batch of one; the callables still see 1-D vectors.
-        def on_the_row(fn):
-            return None if fn is None else (lambda v: fn(v[0])[None])
-
         apply_hessian, project, precondition = map(
-            on_the_row, (apply_hessian, project, precondition)
+            _on_the_row, (apply_hessian, project, precondition)
         )
     g0 = np.atleast_2d(grad0)
 
@@ -167,90 +168,199 @@ def cg_quadratic(
     )
 
 
+class _DescentRows:
+    """The L-BFGS state of the rows still descending, one entry per row.
+
+    ``index`` maps the rows to the batch.  ``s``, ``y`` and ``rho`` hold up
+    to ``LBFGS_MEMORY`` curvature pairs per row, newest first; a row has
+    ``kept`` of them, and zeros after them.
+    """
+
+    def __init__(self, x, f, g, target):
+        batch, n = x.shape
+        self.index = np.arange(batch)
+        self.x, self.f, self.g = x, f, g
+        self.best_x, self.best_f = x.copy(), f.copy()
+        self.target = target
+        self.s = np.zeros((batch, LBFGS_MEMORY, n))
+        self.y = np.zeros((batch, LBFGS_MEMORY, n))
+        self.rho = np.zeros((batch, LBFGS_MEMORY))
+        self.kept = np.zeros(batch, dtype=int)
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows outside ``mask``."""
+        for name, value in list(vars(self).items()):
+            setattr(self, name, value[mask])
+
+
 def lbfgs(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: np.ndarray,
-    target: float,
+    target: float | np.ndarray,
     max_iters: int,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
+    start: tuple | None = None,
 ) -> MinimizeResult:
     """Limited-memory quasi-Newton descent with Armijo backtracking.
+
+    ``x0`` is one start, shape (n,), or B independent starts, shape (B, n).
+    For rows, ``value_and_grad`` maps the whole (B, n) stack to values (B,)
+    and gradients (B, n), and ``precondition`` maps any (b, n) subset of the
+    rows to (b, n), both acting on each row alone; a 1-D start is a batch of
+    one whose callables still see (n,) vectors and a float value.
+    ``target`` is one gradient-norm target or one per row.  ``start``, when
+    given, is the value and gradient at ``x0``, which is then not evaluated
+    again.
 
     ``precondition`` applies a symmetric positive definite ``P`` (identity
     when None): the initial inverse Hessian of every update is ``P`` scaled
     by ``s^T y / y^T P y``, and the gradient norm is ``sqrt(g^T P g)``.
-    Returns the best iterate seen.  ``converged`` reflects the stopping test
-    (gradient norm at most ``target``), not merely running out of iterations;
-    a line search that finds no decrease ends the run unconverged.
-    """
-    apply_p = precondition or (lambda v: v)
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = value_and_grad(x)
+    Returns each row's best iterate seen.  A row converges when its gradient
+    norm is at most its target, not merely by running out of iterations; a
+    line search that finds no decrease ends the row unconverged.
 
-    best_x, best_f = x.copy(), f
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho_list: list[float] = []
+    Every row keeps its own curvature pairs, step, target and stop flag.  A
+    stopped row is frozen while the other rows go on; the objective still
+    sees it, at a point it visited, and its values there are ignored.  Row
+    dot products and norms are ``np.vecdot`` over the rows, with the bits of
+    ``a[b] @ c[b]`` and ``np.linalg.norm``: each row's iterates are
+    bit-identical to a descent of that row alone.  Results aggregate over the
+    rows as in ``cg_quadratic``.
+    """
+    single = np.ndim(x0) == 1
+    if single:
+        lone_value_and_grad = value_and_grad
+
+        def value_and_grad(v):
+            f, g = lone_value_and_grad(v[0])
+            return np.array([f]), g[None]
+
+        precondition = _on_the_row(precondition)
+        if start is not None:
+            start = ([start[0]], [start[1]])
+    apply_p = precondition or (lambda v: v)
+    x = np.array(x0, dtype=float, ndmin=2)
+    f, g = value_and_grad(x) if start is None else start
+    batch, n = x.shape
+    # Own copies: rows are updated in place.
+    rows = _DescentRows(
+        x.copy(), np.array(f, dtype=float), np.array(g, dtype=float),
+        np.broadcast_to(np.asarray(target, dtype=float), (batch,)),
+    )
+    x_eval = x  # the point of every row the objective sees, stopped rows too
+
+    best_x = np.empty((batch, n))
+    iterations = np.zeros(batch, dtype=int)
+    gnorm = np.zeros(batch)
+    converged = np.zeros(batch, dtype=bool)
+
+    def stop(mask, k, norms, ok):
+        at = rows.index[mask]
+        best_x[at], iterations[at], gnorm[at], converged[at] = rows.best_x[mask], k, norms[mask], ok
+        rows.keep(~mask)
+
+    def evaluate(x_rows):
+        if len(rows.index) == batch:
+            return value_and_grad(x_rows)
+        x_eval[rows.index] = x_rows
+        f_all, g_all = value_and_grad(x_eval)
+        return f_all[rows.index], g_all[rows.index]
 
     for k in range(1, max_iters + 1):
+        g = rows.g
         pg = apply_p(g)
-        gnorm = float(np.sqrt(float(g @ pg)))
-        if gnorm <= target:
-            return MinimizeResult(best_x, k - 1, gnorm, True)
+        gn = np.sqrt(np.vecdot(g, pg))
+        done = gn <= rows.target
+        if done.any():
+            stop(done, k - 1, gn, True)
+            g, pg, gn = rows.g, pg[~done], gn[~done]
+            if not len(g):
+                break
 
+        # The two-loop recursion runs on every row; ``has[j]`` masks the
+        # updates to the rows with a j-th newest pair (the others hold zeros).
+        depth, fewest = rows.kept.max(), rows.kept.min()
+        s, y, rho = rows.s, rows.y, rows.rho
+        has = [True if j < fewest else (rows.kept > j)[:, None] for j in range(depth)]
         q = g.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-            a = rho * float(s @ q)
-            alphas.append(a)
-            q -= a * y
+        alphas = np.empty((len(g), depth))
+        for j in range(depth):  # newest pair first
+            np.multiply(rho[:, j], np.vecdot(s[:, j], q), out=alphas[:, j])
+            np.subtract(q, alphas[:, j, None] * y[:, j], out=q, where=has[j])
         q = apply_p(q)
-        if y_list:
-            y_last = y_list[-1]
-            gamma = float(s_list[-1] @ y_last) / max(float(y_last @ apply_p(y_last)), 1e-300)
-            q *= gamma
-        for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
-            b = rho * float(y @ q)
-            q += (a - b) * s
+        if depth:
+            scale = np.vecdot(s[:, 0], y[:, 0]) / np.maximum(
+                np.vecdot(y[:, 0], apply_p(y[:, 0])), 1e-300
+            )
+            np.multiply(q, scale[:, None], out=q, where=has[0])
+        for j in reversed(range(depth)):
+            b = rho[:, j] * np.vecdot(y[:, j], q)
+            np.add(q, (alphas[:, j] - b)[:, None] * s[:, j], out=q, where=has[j])
         direction = -q
 
         # Near kinks the curvature pairs can produce astronomically scaled
         # directions; cap them so the line search stays in floating range.
-        dnorm = float(np.linalg.norm(direction))
-        cap = 1e8 * max(1.0, gnorm)
-        if dnorm > cap:
-            direction *= cap / dnorm
+        dnorm = np.sqrt(np.vecdot(direction, direction))
+        cap = 1e8 * np.fmax(1.0, gn)
+        big = dnorm > cap
+        if big.any():
+            direction[big] *= (cap[big] / dnorm[big])[:, None]
 
-        slope = float(g @ direction)
-        if slope >= 0.0:
-            direction = -pg
-            slope = -gnorm * gnorm
+        slope = np.vecdot(g, direction)
+        uphill = slope >= 0.0
+        if uphill.any():
+            direction[uphill] = -pg[uphill]
+            slope[uphill] = -gn[uphill] * gn[uphill]
 
-        step = 1.0 if y_list else 1.0 / max(gnorm, 1.0)
-        accepted = False
+        step = np.where(rows.kept > 0, 1.0, 1.0 / np.maximum(gn, 1.0))
+        x_try = rows.x + step[:, None] * direction
+        f_new = np.empty(len(g))
+        g_new = np.empty_like(g)
+        searching = np.ones(len(g), dtype=bool)
         for _ in range(MAX_BACKTRACKS):
-            x_try = x + step * direction
-            f_try, g_try = value_and_grad(x_try)
-            if f_try <= f + ARMIJO_C * step * slope:
-                accepted = True
+            f_try, g_try = evaluate(x_try)
+            ok = searching & (f_try <= rows.f + ARMIJO_C * step * slope)
+            np.copyto(f_new, f_try, where=ok)
+            np.copyto(g_new, g_try, where=ok[:, None])
+            searching &= ~ok
+            if not searching.any():
                 break
-            step *= 0.5
-        if not accepted:
-            return MinimizeResult(best_x, k, gnorm, False)
+            step *= 0.5  # read again only by the rows still searching
+            np.copyto(x_try, rows.x + step[:, None] * direction, where=searching[:, None])
+        if searching.any():
+            stop(searching, k, gn, False)
+            x_try, f_new, g_new = x_try[~searching], f_new[~searching], g_new[~searching]
+            if not len(x_try):
+                break
 
-        s_vec = x_try - x
-        y_vec = g_try - g
-        x, f, g = x_try, f_try, g_try
-        if f < best_f:
-            best_x, best_f = x.copy(), f
-        sy = float(s_vec @ y_vec)
-        if sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            s_list.append(s_vec)
-            y_list.append(y_vec)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > LBFGS_MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+        s_vec = x_try - rows.x
+        y_vec = g_new - rows.g
+        rows.x, rows.f, rows.g = x_try, f_new, g_new
+        better = f_new < rows.best_f
+        np.copyto(rows.best_x, x_try, where=better[:, None])
+        rows.best_f = np.where(better, f_new, rows.best_f)
+        sy = np.vecdot(s_vec, y_vec)
+        curved = sy > 1e-12 * np.sqrt(np.vecdot(s_vec, s_vec)) * np.sqrt(np.vecdot(y_vec, y_vec))
+        if curved.any():
+            # Age the rows' pairs by one, dropping the oldest when memory is
+            # full; a plain slice when every row moves.
+            moved = slice(None) if curved.all() else curved
+            age = min(depth + 1, LBFGS_MEMORY)
+            for pairs in (rows.s, rows.y, rows.rho):
+                pairs[moved, 1:age] = pairs[moved, : age - 1]
+            rows.s[moved, 0], rows.y[moved, 0] = s_vec[moved], y_vec[moved]
+            rows.rho[moved, 0] = 1.0 / sy[moved]
+            rows.kept = np.minimum(rows.kept + curved, LBFGS_MEMORY)
+    if len(rows.index):  # out of iterations
+        g = rows.g
+        stop(np.ones(len(g), dtype=bool), max_iters, np.sqrt(np.vecdot(g, apply_p(g))), False)
 
-    return MinimizeResult(best_x, max_iters, float(np.sqrt(float(g @ apply_p(g)))), False)
+    return MinimizeResult(
+        best_x[0] if single else best_x,
+        int(iterations.sum()),
+        float(np.max(gnorm, initial=0.0)),
+        bool(converged.all()),
+        iterations,
+        gnorm,
+        converged,
+    )

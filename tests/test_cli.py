@@ -269,7 +269,7 @@ def test_gamma_non_quadratic_exits_1_before_solving(tmp_path, monkeypatch, capsy
         raise AssertionError("a solve ran")
 
     monkeypatch.setattr(cli, "build_density_table", no_solve)
-    monkeypatch.setattr(gamma, "minimize_f_eps", no_solve)
+    monkeypatch.setattr(gamma, "minimize_f_eps_sweep", no_solve)
     config = {
         "command": "gamma",
         "manifold": SPHERE,
@@ -316,7 +316,7 @@ def test_gamma_table_roundtrip_via_path(tmp_path):
 
 
 def test_gamma_dump_fields_minimizes_once(tmp_path, monkeypatch):
-    calls = {"f_eps": 0, "f_hom": 0}
+    calls = {"f_eps_sweep": 0, "f_hom": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -325,7 +325,9 @@ def test_gamma_dump_fields_minimizes_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(gamma, "minimize_f_eps", counted("f_eps", gamma.minimize_f_eps))
+    monkeypatch.setattr(
+        gamma, "minimize_f_eps_sweep", counted("f_eps_sweep", gamma.minimize_f_eps_sweep)
+    )
     monkeypatch.setattr(gamma, "minimize_f_hom", counted("f_hom", gamma.minimize_f_hom))
     config = {
         "command": "gamma",
@@ -342,7 +344,8 @@ def test_gamma_dump_fields_minimizes_once(tmp_path, monkeypatch):
     }
     code, out = run_cli(tmp_path, config)
     assert code == 0
-    assert calls == {"f_eps": 2, "f_hom": 1}
+    # Both period sizes are the rows of one sweep.
+    assert calls == {"f_eps_sweep": 1, "f_hom": 1}
     for name in ("field_eps_2.csv", "field_eps_4.csv", "field_hom.csv"):
         assert read_field_csv(out / name).shape == (2, 33)
 

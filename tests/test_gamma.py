@@ -10,6 +10,7 @@ from tanhom.gamma import (
     OptimizerOptions,
     dp_minimize_hom,
     minimize_f_eps,
+    minimize_f_eps_sweep,
     minimize_f_hom,
     read_field_csv,
     run_gamma_experiment,
@@ -134,9 +135,9 @@ def test_periodicity_invariance(s1, profile_a, profile_b):
         optimizer=FAST_OPT,
     )
     cfg_shift = dataclasses.replace(cfg, integrand=shifted)
-    U = cfg.initial_field()
-    e1 = _OscillatingEnergy(cfg, 0.25).value_and_grad(U)[0]
-    e2 = _OscillatingEnergy(cfg_shift, 0.25).value_and_grad(U)[0]
+    U = cfg.initial_field()[None]
+    e1 = _OscillatingEnergy(cfg, (0.25,)).value_and_grad(U)[0][0]
+    e2 = _OscillatingEnergy(cfg_shift, (0.25,)).value_and_grad(U)[0][0]
     assert e1 == pytest.approx(e2, rel=1e-14)
 
 
@@ -157,9 +158,39 @@ def test_descent_improves_initial_energy(s1, laminate1):
         manifold=s1, integrand=laminate1, epsilons=(0.25,), dim=1, mesh_nodes=65,
         optimizer=FAST_OPT,
     )
-    init = _OscillatingEnergy(cfg, 0.25).value_and_grad(cfg.initial_field())[0]
+    init = _OscillatingEnergy(cfg, (0.25,)).value_and_grad(cfg.initial_field()[None])[0][0]
     run = minimize_f_eps(cfg, 0.25)
     assert run.energy <= init + 1e-12
+
+
+@pytest.mark.parametrize(
+    "dim, nodes, epsilons, max_iters",
+    [
+        (1, 65, (0.5, 0.25, 0.125), 20000),
+        (1, 65, (0.5, 0.25, 0.125), 20),  # the finer rows stop unconverged
+        (2, 17, (1.0, 0.5), 20000),
+    ],
+)
+def test_sweep_rows_equal_lone_minimizations(s1, dim, nodes, epsilons, max_iters):
+    # A contrast of 20 makes every period size stop at its own iteration.
+    f = make_laminate_quadratic(StepProfile((0.5,), (1.0, 20.0)), StepProfile.constant(1.0), dim)
+    cfg = GammaExperimentConfig(
+        manifold=s1, integrand=f, epsilons=epsilons, dim=dim, mesh_nodes=nodes,
+        optimizer=OptimizerOptions(max_iters=max_iters, tol=1e-12),
+    )
+    sweep = minimize_f_eps_sweep(cfg, epsilons)
+    for eps, run in zip(epsilons, sweep):
+        lone = minimize_f_eps(cfg, eps)
+        assert np.float64(run.energy).tobytes() == np.float64(lone.energy).tobytes()
+        assert run.field.tobytes() == lone.field.tobytes()
+        assert (run.iterations, run.converged, run.warning) == (
+            lone.iterations, lone.converged, lone.warning,
+        )
+    iterations = [run.iterations for run in sweep]
+    if max_iters > 100:
+        assert len(set(iterations)) == len(sweep)
+    else:
+        assert [run.converged for run in sweep] == [True, False, False]
 
 
 def test_hom_matches_direct_for_isotropic_table(s1):
@@ -234,8 +265,9 @@ def test_two_dimensional_smoke(smoke_2d):
     lower = f2.alpha * dtheta**2
     from tanhom.gamma import _OscillatingEnergy
 
-    for eps, energy in zip(cfg.epsilons, report.eps_energies):
-        upper = _OscillatingEnergy(cfg, eps).value_and_grad(cfg.initial_field())[0]
+    U = np.stack([cfg.initial_field()] * len(cfg.epsilons))
+    uppers = _OscillatingEnergy(cfg, cfg.epsilons).value_and_grad(U)[0]
+    for upper, energy in zip(uppers, report.eps_energies):
         assert 0.9 * lower <= energy <= upper + 1e-12
     # The homogenized descent moves off the initial field and reaches below
     # the finest oscillating minimum.
@@ -283,7 +315,7 @@ def test_write_field_csv(tmp_path, s1, laminate1):
 
 
 def angle_problem(s1, profile_a, profile_b, dim, homogenized):
-    """An angle-coordinate energy of a laminate and a perturbed interior angle vector."""
+    """An angle-coordinate energy of a laminate, one row, and a perturbed row of interior angles."""
     from tanhom.gamma import _AngleProblem, _OscillatingEnergy, _TableEnergy
 
     f = make_laminate_quadratic(profile_a, profile_b, dim)
@@ -293,8 +325,8 @@ def angle_problem(s1, profile_a, profile_b, dim, homogenized):
         manifold=s1, integrand=f, epsilons=(eps,), table=table, dim=dim,
         mesh_nodes=nodes, optimizer=FAST_OPT,
     )
-    energy = _TableEnergy(cfg) if homogenized else _OscillatingEnergy(cfg, eps)
-    problem = _AngleProblem(cfg, energy)
+    energy = _TableEnergy(cfg) if homogenized else _OscillatingEnergy(cfg, (eps,))
+    problem = _AngleProblem(cfg, energy, 1)
     x = problem.x0 + 0.1 * np.random.default_rng(dim).standard_normal(problem.x0.shape)
     return problem, x
 
@@ -308,10 +340,12 @@ def test_angle_energy_gradient_matches_central_differences(
     _, g = problem.value_and_grad(x)
     gfd = np.zeros_like(g)
     h = 1e-6
-    for i in range(len(x)):
+    for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = h
-        gfd[i] = (problem.value_and_grad(x + e)[0] - problem.value_and_grad(x - e)[0]) / (2.0 * h)
+        e[0, i] = h
+        gfd[0, i] = (
+            problem.value_and_grad(x + e)[0][0] - problem.value_and_grad(x - e)[0][0]
+        ) / (2.0 * h)
     assert np.count_nonzero(g) == g.size
     assert np.linalg.norm(g - gfd) <= 1e-5 * np.linalg.norm(gfd)
 
@@ -324,10 +358,12 @@ def test_angle_preconditioner_inverts_dirichlet_hessian(s1, profile_a, profile_b
     grid = problem.energy.grid
 
     def dirichlet_grad(v):
-        theta = np.zeros(grid.node_shape)
+        theta = np.zeros((1, *grid.node_shape))
         theta[problem.interior] = v.reshape(problem.shape)
-        G = grid.center_gradient(theta[None])
-        return grid.center_gradient_adjoint(2.0 * G / grid.n_elements)[0][problem.interior].ravel()
+        G = grid.center_gradient(theta)
+        return grid.center_gradient_adjoint(2.0 * G / grid.n_elements)[problem.interior].reshape(
+            v.shape
+        )
 
     r = np.random.default_rng(7).standard_normal(x.shape)
     np.testing.assert_allclose(dirichlet_grad(problem.precondition(r)), r, atol=1e-9)
