@@ -227,7 +227,7 @@ class _AngleProblem:
         self.interior = (slice(None), *grid.interior())
         self.theta = np.repeat(config.node_angles()[None], rows, axis=0)
         self.shape = self.theta[self.interior].shape
-        self.x0 = self.theta[self.interior].reshape(rows, -1)
+        self.x0 = self.theta[self.interior].reshape(rows, -1).copy()  # not a view of theta
         self._inverse = grid.stiffness_inverse()
 
     def field(self, x: np.ndarray) -> np.ndarray:

@@ -47,8 +47,8 @@ class MinimizeResult:
 
 
 def _on_the_row(fn: Callable | None) -> Callable | None:
-    """A callable on (n,) vectors as one on a batch of one row, (1, n) -> (1, n)."""
-    return None if fn is None else (lambda v: fn(v[0])[None])
+    """A callable on (n,) vectors as one on stacked rows, (b, n) -> (b, n), row by row."""
+    return None if fn is None else (lambda v: np.stack([fn(row) for row in v]))
 
 
 def _rows_axpy(y: np.ndarray, a: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -283,19 +283,20 @@ def lbfgs(
         s, y, rho = rows.s, rows.y, rows.rho
         has = [True if j < fewest else (rows.kept > j)[:, None] for j in range(depth)]
         q = g.copy()
-        alphas = np.empty((len(g), depth))
+        alphas = []
         for j in range(depth):  # newest pair first
-            np.multiply(rho[:, j], np.vecdot(s[:, j], q), out=alphas[:, j])
-            np.subtract(q, alphas[:, j, None] * y[:, j], out=q, where=has[j])
-        q = apply_p(q)
+            alphas.append(rho[:, j] * np.vecdot(s[:, j], q))
+            np.subtract(q, alphas[j][:, None] * y[:, j], out=q, where=has[j])
         if depth:
-            scale = np.vecdot(s[:, 0], y[:, 0]) / np.maximum(
-                np.vecdot(y[:, 0], apply_p(y[:, 0])), 1e-300
-            )
+            # One preconditioner call for the direction and the newest y.
+            q, p_y = np.split(apply_p(np.concatenate([q, y[:, 0]])), 2)
+            scale = np.vecdot(s[:, 0], y[:, 0]) / np.maximum(np.vecdot(y[:, 0], p_y), 1e-300)
             np.multiply(q, scale[:, None], out=q, where=has[0])
+        else:
+            q = apply_p(q)
         for j in reversed(range(depth)):
             b = rho[:, j] * np.vecdot(y[:, j], q)
-            np.add(q, (alphas[:, j] - b)[:, None] * s[:, j], out=q, where=has[j])
+            np.add(q, (alphas[j] - b)[:, None] * s[:, j], out=q, where=has[j])
         direction = -q
 
         # Near kinks the curvature pairs can produce astronomically scaled
@@ -314,19 +315,18 @@ def lbfgs(
 
         step = np.where(rows.kept > 0, 1.0, 1.0 / np.maximum(gn, 1.0))
         x_try = rows.x + step[:, None] * direction
-        f_new = np.empty(len(g))
-        g_new = np.empty_like(g)
-        searching = np.ones(len(g), dtype=bool)
-        for _ in range(MAX_BACKTRACKS):
-            f_try, g_try = evaluate(x_try)
-            ok = searching & (f_try <= rows.f + ARMIJO_C * step * slope)
-            np.copyto(f_new, f_try, where=ok)
-            np.copyto(g_new, g_try, where=ok[:, None])
-            searching &= ~ok
+        f_new, g_new = evaluate(x_try)
+        searching = ~(f_new <= rows.f + ARMIJO_C * step * slope)
+        for _ in range(MAX_BACKTRACKS - 1):
             if not searching.any():
                 break
             step *= 0.5  # read again only by the rows still searching
-            np.copyto(x_try, rows.x + step[:, None] * direction, where=searching[:, None])
+            x_try = np.where(searching[:, None], rows.x + step[:, None] * direction, x_try)
+            f_try, g_try = evaluate(x_try)
+            ok = searching & (f_try <= rows.f + ARMIJO_C * step * slope)
+            f_new = np.where(ok, f_try, f_new)
+            g_new = np.where(ok[:, None], g_try, g_new)
+            searching &= ~ok
         if searching.any():
             stop(searching, k, gn, False)
             x_try, f_new, g_new = x_try[~searching], f_new[~searching], g_new[~searching]
