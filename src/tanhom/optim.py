@@ -194,7 +194,7 @@ class _DescentRows:
 
 
 def lbfgs(
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    value_and_grad: Callable[[np.ndarray], tuple[float | np.ndarray, np.ndarray]],
     x0: np.ndarray,
     target: float | np.ndarray,
     max_iters: int,
@@ -205,9 +205,9 @@ def lbfgs(
 
     ``x0`` is one start, shape (n,), or B independent starts, shape (B, n).
     For rows, ``value_and_grad`` maps the whole (B, n) stack to values (B,)
-    and gradients (B, n), and ``precondition`` maps any (b, n) subset of the
-    rows to (b, n), both acting on each row alone; a 1-D start is a batch of
-    one whose callables still see (n,) vectors and a float value.
+    and gradients (B, n), and ``precondition`` maps any stack of rows (b, n)
+    to (b, n), both acting on each row alone; a 1-D start is a batch of one
+    whose callables still see (n,) vectors and a float value.
     ``target`` is one gradient-norm target or one per row.  ``start``, when
     given, is the value and gradient at ``x0``, which is then not evaluated
     again.
