@@ -10,7 +10,9 @@ Identical config and seed produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,6 +37,40 @@ from .errors import (
 )
 from .gamma import run_gamma_experiment, write_field_csv
 from .integrand import verify_hypotheses
+
+
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# glibc's own 64-bit ceiling for its dynamic mmap threshold
+# (DEFAULT_MMAP_THRESHOLD_MAX): every grid array of a cell solve comes from the
+# heap, none from a fresh mapping that is unmapped again when it is freed.
+_MMAP_THRESHOLD = 32 * 1024 * 1024
+# Twice the mmap threshold, the pairing glibc's dynamic rule keeps: freed
+# temporaries at the top of the heap stay mapped for the next evaluation
+# instead of being trimmed and faulted back in.
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep freed memory in the process, once per process (glibc only).
+
+    By default glibc maps every large numpy temporary afresh and unmaps or
+    trims it when it is freed, so each cell-solve evaluation page-faults its
+    arrays back in.  Fixed thresholds end that.  Where ``mallopt`` is missing
+    (macOS, Windows) or fails, nothing changes; musl's ``mallopt`` is a no-op.
+    ``CDLL(None)`` looks the symbol up in the running process:
+    ``ctypes.util.find_library`` would spawn ``ldconfig`` on every call.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    except (OSError, AttributeError, TypeError):
+        pass
 
 
 def _log(verbose: bool, message: str) -> None:
@@ -199,6 +235,7 @@ def cmd_gamma(cfg: RunConfig, out: Path, verbose: bool, config_dir: Path) -> int
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = argparse.ArgumentParser(
         prog="tanhom",
         description="tangential homogenization runs driven by a JSON config",

@@ -1,11 +1,12 @@
 import csv
 import io
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from tanhom.artifacts import BLOCK_ROWS, read_csv, write_columns
+from tanhom.artifacts import BLOCK_ROWS, read_csv, write_columns, write_json
 from tanhom.cell import CellProblemSpec, solve_cell, write_corrector_csv
 from tanhom.density import CoefficientLattice, DensityTable, TfOptions, build_density_table
 from tanhom.errors import MalformedArtifact, ShapeMismatch
@@ -147,3 +148,32 @@ def test_corrector_csv_matches_per_node_writer(tmp_path, s1, laminate2):
         assert path.read_text() == per_node_corrector_csv(phi)
     # the laminate varies along y1 only, so the periodic corrector repeats along y2
     assert np.all(phi.coeffs == phi.coeffs[:, :, :1])
+
+
+@pytest.mark.parametrize("read_only", [False, True], ids=["writable", "read-only"])
+def test_rewrite_with_shorter_content_leaves_only_new_bytes(tmp_path, read_only):
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+    write_columns(csv_path, ["i", "v"], [np.arange(500), np.linspace(0.0, 1.0, 500)])
+    write_json(json_path, {"rows": list(range(200))})
+    if read_only:
+        csv_path.chmod(0o444)
+        json_path.chmod(0o444)
+    write_columns(csv_path, ["i", "v"], [np.arange(2), np.array([0.5, -0.0])])
+    write_json(json_path, {"rows": [1]})
+    assert csv_path.read_bytes() == b"i,v\n0,0.5\n1,-0\n"
+    assert json_path.read_bytes() == b'{\n  "rows": [\n    1\n  ]\n}\n'
+
+
+def test_write_json_matches_streamed_dump(tmp_path):
+    payload = {
+        "z": [[1.0, [2, [3.5, None]]], []],
+        "a": {"y": float("nan"), "b": -0.0, "inf": float("inf"), "x": [True, False]},
+        "m": "text",
+        "e": {},
+    }
+    path = tmp_path / "p.json"
+    write_json(path, payload)
+    expected = io.StringIO()
+    json.dump(payload, expected, indent=2, sort_keys=True)
+    expected.write("\n")
+    assert path.read_bytes() == expected.getvalue().encode()
