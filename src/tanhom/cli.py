@@ -43,8 +43,9 @@ from .integrand import verify_hypotheses
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # glibc's own 64-bit ceiling for its dynamic mmap threshold
-# (DEFAULT_MMAP_THRESHOLD_MAX): every grid array of a cell solve comes from the
-# heap, none from a fresh mapping that is unmapped again when it is freed.
+# (DEFAULT_MMAP_THRESHOLD_MAX): arrays below it, every grid array of a cell
+# solve included, come from the heap, not from a fresh mapping that is
+# unmapped again when it is freed.
 _MMAP_THRESHOLD = 32 * 1024 * 1024
 # Twice the mmap threshold, the pairing glibc's dynamic rule keeps: freed
 # temporaries at the top of the heap stay mapped for the next evaluation
@@ -65,8 +66,6 @@ def _keep_freed_heap() -> None:
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        mallopt.restype = ctypes.c_int
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
     except (OSError, AttributeError, TypeError):
