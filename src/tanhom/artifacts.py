@@ -5,8 +5,7 @@ Every artifact goes through one CSV writer (``write_columns``), one CSV reader
 as ``.17g`` (exact round trip, except that every NaN is written ``nan``),
 integers and flags as ``%d``, ``\\n`` line ends, and JSON with two-space indent,
 sorted keys and a trailing newline.  Identical data therefore gives identical
-bytes.  Each artifact is written as a new file: an existing file at its path is
-removed first, not truncated.
+bytes.
 
 The writer formats each distinct value of a column once and builds the rows
 from those texts with numpy byte operations, ``BLOCK_ROWS`` rows at a time.
@@ -19,7 +18,6 @@ from its minimum, without a sort.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
@@ -30,21 +28,6 @@ BLOCK_ROWS = 1024  # rows assembled per write: bounds the bytes held at once
 
 def fmt(value: float) -> str:
     return f"{value:.17g}"
-
-
-def _create(path):
-    """Open ``path`` for writing as a new file, removing any file already there.
-
-    Truncating and rewriting an existing file makes the filesystem flush it on
-    close (ext4 ``auto_da_alloc``): 3-4x the cost of a fresh file.  The file is
-    never rewritten in place, so a crash leaves a short file that the readers
-    reject, not new rows followed by stale ones.
-    """
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    return open(path, "xb")
 
 
 def _distinct_texts(col: np.ndarray, end: str) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +79,7 @@ def write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
     rows = len(columns[0]) if columns else 0
     ends = [","] * (len(columns) - 1) + ["\n"]
     texts = [_distinct_texts(col, end) for col, end in zip(columns, ends)]
-    with _create(path) as fh:
+    with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, rows, BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
@@ -132,5 +115,5 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
 def write_json(path, payload: dict) -> None:
     # One ``dumps`` and one write: with ``indent`` set, ``json.dump`` streams the
     # same bytes through the same pure-Python encoder, chunk by chunk.
-    with _create(path) as fh:
-        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -150,14 +150,10 @@ def test_corrector_csv_matches_per_node_writer(tmp_path, s1, laminate2):
     assert np.all(phi.coeffs == phi.coeffs[:, :, :1])
 
 
-@pytest.mark.parametrize("read_only", [False, True], ids=["writable", "read-only"])
-def test_rewrite_with_shorter_content_leaves_only_new_bytes(tmp_path, read_only):
+def test_rewrite_with_shorter_content_leaves_only_new_bytes(tmp_path):
     csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
     write_columns(csv_path, ["i", "v"], [np.arange(500), np.linspace(0.0, 1.0, 500)])
     write_json(json_path, {"rows": list(range(200))})
-    if read_only:
-        csv_path.chmod(0o444)
-        json_path.chmod(0o444)
     write_columns(csv_path, ["i", "v"], [np.arange(2), np.array([0.5, -0.0])])
     write_json(json_path, {"rows": [1]})
     assert csv_path.read_bytes() == b"i,v\n0,0.5\n1,-0\n"
