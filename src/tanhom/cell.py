@@ -23,13 +23,15 @@ evaluated once per solve, for the reported value.
 
 Problems that share a manifold, a grid and solver settings form a
 ``CellBatch``: base points (B, d) and loads (B, d, N), validated once by
-array checks.  ``solve_cell_batch`` runs them as the rows of one
-conjugate-gradient solve, each with its own step length, stopping target and
-stop flag; a row that has stopped stays frozen while the others go on, so
-every row ends exactly as a solve of its problem alone.  It returns the rows
-as arrays (``CellBatchResult``).  ``CellProblemSpec`` is one problem, the
-public type, and ``solve_cell`` its batch of one.  ``solve_cell_unconstrained``
-runs an extended density over the same split, each part bound to its base points.
+array checks.  ``solve_cell_batch`` runs them, whatever the density, as the
+rows of solves of up to ``BATCH_ELEMENTS`` elements, each row with its own
+step length, stopping target and stop flag; a row that has stopped stays
+frozen, and is no longer evaluated by a quasi-Newton descent, while the others
+go on, so every row ends exactly as a solve of its problem alone.  It returns
+the rows as arrays (``CellBatchResult``).  ``CellProblemSpec`` is one problem,
+the public type, and ``solve_cell`` its batch of one.
+``solve_cell_unconstrained`` runs an extended density the same way, each row
+at its own base point.
 """
 
 from __future__ import annotations
@@ -244,10 +246,11 @@ class _CellObjective:
 
     Row ``b`` has the tangent basis ``bases[b]`` (m x d) and the load
     ``loads[b]`` (d x N; the batch's loads when None) on ``batch``'s grid.
-    Packed unknowns are (B, n); a 1-D ``x`` is a batch of one, valued as a
-    float.  Every operator broadcasts over the batch axis, so each row is
-    computed as it would be alone.  The forms see ``sample(centers)``, taken
-    once here (raw centers when ``sample`` is None).
+    An extended density's forms take base points as well: ``points`` (B, d)
+    gives row ``b`` the point ``points[b]``.  Packed unknowns are (b, n): the
+    rows ``rows`` of the batch, given by their indices or a slice (every row
+    by default), each computed as it would be alone.  The forms see
+    ``sample(centers)``, taken once here (raw centers when ``sample`` is None).
     """
 
     def __init__(
@@ -258,14 +261,17 @@ class _CellObjective:
         grad_fn: Callable | None,
         loads: np.ndarray | None = None,
         sample: Callable | None = None,
+        points: np.ndarray | None = None,
     ):
         self.grid = batch.grid()
         bases = np.asarray(bases, dtype=float)
         self.bases = bases.reshape((-1,) + bases.shape[-2:])
         self.batch, self.m = self.bases.shape[:2]
         loads = batch.loads if loads is None else np.asarray(loads, dtype=float)
-        # Loads broadcast against the (B, *elements, d, N) ambient gradients.
-        self.loads = loads.reshape((self.batch,) + (1,) * batch.ndim + loads.shape[-2:])
+        # Loads and points broadcast against the (b, *elements, d, N) ambient gradients.
+        lead = (self.batch,) + (1,) * batch.ndim
+        self.loads = loads.reshape(lead + loads.shape[-2:])
+        self.points = None if points is None else points.reshape(lead + points.shape[-1:])
         self.eval_fn = eval_fn
         self.grad_fn = grad_fn
         centers = self.grid.centers()
@@ -274,24 +280,23 @@ class _CellObjective:
         self.dirichlet = batch.boundary == DIRICHLET
         if self.dirichlet:
             self.interior = (slice(None), slice(None)) + self.grid.interior()
-            nodes = tuple(k - 2 for k in self.node_shape)
+            self.nodes = tuple(k - 2 for k in self.node_shape)
         else:
-            nodes = self.node_shape
-        self.unknown_shape = (self.batch, self.m) + nodes
-        self.n_unknowns = math.prod(self.unknown_shape[1:])
+            self.nodes = self.node_shape
+        self.n_unknowns = self.m * math.prod(self.nodes)
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
-        """Nodal fields (B, m, *nodes) of packed unknowns."""
+        """Nodal fields (b, m, *nodes) of packed unknowns."""
         if not self.dirichlet:
-            return x.reshape((self.batch, self.m) + self.node_shape)
-        V = np.zeros((self.batch, self.m) + self.node_shape)
-        V[self.interior] = x.reshape(self.unknown_shape)
+            return x.reshape((len(x), self.m) + self.node_shape)
+        V = np.zeros((len(x), self.m) + self.node_shape)
+        V[self.interior] = x.reshape((len(x), self.m) + self.nodes)
         return V
 
     def pack(self, V: np.ndarray) -> np.ndarray:
         if self.dirichlet:
             V = V[self.interior]
-        return V.reshape(self.batch, -1)
+        return V.reshape(len(V), -1)
 
     def project_gauge(self, x: np.ndarray) -> np.ndarray:
         """Remove each row's per-channel nodal mean (periodic translation null space)."""
@@ -301,39 +306,40 @@ class _CellObjective:
         mean = V.mean(axis=tuple(range(2, V.ndim)), keepdims=True)
         return (V - mean).reshape(x.shape)
 
-    def ambient_gradient(self, V: np.ndarray) -> np.ndarray:
-        amb = np.einsum("bmd,bmn...->b...dn", self.bases, self.grid.center_gradient(V))
-        amb += self.loads
+    def _forms_args(self, rows) -> tuple:
+        """The arguments before the gradient of the forms at ``rows``: centers, and base points."""
+        return (self.y,) if self.points is None else (self.y, self.points[rows])
+
+    def ambient_gradient(self, V: np.ndarray, rows=slice(None)) -> np.ndarray:
+        amb = np.einsum("bmd,bmn...->b...dn", self.bases[rows], self.grid.center_gradient(V))
+        amb += self.loads[rows]
         return amb
 
     def energies(self, V: np.ndarray, eval_fn: Callable | None = None) -> np.ndarray:
-        """Cell average of each row's density at the nodal fields ``V``, shape (B,).
+        """Cell average of each row's density at the nodal fields ``V`` of every row, shape (B,).
 
         ``eval_fn`` defaults to the solver's density.
         """
-        vals = (eval_fn or self.eval_fn)(self.y, self.ambient_gradient(V))
-        return vals.reshape(self.batch, -1).mean(axis=1)
+        vals = (eval_fn or self.eval_fn)(*self._forms_args(slice(None)), self.ambient_gradient(V))
+        return vals.reshape(len(V), -1).mean(axis=1)
 
-    def value(self, x: np.ndarray):
-        energies = self.energies(self.unpack(x))
-        return float(energies[0]) if x.ndim == 1 else energies
-
-    def _assembled(self, df: np.ndarray, shape: tuple) -> np.ndarray:
-        """Gradient in the packed unknowns, of shape ``shape``, of the density gradients ``df``."""
-        W = np.einsum("bmd,b...dn->bmn...", self.bases, df)
+    def _assembled(self, df: np.ndarray, rows) -> np.ndarray:
+        """Gradient in the packed unknowns of the density gradients ``df`` at ``rows``."""
+        W = np.einsum("bmd,b...dn->bmn...", self.bases[rows], df)
         del df  # the adjoint's temporaries need not sit beside it
         W /= self.grid.n_elements
-        return self.pack(self.grid.center_gradient_adjoint(W)).reshape(shape)
+        return self.pack(self.grid.center_gradient_adjoint(W))
 
-    def value_and_grad(self, x: np.ndarray):
-        amb = self.ambient_gradient(self.unpack(x))
-        energies = self.eval_fn(self.y, amb).reshape(self.batch, -1).mean(axis=1)
-        grad = self._assembled(self.grad_fn(self.y, amb), x.shape)
-        return (float(energies[0]) if x.ndim == 1 else energies), grad
+    def value_and_grad(self, x: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        args = self._forms_args(rows)
+        amb = self.ambient_gradient(self.unpack(x), rows)
+        energies = self.eval_fn(*args, amb).reshape(len(x), -1).mean(axis=1)
+        return energies, self._assembled(self.grad_fn(*args, amb), rows)
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        """``value_and_grad(x)[1]`` without evaluating the density."""
-        return self._assembled(self.grad_fn(self.y, self.ambient_gradient(self.unpack(x))), x.shape)
+    def grad(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """``value_and_grad(x, rows)[1]`` without evaluating the density."""
+        amb = self.ambient_gradient(self.unpack(x), rows)
+        return self._assembled(self.grad_fn(*self._forms_args(rows), amb), rows)
 
 
 def _continuation_schedule(mu_target: float) -> list[float]:
@@ -365,19 +371,23 @@ def _run_solver(
 ) -> CellBatchResult:
     """Minimize ``make_objective(huber_mu)`` from the zero corrector, one row per problem.
 
-    Quadratic densities run all rows in one preconditioned conjugate-gradient
-    solve, each row frozen once it meets its own target.  Everything else is
-    quasi-Newton descent on one problem under the same preconditioner; with
-    ``smoothing`` (linear growth) it first solves ``make_objective(mu)`` for
-    decreasing mu, warm started.  Values are exact energies under ``exact_eval``.
+    Every row stops on its own target, ``tol_grad * (1 + |g0|)`` for its
+    gradient ``g0`` at the zero corrector of the final objective, and is then
+    frozen while the other rows go on.  Quadratic densities run all rows in
+    one preconditioned conjugate-gradient solve.  Everything else runs them
+    as the rows of quasi-Newton descents under the same preconditioner, which
+    evaluate only the rows still descending; with ``smoothing`` (linear
+    growth) the rows first solve ``make_objective(mu)`` for decreasing mu,
+    warm started, each to its own looser stage target.  Values are exact
+    energies under ``exact_eval``.
     """
     objective = make_objective(batch.huber_mu)
     x = np.zeros((objective.batch, objective.n_unknowns))
     g0 = objective.grad(x)
-    # Precondition each channel by the unit-coefficient stiffness, for rows
-    # (B, n) and vectors (n,): iterations then track the contrast, not n.
+    # Precondition each channel by the unit-coefficient stiffness, for any
+    # stack of rows: iterations then track the contrast, not n.
     inverse = objective.grid.stiffness_inverse()
-    channels = (-1,) + objective.unknown_shape[1:]
+    channels = (-1, objective.m) + objective.nodes
 
     def precondition(v):
         return inverse(v.reshape(channels)).reshape(v.shape)
@@ -392,38 +402,32 @@ def _run_solver(
         res = cg_quadratic(
             apply_h, g0, batch.tol_grad, max_iters, project=project, precondition=precondition
         )
-        solved = res.x
-        rows = (res.row_iterations, res.row_grad_norms, res.row_converged)
+        iterations = res.row_iterations
     else:
-        # One problem, as a row.  The stopping target is anchored at the zero
-        # corrector of the final objective, the contract of the
-        # conjugate-gradient path.
         max_iters = batch.max_iters or 5000
-        final_target = batch.tol_grad * (1.0 + float(np.linalg.norm(g0)))
-        stage_target = max(100.0 * final_target, 1e-6)
+        final_target = batch.tol_grad * (1.0 + np.sqrt(np.vecdot(g0, g0)))
+        stage_target = np.maximum(100.0 * final_target, 1e-6)
         stages = _continuation_schedule(batch.huber_mu)[:-1] if smoothing else []
-        stage_iters = 0
+        iterations = 0
         for mu in stages:
             stage_res = lbfgs(
                 make_objective(mu).value_and_grad, x, stage_target, min(800, max_iters),
                 precondition,
             )
             x = stage_res.x
-            stage_iters += stage_res.row_iterations
+            iterations += stage_res.row_iterations
         res = lbfgs(objective.value_and_grad, x, final_target, max_iters, precondition)
-        solved = res.x
-        rows = (res.row_iterations + stage_iters, res.row_grad_norms, res.row_converged)
+        iterations += res.row_iterations
 
-    V = objective.unpack(solved)
+    V = objective.unpack(res.x)
     if not objective.dirichlet:
         # Gauge fix: periodic correctors are reported with zero nodal mean.
         V = V - V.mean(axis=tuple(range(2, V.ndim)), keepdims=True)
-    iterations, grad_norms, solver_ok = rows
     return CellBatchResult(
         values=objective.energies(V, exact_eval),
-        iterations=np.asarray(iterations, dtype=int),
-        grad_norms=np.asarray(grad_norms, dtype=float),
-        solver_converged=np.asarray(solver_ok, dtype=bool),
+        iterations=iterations,
+        grad_norms=res.row_grad_norms,
+        solver_converged=res.row_converged,
         coeffs=V,
     )
 
@@ -458,28 +462,31 @@ def energy_of_field(f: Integrand, spec: CellProblemSpec, phi: CorrectorField) ->
     return float(energy_of_fields(f, spec.batch, phi.coeffs[None], phi.basis[None])[0])
 
 
-def _solve_in_parts(f, batch: CellBatch, bases: np.ndarray, bind: Callable) -> CellBatchResult:
+def _solve_in_parts(
+    f, batch: CellBatch, bases: np.ndarray, points: np.ndarray | None = None
+) -> CellBatchResult:
     """Minimize the cell energy of every row of ``batch`` over correctors in ``bases`` (B, m, d).
 
-    A quadratic density ``f`` runs the rows in conjugate-gradient solves of
-    up to ``BATCH_ELEMENTS`` elements whose rows stop one by one; any other
-    density is solved one row at a time.  ``bind(rows)`` gives the density's
-    ``(solver_forms, eval)`` at the rows ``rows`` (a slice), as (y, xi) forms.
+    The rows run in solves of up to ``BATCH_ELEMENTS`` elements, whose rows
+    stop one by one.  ``points`` (B, d), when given, are the base points that
+    the forms of an extended density ``f`` take.
     """
     _check_dims(batch, f.dims)
-    size = max(1, BATCH_ELEMENTS // batch.grid().n_elements) if f.quadratic else 1
+    size = max(1, BATCH_ELEMENTS // batch.grid().n_elements)
     parts = []
     for k in range(0, len(batch), size):
         rows = slice(k, k + size)
-        forms, exact = bind(rows)
         part_bases, loads = bases[rows], batch.loads[rows]
+        part_points = None if points is None else points[rows]
         parts.append(
             _run_solver(
                 batch,
-                lambda mu: _CellObjective(batch, part_bases, *forms(mu), loads, f.sample),
+                lambda mu: _CellObjective(
+                    batch, part_bases, *f.solver_forms(mu), loads, f.sample, part_points
+                ),
                 quadratic=f.quadratic,
                 smoothing=f.p == 1,
-                exact_eval=exact,
+                exact_eval=f.eval,
             )
         )
     if len(parts) == 1:
@@ -494,7 +501,7 @@ def solve_cell_batch(f: Integrand, batch: CellBatch) -> CellBatchResult:
 
     Each row is bit-identical to ``solve_cell`` of its problem alone.
     """
-    return _solve_in_parts(f, batch, batch.bases, lambda rows: (f.solver_forms, f.eval))
+    return _solve_in_parts(f, batch, batch.bases)
 
 
 def solve_cell(f: Integrand, spec: CellProblemSpec) -> CellSolveResult:
@@ -531,18 +538,7 @@ def solve_cell_unconstrained(fext: ExtendedIntegrand, batch: CellBatch) -> CellB
     tangentially constrained and extended minima coincide.
     """
     d = fext.dims[1]
-
-    def bind(rows):
-        # The rows' base points, broadcast against (b, *elements, d, N) gradients.
-        s = batch.points[rows].reshape((-1,) + (1,) * batch.ndim + (d,))
-
-        def solver_forms(mu):
-            ev, gr = fext.solver_forms(mu)
-            return (lambda y, xi: ev(y, s, xi)), (lambda y, xi: gr(y, s, xi))
-
-        return solver_forms, lambda y, xi: fext.eval(y, s, xi)
-
-    return _solve_in_parts(fext, batch, np.broadcast_to(np.eye(d), (len(batch), d, d)), bind)
+    return _solve_in_parts(fext, batch, np.broadcast_to(np.eye(d), (len(batch), d, d)), batch.points)
 
 
 def tile_corrector(phi: CorrectorField, k: int) -> CorrectorField:

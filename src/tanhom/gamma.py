@@ -219,6 +219,8 @@ class _AngleProblem:
 
     One row ``x[b]`` per row of ``energy``; boundary angles keep the config's
     affine data.  For the field gradient ``G``, ``dE/dtheta = U_0 G_1 - U_1 G_0``.
+    ``theta`` keeps every row's last angles: ``value_and_grad`` writes the
+    rows it is given there and evaluates every row.
     """
 
     def __init__(self, config: GammaExperimentConfig, energy, rows: int):
@@ -230,14 +232,16 @@ class _AngleProblem:
         self.x0 = self.theta[self.interior].reshape(rows, -1).copy()  # not a view of theta
         self._inverse = grid.stiffness_inverse()
 
-    def field(self, x: np.ndarray) -> np.ndarray:
-        self.theta[self.interior] = x.reshape(self.shape)
+    def field(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Every row's field, after the rows ``rows`` take the interior angles ``x``."""
+        self.theta[(rows, *self.interior[1:])] = x.reshape((len(x), *self.shape[1:]))
         return np.stack([np.cos(self.theta), np.sin(self.theta)], axis=1)
 
-    def value_and_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        U = self.field(x)
+    def value_and_grad(self, x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        U = self.field(x, rows)
         E, G = self.energy.value_and_grad(U)
-        return E, (U[:, 0] * G[:, 1] - U[:, 1] * G[:, 0])[self.interior].reshape(x.shape)
+        grad = (U[:, 0] * G[:, 1] - U[:, 1] * G[:, 0])[self.interior]
+        return E[rows], grad[rows].reshape(x.shape)
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
         return self._inverse(g.reshape((len(g), *self.shape[1:]))).reshape(g.shape)
@@ -247,13 +251,14 @@ def _angle_descent(config: GammaExperimentConfig, energy, rows: int) -> list[Gam
     """Minimize the ``rows`` energies of ``energy`` as the rows of one descent."""
     opt = config.optimizer
     problem = _AngleProblem(config, energy, rows)
-    E0, g0 = problem.value_and_grad(problem.x0)
+    every = np.arange(rows)
+    E0, g0 = problem.value_and_grad(problem.x0, every)
     target = np.sqrt(opt.tol * np.maximum(np.abs(E0), 1.0))
     res = lbfgs(
         problem.value_and_grad, problem.x0, target, opt.max_iters, problem.precondition,
         start=(E0, g0),
     )
-    U = problem.field(res.x)
+    U = problem.field(res.x, every)
     energies = energy.exact_value(U)
     runs = []
     for b in range(rows):

@@ -1,17 +1,18 @@
 """Matrix-free minimizers used by the cell solver and the angle descents.
 
 Both stop when the gradient norm falls below a target: ``cg_quadratic``
-takes tol * (1 + initial gradient norm), ``lbfgs`` an absolute target that
-the caller anchors (the cell solver anchors it the same way, at the zero
-corrector).  Both take an optional preconditioner.  The conjugate-gradient
-path assumes the objective is an exact quadratic so that the Hessian action
-can be read off from gradient differences; its preconditioner only shapes the
-search directions, and the stopping test stays on the plain gradient norm.
-The limited-memory quasi-Newton path only needs values and gradients, and
-measures its gradient in the preconditioner's norm.
-Both run a batch of independent problems as rows: each row stops on its own
-target (or on lost curvature, or a failed line search) and is then frozen,
-untouched while the other rows iterate.
+takes tol * (1 + initial gradient norm), ``lbfgs`` an absolute target per
+row that the caller anchors (the cell solver anchors it the same way, at the
+zero corrector).  Both take an optional preconditioner.  The
+conjugate-gradient path assumes the objective is an exact quadratic so that
+the Hessian action can be read off from gradient differences; its
+preconditioner only shapes the search directions, and the stopping test stays
+on the plain gradient norm.  The limited-memory quasi-Newton path only needs
+values and gradients, and measures its gradient in the preconditioner's norm.
+Both take a batch of independent problems as the rows of a (B, n) array: each
+row stops on its own target (or on lost curvature, or a failed line search)
+and is then frozen, untouched while the other rows iterate.  ``lbfgs`` asks
+its objective only for the rows it still needs, by their batch indices.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ MAX_BACKTRACKS = 40
 class MinimizeResult:
     """Outcome of a minimization.
 
-    For a batch of rows (a (B, n) input) ``iterations`` is the sum over the
-    rows, ``grad_norm`` the largest row norm and ``converged`` whether every
-    row converged; the ``row_*`` arrays hold each row's own values.  Both
-    minimizers fill them for one row too.
+    ``x`` holds the (B, n) rows; ``iterations`` is the sum over the rows,
+    ``grad_norm`` the largest row norm and ``converged`` whether every row
+    converged; the ``row_*`` arrays hold each row's own values.
     """
 
     x: np.ndarray
@@ -44,11 +44,6 @@ class MinimizeResult:
     row_iterations: np.ndarray | None = None
     row_grad_norms: np.ndarray | None = None
     row_converged: np.ndarray | None = None
-
-
-def _on_the_row(fn: Callable | None) -> Callable | None:
-    """A callable on (n,) vectors as one on stacked rows, (b, n) -> (b, n), row by row."""
-    return None if fn is None else (lambda v: np.stack([fn(row) for row in v]))
 
 
 def _rows_axpy(y: np.ndarray, a: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -62,7 +57,7 @@ def _rows_axpy(y: np.ndarray, a: np.ndarray, v: np.ndarray, rows: np.ndarray) ->
 
 def cg_quadratic(
     apply_hessian: Callable[[np.ndarray], np.ndarray],
-    grad0: np.ndarray,
+    g0: np.ndarray,
     tol: float,
     max_iters: int,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -71,14 +66,13 @@ def cg_quadratic(
 ) -> MinimizeResult:
     """Minimize 0.5 x^T H x + g0^T x from x = 0 by (preconditioned) conjugate gradients.
 
-    ``grad0`` is one load, shape (n,), or a batch of B independent loads,
-    shape (B, n); the callables map arrays of that shape to arrays of that
-    shape, acting on each row alone.  ``project`` (when given) restricts
-    iterates to a subspace orthogonal to a known null space of H, e.g.
-    constant shifts under periodic boundary conditions.  ``precondition``
-    applies a symmetric positive semidefinite ``P`` (identity when None) that
-    is positive definite on that subspace and maps into it; it changes the
-    search directions only.  The stopping test and the reported ``grad_norm``
+    ``g0`` holds B independent loads, shape (B, n); the callables map
+    arrays of that shape to arrays of that shape, acting on each row alone.
+    ``project`` (when given) restricts iterates to a subspace orthogonal to a
+    known null space of H, e.g. constant shifts under periodic boundary
+    conditions.  ``precondition`` applies a symmetric positive semidefinite
+    ``P`` (identity when None) that is positive definite on that subspace and
+    maps into it; it changes the search directions only.  The stopping test and the reported ``grad_norm``
     use the unpreconditioned residual ``r = -(g0 + H x)``: a row stops once
     ``|r_b| <= tol * (1 + |g0_b|)``.  Residuals are recomputed from scratch
     periodically to keep round-off in check.
@@ -90,13 +84,6 @@ def cg_quadratic(
     active rows, with the bits of ``a[b] @ c[b]`` and ``np.linalg.norm``: each
     row's iterates are bit-identical to a solve of that row alone.
     """
-    single = np.ndim(grad0) == 1
-    if single:
-        # A 1-D load is a batch of one; the callables still see 1-D vectors.
-        apply_hessian, project, precondition = map(
-            _on_the_row, (apply_hessian, project, precondition)
-        )
-    g0 = np.atleast_2d(grad0)
 
     def proj(v):
         return project(v) if project is not None else v
@@ -158,7 +145,7 @@ def cg_quadratic(
     iterations[active] = max_iters
 
     return MinimizeResult(
-        x[0] if single else x,
+        x,
         int(iterations.sum()),
         float(np.max(rnorm, initial=0.0)),
         bool(converged.all()),
@@ -194,7 +181,7 @@ class _DescentRows:
 
 
 def lbfgs(
-    value_and_grad: Callable[[np.ndarray], tuple[float | np.ndarray, np.ndarray]],
+    value_and_grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
     target: float | np.ndarray,
     max_iters: int,
@@ -203,14 +190,13 @@ def lbfgs(
 ) -> MinimizeResult:
     """Limited-memory quasi-Newton descent with Armijo backtracking.
 
-    ``x0`` is one start, shape (n,), or B independent starts, shape (B, n).
-    For rows, ``value_and_grad`` maps the whole (B, n) stack to values (B,)
-    and gradients (B, n), and ``precondition`` maps any stack of rows (b, n)
-    to (b, n), both acting on each row alone; a 1-D start is a batch of one
-    whose callables still see (n,) vectors and a float value.
-    ``target`` is one gradient-norm target or one per row.  ``start``, when
-    given, is the value and gradient at ``x0``, which is then not evaluated
-    again.
+    ``x0`` holds B independent starts, shape (B, n).  ``value_and_grad(x,
+    rows)`` takes the points ``x`` (b, n) of the rows whose batch indices are
+    ``rows`` (b,) and returns their values (b,) and gradients (b, n), each row
+    computed alone; ``precondition`` maps any stack of rows (b, n) to (b, n),
+    row by row.  ``target`` is one gradient-norm target or one per row.
+    ``start``, when given, is the value and gradient at ``x0``, which is then
+    not evaluated again.
 
     ``precondition`` applies a symmetric positive definite ``P`` (identity
     when None): the initial inverse Hessian of every update is ``P`` scaled
@@ -219,35 +205,23 @@ def lbfgs(
     norm is at most its target, not merely by running out of iterations; a
     line search that finds no decrease ends the row unconverged.
 
-    Every row keeps its own curvature pairs, step, target and stop flag.  A
-    stopped row is frozen while the other rows go on; the objective still
-    sees it, at a point it visited, and its values there are ignored.  Row
-    dot products and norms are ``np.vecdot`` over the rows, with the bits of
-    ``a[b] @ c[b]`` and ``np.linalg.norm``: each row's iterates are
-    bit-identical to a descent of that row alone.  Results aggregate over the
-    rows as in ``cg_quadratic``.
+    Every row keeps its own curvature pairs, step, target and stop flag.  The
+    objective sees a row only while it needs it: a stopped row is never
+    passed again, and a backtracking step passes only the rows still
+    searching.  Row dot products and norms are ``np.vecdot`` over the rows,
+    with the bits of ``a[b] @ c[b]`` and ``np.linalg.norm``: each row's
+    iterates and evaluations are bit-identical to a descent of that row
+    alone.  Results aggregate over the rows as in ``cg_quadratic``.
     """
-    single = np.ndim(x0) == 1
-    if single:
-        lone_value_and_grad = value_and_grad
-
-        def value_and_grad(v):
-            f, g = lone_value_and_grad(v[0])
-            return np.array([f]), g[None]
-
-        precondition = _on_the_row(precondition)
-        if start is not None:
-            start = ([start[0]], [start[1]])
     apply_p = precondition or (lambda v: v)
-    x = np.array(x0, dtype=float, ndmin=2)
-    f, g = value_and_grad(x) if start is None else start
+    x = np.array(x0, dtype=float)
     batch, n = x.shape
+    f, g = value_and_grad(x, np.arange(batch)) if start is None else start
     # Own copies: rows are updated in place.
     rows = _DescentRows(
-        x.copy(), np.array(f, dtype=float), np.array(g, dtype=float),
+        x, np.array(f, dtype=float), np.array(g, dtype=float),
         np.broadcast_to(np.asarray(target, dtype=float), (batch,)),
     )
-    x_eval = x  # the point of every row the objective sees, stopped rows too
 
     best_x = np.empty((batch, n))
     iterations = np.zeros(batch, dtype=int)
@@ -258,13 +232,6 @@ def lbfgs(
         at = rows.index[mask]
         best_x[at], iterations[at], gnorm[at], converged[at] = rows.best_x[mask], k, norms[mask], ok
         rows.keep(~mask)
-
-    def evaluate(x_rows):
-        if len(rows.index) == batch:
-            return value_and_grad(x_rows)
-        x_eval[rows.index] = x_rows
-        f_all, g_all = value_and_grad(x_eval)
-        return f_all[rows.index], g_all[rows.index]
 
     for k in range(1, max_iters + 1):
         g = rows.g
@@ -315,18 +282,20 @@ def lbfgs(
 
         step = np.where(rows.kept > 0, 1.0, 1.0 / np.maximum(gn, 1.0))
         x_try = rows.x + step[:, None] * direction
-        f_new, g_new = evaluate(x_try)
+        f_new, g_new = value_and_grad(x_try, rows.index)
         searching = ~(f_new <= rows.f + ARMIJO_C * step * slope)
+        if searching.any():  # own copies: the searching rows are filled in below
+            f_new, g_new = np.array(f_new, dtype=float), np.array(g_new, dtype=float)
         for _ in range(MAX_BACKTRACKS - 1):
-            if not searching.any():
+            at = np.flatnonzero(searching)
+            if not at.size:
                 break
-            step *= 0.5  # read again only by the rows still searching
-            x_try = np.where(searching[:, None], rows.x + step[:, None] * direction, x_try)
-            f_try, g_try = evaluate(x_try)
-            ok = searching & (f_try <= rows.f + ARMIJO_C * step * slope)
-            f_new = np.where(ok, f_try, f_new)
-            g_new = np.where(ok[:, None], g_try, g_new)
-            searching &= ~ok
+            step[at] *= 0.5
+            x_try[at] = rows.x[at] + step[at, None] * direction[at]
+            f_try, g_try = value_and_grad(x_try[at], rows.index[at])
+            ok = f_try <= rows.f[at] + ARMIJO_C * step[at] * slope[at]
+            f_new[at[ok]], g_new[at[ok]] = f_try[ok], g_try[ok]
+            searching[at[ok]] = False
         if searching.any():
             stop(searching, k, gn, False)
             x_try, f_new, g_new = x_try[~searching], f_new[~searching], g_new[~searching]
@@ -356,7 +325,7 @@ def lbfgs(
         stop(np.ones(len(g), dtype=bool), max_iters, np.sqrt(np.vecdot(g, apply_p(g))), False)
 
     return MinimizeResult(
-        best_x[0] if single else best_x,
+        best_x,
         int(iterations.sum()),
         float(np.max(gnorm, initial=0.0)),
         bool(converged.all()),

@@ -347,14 +347,14 @@ def test_criterion_9_gradient_correctness():
                 lambda y, a: fbar.eval(y, sc, a),
                 lambda y, a: fbar.grad_xi(y, sc, a),
             )
-        x = rng.standard_normal(obj.n_unknowns)
+        x = rng.standard_normal((1, obj.n_unknowns))
         _, g = obj.value_and_grad(x)
         gfd = np.zeros_like(g)
         h = 1e-6
-        for i in range(len(x)):
+        for i in range(x.size):
             e = np.zeros_like(x)
-            e[i] = h
-            gfd[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
+            e[0, i] = h
+            gfd[0, i] = (obj.value_and_grad(x + e)[0][0] - obj.value_and_grad(x - e)[0][0]) / (2.0 * h)
         worst = max(worst, np.linalg.norm(g - gfd) / max(np.linalg.norm(gfd), 1e-12))
         checked += 1
     passed = worst <= 1e-5

@@ -157,7 +157,7 @@ def test_solver_determinism(s1, laminate2, north, xi_harmonic):
 
 
 def test_cg_stops_on_nan_curvature():
-    res = cg_quadratic(lambda v: np.full_like(v, np.nan), np.ones(3), 1e-8, 50)
+    res = cg_quadratic(lambda v: np.full_like(v, np.nan), np.ones((1, 3)), 1e-8, 50)
     assert res.iterations == 1
     assert not res.converged
     np.testing.assert_array_equal(res.x, 0.0)
@@ -167,15 +167,15 @@ def test_cg_preconditioned_matches_plain():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((12, 12))
     H = a @ a.T + 12.0 * np.eye(12)
-    g0 = rng.standard_normal(12)
+    g0 = rng.standard_normal((1, 12))
     tol = 1e-10
-    plain = cg_quadratic(lambda v: H @ v, g0, tol, 100)
+    plain = cg_quadratic(lambda v: v @ H, g0, tol, 100)
     diag = 1.0 / np.diag(H)
-    pre = cg_quadratic(lambda v: H @ v, g0, tol, 100, precondition=lambda v: diag * v)
+    pre = cg_quadratic(lambda v: v @ H, g0, tol, 100, precondition=lambda v: diag * v)
     assert plain.converged and pre.converged
     target = tol * (1.0 + np.linalg.norm(g0))
     np.testing.assert_allclose(pre.x, plain.x, atol=10 * target)
-    assert pre.grad_norm == pytest.approx(np.linalg.norm(g0 + H @ pre.x), rel=1e-6, abs=1e-15)
+    assert pre.grad_norm == pytest.approx(np.linalg.norm(g0 + pre.x @ H), rel=1e-6, abs=1e-15)
     assert pre.grad_norm <= target
 
 
@@ -355,14 +355,14 @@ def test_assembled_gradient_matches_fd(s1, boundary, ndim, profile_a, profile_b)
     )
     obj = _CellObjective(spec.batch, s1.tangent_basis(s), f.eval, f.grad_xi)
     rng = np.random.default_rng(42 + ndim)
-    x = rng.standard_normal(obj.n_unknowns)
+    x = rng.standard_normal((1, obj.n_unknowns))
     _, g = obj.value_and_grad(x)
     h = 1e-6
     gfd = np.zeros_like(g)
-    for i in range(len(x)):
+    for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = h
-        gfd[i] = (obj.value(x + e) - obj.value(x - e)) / (2 * h)
+        e[0, i] = h
+        gfd[0, i] = (obj.value_and_grad(x + e)[0][0] - obj.value_and_grad(x - e)[0][0]) / (2 * h)
     assert np.linalg.norm(g - gfd) <= 1e-5 * max(np.linalg.norm(gfd), 1e-12)
 
 
@@ -500,6 +500,36 @@ def test_solve_cell_batch_non_quadratic_rows_match_lone_solves(s1, profile_a):
     _assert_rows_match_lone_solves(f, batch, solve_cell_batch(f, batch), specs)
 
 
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet0"])
+def test_non_quadratic_rows_match_batches_of_one(monkeypatch, s1, profile_a, boundary, t):
+    # A cap of 6 iterations per stage stops the row at |z| = 2 beside rows
+    # that converge early (|z| = 0.07 and 0.03) and a zero load that starts
+    # converged, in one descent per smoothing stage.
+    descents = []
+    lbfgs = cell.lbfgs
+
+    def counted(value_and_grad, x0, *args):
+        descents.append(len(x0))
+        return lbfgs(value_and_grad, x0, *args)
+
+    monkeypatch.setattr(cell, "lbfgs", counted)
+    f = make_norm_linear(profile_a, 1)
+    specs = []
+    for theta, coeff in ((5.5, 2.0), (1.1, 0.07), (4.5, 0.0), (2.0, 0.03)):
+        s = circle_point(theta)
+        xi = s1.tangent_from_coeffs(s, [[coeff]])
+        specs.append(
+            spec_for(s1, s, xi, t=t, boundary=boundary, tol_grad=1e-6, max_iters=6, huber_mu=1e-2)
+        )
+    batch = _batch_of(specs)
+    rows = solve_cell_batch(f, batch)
+    assert descents == [4, 4, 4]  # huber_mu 1e-2: stages at mu = 1 and 0.1, then the final one
+    assert rows.solver_converged.tolist() == [False, True, True, True]
+    assert rows.iterations[2] == 0 and rows.iterations[0] > max(rows.iterations[1:])
+    _assert_rows_match_lone_solves(f, batch, rows, specs)
+
+
 @pytest.mark.parametrize("boundary", ["dirichlet0", "periodic"])
 @pytest.mark.parametrize("case", ["laminate1", "laminate2", "sphere3", "torus", "cutoff"])
 def test_unconstrained_rows_match_lone_solves(monkeypatch, s1, laminate1, laminate2, profile_a, case, boundary):
@@ -576,19 +606,19 @@ def test_cg_batch_freezes_finished_rows():
     # Rows: healthy, zero load (stops at iteration 0), NaN curvature.
     g0 = np.stack([g_healthy, np.zeros(12), rng.standard_normal(12)])
 
-    def row_hessian(v):
-        return H @ v
+    def row_hessian(V):
+        return np.stack([H @ row for row in V])
 
     def batch_hessian(V):
-        out = np.stack([row_hessian(row) for row in V])
+        out = row_hessian(V)
         out[2] = np.nan
         return out
 
     kwargs = dict(recompute_every=3, precondition=lambda v: diag * v)
     res = cg_quadratic(batch_hessian, g0, 1e-12, 100, **kwargs)
-    alone = cg_quadratic(row_hessian, g_healthy, 1e-12, 100, **kwargs)
+    alone = cg_quadratic(row_hessian, g_healthy[None], 1e-12, 100, **kwargs)
     assert alone.converged and alone.iterations > 3  # the recompute branch ran
-    assert _bits(res.x[0]) == _bits(alone.x)
+    assert _bits(res.x[0]) == _bits(alone.x[0])
     assert res.row_iterations.tolist() == [alone.iterations, 0, 1]
     assert res.row_converged.tolist() == [True, True, False]
     assert _bits(res.row_grad_norms[0]) == _bits(alone.grad_norm)
@@ -624,7 +654,6 @@ def test_objective_grad_equals_value_and_grad(s1, profile_a, boundary, kind):
     for rows in (2, 1):
         obj = _CellObjective(specs[0].batch, np.stack(bases[:rows]), *forms, loads[:rows], f.sample)
         x = rng.standard_normal((obj.batch, obj.n_unknowns))
-        x = x if rows > 1 else x[0]
         assert np.array_equal(obj.grad(x), obj.value_and_grad(x)[1])
 
 

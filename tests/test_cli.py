@@ -141,6 +141,21 @@ def test_verify_command_pass(tmp_path):
     assert all(entry["passed"] for entry in report.values())
 
 
+@pytest.mark.parametrize("N", [1, 2])
+def test_verify_growth_isotropic_passes(tmp_path, N):
+    # |xi|^2 sits on its lower growth bound, so its cell values land a last
+    # digit outside it; the check allows for rounding, as the table check does.
+    config = {
+        "command": "verify",
+        "manifold": SPHERE,
+        "integrand": {"kind": "isotropic_quadratic", "N": N, "d": 2},
+        "verify": {"suites": ["growth_lipschitz"], "n": 8},
+    }
+    code, out = run_cli(tmp_path, config)
+    assert code == 0
+    assert json.loads((out / "verify_report.json").read_text())["growth_lipschitz"]["passed"]
+
+
 def test_verify_linear_growth_equivalence(tmp_path):
     # Seed 613753789 draws a pair at |z| = 0.067 whose constrained solve used to
     # stall unpreconditioned (gap 1.7e-2 against the 1e-3 tolerance, exit 4).

@@ -276,7 +276,8 @@ def test_quasiconvexity_matches_gradient_loop(s1, profile_a, profile_b, N, theta
 
 def _growth_by_gradient(f, M, sample_count, seed, opts, coeff_radius=5.0):
     """(ratios, lower margin, upper margin) of the growth check from one ``tf_hom``
-    per gradient, in draw order; raises ``GrowthViolation`` at the first escape."""
+    per gradient, in draw order; raises ``GrowthViolation`` at the first escape
+    beyond the rounding allowance ``1e-12 * (1 + |bound|)``."""
     rng = np.random.default_rng(seed)
     shape = (M.intrinsic_dim, f.dims[0])
     ratios, lower, upper = [], -np.inf, -np.inf
@@ -292,8 +293,9 @@ def _growth_by_gradient(f, M, sample_count, seed, opts, coeff_radius=5.0):
         for xi in pair:
             v = tf_hom(f, M, s, xi, opts).value
             n = float(np.linalg.norm(xi))
-            lo, hi = f.alpha * n**f.p - v, v - f.beta * (1.0 + n**f.p)
-            if not (lo <= 0.0 and hi <= 0.0):
+            lower_bound, upper_bound = f.alpha * n**f.p, f.beta * (1.0 + n**f.p)
+            lo, hi = lower_bound - v, v - upper_bound
+            if not (lo <= 1e-12 * (1.0 + lower_bound) and hi <= 1e-12 * (1.0 + upper_bound)):
                 raise GrowthViolation("escaped", sample=(s, xi))
             lower, upper = max(lower, lo), max(upper, hi)
             values.append(v)
@@ -304,17 +306,28 @@ def _growth_by_gradient(f, M, sample_count, seed, opts, coeff_radius=5.0):
 
 
 @pytest.mark.parametrize(
-    "N, opts",
-    [(2, PERIODIC_1), (1, TfOptions(t_list=(1, 2), n=8, boundary="dirichlet0"))],
-    ids=["N2-periodic", "N1-dirichlet-t12"],
+    "kind, N, opts",
+    [
+        ("laminate", 2, PERIODIC_1),
+        ("laminate", 1, TfOptions(t_list=(1, 2), n=8, boundary="dirichlet0")),
+        ("isotropic", 1, PERIODIC_1),
+        ("isotropic", 2, TfOptions(t_list=(1, 2), n=8, boundary="dirichlet0")),
+    ],
+    ids=["N2-periodic", "N1-dirichlet-t12", "isotropic-N1-periodic", "isotropic-N2-dirichlet-t12"],
 )
-def test_growth_lipschitz_matches_gradient_loop(s1, profile_a, profile_b, N, opts):
-    f = make_laminate_quadratic(profile_a, profile_b, N)
+def test_growth_lipschitz_matches_gradient_loop(s1, profile_a, profile_b, kind, N, opts):
+    if kind == "laminate":
+        f = make_laminate_quadratic(profile_a, profile_b, N)
+    else:
+        # |xi|^2 sits on its lower bound: solves land a last digit above or below it.
+        f = make_isotropic_quadratic(N, 2)
     rep = check_growth_lipschitz(f, s1, 8, seed=21, opts=opts)
     ratios, lower, upper = _growth_by_gradient(f, s1, 8, 21, opts)
     assert _bits(rep.ratios) == _bits(ratios)
     assert _bits(rep.fitted_constant) == _bits(np.max(ratios))
     assert _bits([rep.sandwich_lower_margin, rep.sandwich_upper_margin]) == _bits([lower, upper])
+    if kind == "isotropic":  # the raw gap, a few ulps outside, is reported as it is
+        assert 0.0 < rep.sandwich_lower_margin <= 1e-12
     # Nested samples: a shorter run is a prefix of a longer one, bit for bit.
     short = check_growth_lipschitz(f, s1, 5, seed=21, opts=opts)
     assert _bits(short.ratios) == _bits(rep.ratios[:5])
@@ -515,6 +528,30 @@ def test_fully_failed_table_saves_and_round_trips(tmp_path, s1):
     DensityTable.load(*first).save(*again)
     assert first[0].read_bytes() == again[0].read_bytes()
     assert first[1].read_bytes() == again[1].read_bytes()
+
+
+def test_non_quadratic_table_is_one_batch_per_cube_size(monkeypatch, s1, profile_a):
+    f = make_norm_linear(profile_a, 1)
+    opts = TfOptions(t_list=(1, 2), n=8, boundary="periodic", tol_grad=1e-6, huber_mu=1e-2)
+    lattice = CoefficientLattice(-1.0, 1.5, 3)
+    batches = []
+
+    def counted(f, batch):
+        batches.append(len(batch))
+        return solve_cell_batch(f, batch)
+
+    monkeypatch.setattr(density, "solve_cell_batch", counted)
+    table = build_density_table(f, s1, 4, lattice, opts)
+    assert batches == [4 * 3, 4 * 3]
+    monkeypatch.undo()
+    for i, theta in enumerate(table.thetas):
+        s = circle_point(theta)
+        for j, z in enumerate(lattice.values()):
+            alone = tf_hom(f, s1, s, s1.tangent_from_coeffs(s, [[z]]), opts)
+            assert _bits(table.values[i, j]) == _bits(alone.value)
+            assert _bits(table.rel_changes[i, j]) == _bits(alone.rel_change)
+            assert table.converged[i, j] == (alone.converged and alone.solver_converged)
+    assert table.converged.any() and not table.entry_errors
 
 
 def test_build_density_table_records_failures(s1):

@@ -337,14 +337,15 @@ def test_angle_energy_gradient_matches_central_differences(
     s1, profile_a, profile_b, dim, homogenized
 ):
     problem, x = angle_problem(s1, profile_a, profile_b, dim, homogenized)
-    _, g = problem.value_and_grad(x)
+    row = np.arange(1)
+    _, g = problem.value_and_grad(x, row)
     gfd = np.zeros_like(g)
     h = 1e-6
     for i in range(x.size):
         e = np.zeros_like(x)
         e[0, i] = h
         gfd[0, i] = (
-            problem.value_and_grad(x + e)[0][0] - problem.value_and_grad(x - e)[0][0]
+            problem.value_and_grad(x + e, row)[0][0] - problem.value_and_grad(x - e, row)[0][0]
         ) / (2.0 * h)
     assert np.count_nonzero(g) == g.size
     assert np.linalg.norm(g - gfd) <= 1e-5 * np.linalg.norm(gfd)

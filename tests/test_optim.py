@@ -1,4 +1,8 @@
-"""L-BFGS on rows: every row of a batched descent is its lone descent, bit for bit."""
+"""L-BFGS on rows: every row of a batched descent is its lone descent, bit for bit.
+
+The objectives below act on one row, an (n,) vector; ``stacked`` turns them
+into the row contract of ``lbfgs``, and a batch of one is a lone descent.
+"""
 
 import numpy as np
 import pytest
@@ -69,25 +73,49 @@ def descent_rows():
 
 
 def stacked(fns):
-    def value_and_grad(X):
-        out = [fn(x) for fn, x in zip(fns, X)]
+    """``value_and_grad(X, rows)`` of the rows ``rows``: row ``b`` is ``fns[b]``."""
+
+    def value_and_grad(X, rows):
+        out = [fns[b](x) for b, x in zip(rows, X)]
         return np.array([v for v, _ in out]), np.stack([g for _, g in out])
 
     return value_and_grad
+
+
+def lone(fn, x0, target, *args):
+    """The descent of one row alone: a batch of one."""
+    return lbfgs(stacked([fn]), x0[None], target, *args)
+
+
+def recording(fns, calls):
+    """``stacked(fns)`` that appends, per call, each row's index and the bytes of its point."""
+    value_and_grad = stacked(fns)
+
+    def recorded(X, rows):
+        calls.append([(int(b), _bits(x)) for b, x in zip(rows, X)])
+        return value_and_grad(X, rows)
+
+    return recorded
 
 
 @pytest.mark.parametrize("preconditioned", [False, True], ids=["plain", "diagonal"])
 def test_lbfgs_rows_equal_lone_descents(preconditioned):
     fns, x0 = descent_rows()
     precondition = (lambda v: v / DIAG) if preconditioned else None
-    res = lbfgs(stacked(fns), x0, TARGET, MAX_ITERS, precondition)
+    calls = []
+    res = lbfgs(recording(fns, calls), x0, TARGET, MAX_ITERS, precondition)
     for b, fn in enumerate(fns):
-        lone = lbfgs(fn, x0[b], TARGET, MAX_ITERS, precondition)
-        assert _bits(res.x[b]) == _bits(lone.x)
-        assert _bits(fn(res.x[b])[0]) == _bits(fn(lone.x)[0])
-        assert res.row_iterations[b] == lone.iterations
-        assert _bits(res.row_grad_norms[b]) == _bits(lone.grad_norm)
-        assert res.row_converged[b] == lone.converged
+        lone_calls = []
+        alone = lbfgs(recording([fn], lone_calls), x0[b : b + 1], TARGET, MAX_ITERS, precondition)
+        # A stopped row is never passed again: row b is evaluated at exactly
+        # the points of its lone descent, in order.
+        seen = [x for call in calls for row, x in call if row == b]
+        assert seen == [x for call in lone_calls for _, x in call]
+        assert _bits(res.x[b]) == _bits(alone.x[0])
+        assert _bits(fn(res.x[b])[0]) == _bits(fn(alone.x[0])[0])
+        assert res.row_iterations[b] == alone.iterations
+        assert _bits(res.row_grad_norms[b]) == _bits(alone.grad_norm)
+        assert res.row_converged[b] == alone.converged
     its, ok = res.row_iterations, res.row_converged
     assert its[0] == MAX_ITERS and not ok[0]
     assert its[0] > LBFGS_MEMORY  # the oldest pairs were dropped
@@ -97,42 +125,37 @@ def test_lbfgs_rows_equal_lone_descents(preconditioned):
     assert len(set(its[ok])) > 3  # converged rows stop at their own iterations
     assert res.iterations == its.sum() and not res.converged
     assert res.grad_norm == res.row_grad_norms.max()
+    # Row indices arrive in order, and the last calls pass the capped row alone.
+    assert all([b for b, _ in call] == sorted({b for b, _ in call}) for call in calls)
+    assert len(calls[0]) == len(fns) and len(calls[-1]) == 1
 
 
 def test_lbfgs_rows_take_one_target_each():
     fns, x0 = descent_rows()
     fns, x0 = fns[1:2] * 2, np.stack([x0[1]] * 2)
     res = lbfgs(stacked(fns), x0, np.array([1e-2, 1e-8]), MAX_ITERS)
-    loose = lbfgs(fns[0], x0[0], 1e-2, MAX_ITERS)
-    tight = lbfgs(fns[0], x0[0], 1e-8, MAX_ITERS)
+    loose = lone(fns[0], x0[0], 1e-2, MAX_ITERS)
+    tight = lone(fns[0], x0[0], 1e-8, MAX_ITERS)
     assert res.row_iterations.tolist() == [loose.iterations, tight.iterations]
     assert loose.iterations < tight.iterations
-    assert _bits(res.x) == _bits(np.stack([loose.x, tight.x]))
+    assert _bits(res.x) == _bits(np.concatenate([loose.x, tight.x]))
 
 
 def test_lbfgs_start_skips_the_first_evaluation():
-    fn = quartic
-    x0 = np.random.default_rng(4).standard_normal(N)
+    fn = stacked([quartic])
+    x0 = np.random.default_rng(4).standard_normal((1, N))
     calls = []
 
-    def counted(x):
+    def counted(x, rows):
         calls.append(1)
-        return fn(x)
+        return fn(x, rows)
 
     plain = lbfgs(counted, x0, TARGET, MAX_ITERS)
     evaluations = len(calls)
-    started = lbfgs(counted, x0, TARGET, MAX_ITERS, start=fn(x0))
+    started = lbfgs(counted, x0, TARGET, MAX_ITERS, start=fn(x0, [0]))
     assert len(calls) - evaluations == evaluations - 1
     assert _bits(started.x) == _bits(plain.x)
     assert started.iterations == plain.iterations
-
-
-def test_lbfgs_one_row_keeps_the_vector_convention():
-    x0 = np.random.default_rng(6).standard_normal(N)
-    res = lbfgs(quartic, x0, TARGET, MAX_ITERS, lambda v: v / DIAG)
-    assert res.x.shape == (N,)
-    assert isinstance(res.iterations, int) and isinstance(res.grad_norm, float)
-    assert res.converged and res.row_iterations.tolist() == [res.iterations]
 
 
 def test_row_norms_are_the_lone_norms_at_255():
