@@ -18,16 +18,16 @@ corrector.  Every other density runs quasi-Newton descent under the same
 preconditioner ``P`` in every smoothing stage, measuring the gradient as
 ``sqrt(g^T P g)`` against the same target.  Each objective samples the
 density's coefficients once (``Integrand.sample``); a conjugate-gradient step
-costs one Hessian action ``grad(d) - g0``, and the density itself is
-evaluated once per solve, for the reported value.
+costs one Hessian action ``grad(d) - g0`` on the rows still running, and the
+density itself is evaluated once per solve, for the reported value.
 
 Problems that share a manifold, a grid and solver settings form a
 ``CellBatch``: base points (B, d) and loads (B, d, N), validated once by
 array checks.  ``solve_cell_batch`` runs them, whatever the density, as the
 rows of solves of up to ``BATCH_ELEMENTS`` elements, each row with its own
-step length, stopping target and stop flag; a row that has stopped stays
-frozen, and is no longer evaluated by a quasi-Newton descent, while the others
-go on, so every row ends exactly as a solve of its problem alone.  It returns
+step length, stopping target and stop flag; a row that has stopped is no
+longer evaluated, by either minimizer, while the others go on, so every row
+ends exactly as a solve of its problem alone.  It returns
 the rows as arrays (``CellBatchResult``).  ``CellProblemSpec`` is one problem,
 the public type, and ``solve_cell`` its batch of one.
 ``solve_cell_unconstrained`` runs an extended density the same way, each row
@@ -372,14 +372,14 @@ def _run_solver(
     """Minimize ``make_objective(huber_mu)`` from the zero corrector, one row per problem.
 
     Every row stops on its own target, ``tol_grad * (1 + |g0|)`` for its
-    gradient ``g0`` at the zero corrector of the final objective, and is then
-    frozen while the other rows go on.  Quadratic densities run all rows in
-    one preconditioned conjugate-gradient solve.  Everything else runs them
-    as the rows of quasi-Newton descents under the same preconditioner, which
-    evaluate only the rows still descending; with ``smoothing`` (linear
-    growth) the rows first solve ``make_objective(mu)`` for decreasing mu,
-    warm started, each to its own looser stage target.  Values are exact
-    energies under ``exact_eval``.
+    gradient ``g0`` at the zero corrector of the final objective, and is no
+    longer evaluated while the other rows go on.  Quadratic densities run all
+    rows in one preconditioned conjugate-gradient solve, whose Hessian action
+    ``grad(v, rows) - g0[rows]`` covers the rows still running.  Everything
+    else runs them as the rows of quasi-Newton descents under the same
+    preconditioner; with ``smoothing`` (linear growth) the rows first solve
+    ``make_objective(mu)`` for decreasing mu, warm started, each to its own
+    looser stage target.  Values are exact energies under ``exact_eval``.
     """
     objective = make_objective(batch.huber_mu)
     x = np.zeros((objective.batch, objective.n_unknowns))
@@ -395,8 +395,8 @@ def _run_solver(
     if quadratic:
         max_iters = batch.max_iters or max(1000, 2 * objective.n_unknowns)
 
-        def apply_h(v):
-            return objective.grad(v) - g0
+        def apply_h(v, rows):
+            return objective.grad(v, rows) - g0[rows]
 
         project = None if objective.dirichlet else objective.project_gauge
         res = cg_quadratic(

@@ -17,8 +17,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .cell import PERIODIC, CellProblemSpec
-from .density import CoefficientLattice, TfOptions, check_angle_count
-from .errors import ConfigError, check_keys
+from .density import CoefficientLattice, TfOptions, check_angle_count, check_circle
+from .errors import ConfigError, DegeneratePoint, check_keys
 from .gamma import GammaExperimentConfig, OptimizerOptions
 from .integrand import Integrand, integrand_from_config
 from .manifold import EmbeddedManifold, circle_point, manifold_from_config
@@ -98,10 +98,10 @@ def _values(section: dict, path: str, conversions: dict[str, Callable]) -> dict:
     return out
 
 
-def _build(path: str, cls, *args, **kwargs):
-    """``cls(*args, **kwargs)``, its ``ValueError`` raised as a ``ConfigError`` naming ``path``."""
+def _build(path: str, make: Callable, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ``ValueError`` raised as a ``ConfigError`` naming ``path``."""
     try:
-        return cls(*args, **kwargs)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -116,7 +116,10 @@ def _parse_point(M: EmbeddedManifold, cfg: Any, path: str) -> np.ndarray:
             raise ConfigError(f"{path}.theta only makes sense on the circle")
         return circle_point(v["theta"])
     if "point" in v:
-        return M.check_point(v["point"], tol=1e-7)
+        try:
+            return M.check_point(v["point"])
+        except DegeneratePoint as exc:
+            raise ConfigError(f"{path}.point: {exc}") from None
     raise ConfigError(f"{path} needs 'theta' or 'point'")
 
 
@@ -202,6 +205,11 @@ def parse_run_config(raw: Any) -> RunConfig:
             raise ConfigError(f"unknown key {other!r} for command {command!r}")
     M = manifold_from_config(raw["manifold"])
     f = integrand_from_config(raw["integrand"])
+    if f.dims[1] != M.ambient_dim:
+        raise ConfigError(
+            f"integrand: d = {f.dims[1]} does not match the manifold's ambient dimension "
+            f"{M.ambient_dim}"
+        )
     seed = _values(raw, "", {"seed": _integer}).get("seed", 0)
 
     cfg = RunConfig(command=command, manifold=M, integrand=f, seed=seed)
@@ -209,7 +217,7 @@ def parse_run_config(raw: Any) -> RunConfig:
     if command == "cell":
         cfg.section = _parse_cell(section, M, f)
     elif command == "density":
-        cfg.section = _parse_density(section)
+        cfg.section = _parse_density(section, M)
     elif command == "verify":
         cfg.section = _parse_verify(section)
     else:
@@ -235,8 +243,9 @@ def _parse_cell(section: Any, M: EmbeddedManifold, f: Integrand) -> CellProblemS
     return _build("cell", CellProblemSpec, manifold=M, s=s, xi=xi, **values)
 
 
-def _parse_density(section: Any) -> DensitySection:
+def _parse_density(section: Any, M: EmbeddedManifold) -> DensitySection:
     check_keys(section, "density", {"s_count", "lattice"}, set(TF_KEYS))
+    _build("density", check_circle, M)
     return _build(
         "density",
         DensitySection,

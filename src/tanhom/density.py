@@ -56,6 +56,8 @@ class TfOptions:
         object.__setattr__(self, "t_list", tuple(int(t) for t in self.t_list))
         if not self.t_list:
             raise ValueError("t_list must not be empty")
+        if not 0 <= self.rel_tol < math.inf:  # NaN fails too
+            raise ValueError(f"rel_tol must be nonnegative and finite, got {self.rel_tol}")
         check_solve_settings(self.n, self.boundary, self.tol_grad, self.max_iters, self.huber_mu)
 
     def cell_batch(self, M, points, loads, t) -> CellBatch:
@@ -401,6 +403,8 @@ class CoefficientLattice:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("lattice count must be nonnegative")
+        if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
+            raise ValueError(f"lattice bounds must be finite, got {self.minimum}, {self.maximum}")
         if self.count > 1 and self.maximum <= self.minimum:
             raise ValueError("lattice needs maximum > minimum")
 
@@ -658,6 +662,12 @@ def check_angle_count(s_count: int) -> None:
         raise ValueError("need at least one angle")
 
 
+def check_circle(M: EmbeddedManifold) -> None:
+    """Raise ``ValueError`` unless ``M`` is the circle S^1, where density tables live."""
+    if not isinstance(M, Sphere) or M.ambient_dim != 2:
+        raise ValueError("density tables are defined on the circle S^1 (sphere, d = 2)")
+
+
 def _column_energies(
     f: Integrand, M: EmbeddedManifold, points: np.ndarray, scale: float, t: int, opts: TfOptions,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -729,8 +739,7 @@ def build_density_table(
     alone.  Failures are recorded (value NaN, converged False) without
     aborting the sweep.
     """
-    if not isinstance(M, Sphere) or M.ambient_dim != 2:
-        raise ValueError("density tables are defined on the circle S^1")
+    check_circle(M)
     check_angle_count(s_count)
     opts = opts or TfOptions()
     N, d = f.dims

@@ -18,6 +18,7 @@ and a run that misses it by more than ``CERTIFICATE_REL_TOL`` gets a warning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,8 @@ class GammaExperimentConfig:
             raise ValueError("the experiment drives circle-valued fields (sphere, d=2)")
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
+        if not (math.isfinite(self.theta0) and math.isfinite(self.theta1)):
+            raise ValueError(f"theta0 and theta1 must be finite, got {self.theta0}, {self.theta1}")
         N, d = self.integrand.dims
         if N != self.dim or d != 2:
             raise ShapeMismatch(

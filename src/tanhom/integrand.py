@@ -25,6 +25,7 @@ nearest-point projection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,8 +64,8 @@ class StepProfile:
             raise InvalidProfile(
                 f"need {len(breaks) + 1} values for {len(breaks)} breakpoints, got {len(vals)}"
             )
-        if any(v <= 0 for v in vals):
-            raise InvalidProfile("profile values must be positive")
+        if not all(0 < v < math.inf for v in vals):  # NaN fails too
+            raise InvalidProfile("profile values must be positive and finite")
         if any(not (0.0 < b < 1.0) for b in breaks):
             raise InvalidProfile("breakpoints must lie strictly inside (0, 1)")
         if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):

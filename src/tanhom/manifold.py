@@ -48,25 +48,25 @@ class EmbeddedManifold:
         """Distance of ``x`` from the manifold (0 for on-manifold points)."""
         return float(self.distances(_as_point(x)))
 
-    def check_point(self, s, tol: float = ON_MANIFOLD_TOL) -> np.ndarray:
+    def check_point(self, s) -> np.ndarray:
         s = _as_point(s)
         if s.shape != (self.ambient_dim,):
             raise DegeneratePoint(
                 f"point has shape {s.shape}, expected ({self.ambient_dim},)"
             )
-        return self.check_points(s, tol)
+        return self.check_points(s)
 
-    def check_points(self, points, tol: float = ON_MANIFOLD_TOL) -> np.ndarray:
+    def check_points(self, points) -> np.ndarray:
         """``points`` (..., d) as floats; raise unless every one lies on the manifold.
 
-        The test is ``not res <= tol``, so a non-finite point fails it.
+        The test is ``not res <= ON_MANIFOLD_TOL``, so a non-finite point fails it.
         """
         points = _as_point(points)
         if points.shape[-1:] != (self.ambient_dim,):
             raise DegeneratePoint(f"points have shape {points.shape}, expected (..., {self.ambient_dim})")
         res = self.distances(points)
-        if not np.all(res <= tol):
-            at = np.unravel_index(np.argmin(res <= tol), np.shape(res))
+        if not np.all(res <= ON_MANIFOLD_TOL):
+            at = np.unravel_index(np.argmin(res <= ON_MANIFOLD_TOL), np.shape(res))
             where = "".join(f" {i}" for i in at)
             raise DegeneratePoint(f"point{where} violates the {self.kind} constraint by {res[at]:.3e}")
         return points

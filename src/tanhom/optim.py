@@ -10,9 +10,11 @@ preconditioner only shapes the search directions, and the stopping test stays
 on the plain gradient norm.  The limited-memory quasi-Newton path only needs
 values and gradients, and measures its gradient in the preconditioner's norm.
 Both take a batch of independent problems as the rows of a (B, n) array: each
-row stops on its own target (or on lost curvature, or a failed line search)
-and is then frozen, untouched while the other rows iterate.  ``lbfgs`` asks
-its objective only for the rows it still needs, by their batch indices.
+row stops on its own target (or on lost curvature, or a failed line search).
+Both keep the state of the rows still running in one ``_Rows`` holder, and
+record a row's outcome and drop it from there as it stops (``_Outcome``), so
+the Hessian action of ``cg_quadratic`` and the objective of ``lbfgs`` are
+asked only for the rows still running, by their batch indices.
 """
 
 from __future__ import annotations
@@ -26,158 +28,143 @@ import numpy as np
 LBFGS_MEMORY = 10
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 40
+# Conjugate-gradient iterations between recomputed residuals.
+RECOMPUTE_EVERY = 50
 
 
 @dataclass
 class MinimizeResult:
     """Outcome of a minimization.
 
-    ``x`` holds the (B, n) rows; ``iterations`` is the sum over the rows,
-    ``grad_norm`` the largest row norm and ``converged`` whether every row
-    converged; the ``row_*`` arrays hold each row's own values.
+    ``x`` holds the (B, n) rows and ``iterations`` the sum over the rows; the
+    ``row_*`` arrays hold each row's own count, gradient norm and flag.
     """
 
     x: np.ndarray
     iterations: int
-    grad_norm: float
-    converged: bool
-    row_iterations: np.ndarray | None = None
-    row_grad_norms: np.ndarray | None = None
-    row_converged: np.ndarray | None = None
+    row_iterations: np.ndarray
+    row_grad_norms: np.ndarray
+    row_converged: np.ndarray
 
 
-def _rows_axpy(y: np.ndarray, a: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``y + a[b] * v[b]`` on the listed rows; every other row keeps ``y``.  Returns a new array."""
-    if len(rows) == len(y):
-        return y + a[:, None] * v
-    out = y.copy()
-    out[rows] = y[rows] + a[rows, None] * v[rows]
-    return out
+class _Rows:
+    """Named per-row arrays of the rows still running; ``index`` maps them to the batch."""
 
-
-def cg_quadratic(
-    apply_hessian: Callable[[np.ndarray], np.ndarray],
-    g0: np.ndarray,
-    tol: float,
-    max_iters: int,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
-    recompute_every: int = 50,
-    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> MinimizeResult:
-    """Minimize 0.5 x^T H x + g0^T x from x = 0 by (preconditioned) conjugate gradients.
-
-    ``g0`` holds B independent loads, shape (B, n); the callables map
-    arrays of that shape to arrays of that shape, acting on each row alone.
-    ``project`` (when given) restricts iterates to a subspace orthogonal to a
-    known null space of H, e.g. constant shifts under periodic boundary
-    conditions.  ``precondition`` applies a symmetric positive semidefinite
-    ``P`` (identity when None) that is positive definite on that subspace and
-    maps into it; it changes the search directions only.  The stopping test and the reported ``grad_norm``
-    use the unpreconditioned residual ``r = -(g0 + H x)``: a row stops once
-    ``|r_b| <= tol * (1 + |g0_b|)``.  Residuals are recomputed from scratch
-    periodically to keep round-off in check.
-
-    Every row has its own step length, ``beta``, target and stop flag.  A row
-    that meets its target, or whose curvature ``d^T H d`` is lost, is frozen:
-    its iterate, residual norm and count stay as they were while the other
-    rows go on.  Row dot products and norms are one ``np.vecdot`` over the
-    active rows, with the bits of ``a[b] @ c[b]`` and ``np.linalg.norm``: each
-    row's iterates are bit-identical to a solve of that row alone.
-    """
-
-    def proj(v):
-        return project(v) if project is not None else v
-
-    apply_p = precondition or (lambda v: v)
-
-    def dots(a, c, rows):
-        """``a[b] @ c[b]`` for every listed row, in one ``np.vecdot``."""
-        return np.vecdot(a, c) if len(rows) == len(a) else np.vecdot(a[rows], c[rows])
-
-    batch = len(g0)
-    x = np.zeros_like(g0)
-    r = proj(-g0)
-    rnorm = np.sqrt(np.vecdot(r, r))
-    target = tol * (1.0 + np.sqrt(np.vecdot(g0, g0)))
-    iterations = np.zeros(batch, dtype=int)
-    converged = rnorm <= target
-    active = ~converged
-    rows = np.flatnonzero(active)
-    step = np.zeros(batch)
-    beta = np.zeros(batch)
-    delta = np.zeros(batch)
-    if rows.size:
-        z = apply_p(r)
-        d = z
-        delta[rows] = dots(r, z, rows)
-    for k in range(1, max_iters + 1):
-        if not rows.size:
-            break
-        hd = proj(apply_hessian(d))
-        dhd = dots(d, hd, rows)
-        # Curvature lost to round-off (or not a number): the current iterate
-        # is the row's best answer.
-        lost = ~(dhd > 0.0)
-        active[rows[lost]] = False
-        iterations[rows[lost]] = k
-        step[rows[~lost]] = delta[rows[~lost]] / dhd[~lost]
-        rows = rows[~lost]
-        x = _rows_axpy(x, step, d, rows)
-        if k % recompute_every == 0:
-            fresh = proj(-(g0 + apply_hessian(x)))
-            r = r.copy()
-            r[rows] = fresh[rows]
-        else:
-            r = _rows_axpy(r, -step, hd, rows)
-        rnorm[rows] = np.sqrt(dots(r, r, rows))
-        done = rnorm[rows] <= target[rows]
-        active[rows[done]] = False
-        converged[rows[done]] = True
-        iterations[rows[done]] = k
-        rows = rows[~done]
-        if not rows.size:
-            break
-        z = apply_p(r)
-        delta_new = dots(r, z, rows)
-        beta[rows] = delta_new / delta[rows]
-        delta[rows] = delta_new
-        d = _rows_axpy(z, beta, d, rows)
-    iterations[active] = max_iters
-
-    return MinimizeResult(
-        x,
-        int(iterations.sum()),
-        float(np.max(rnorm, initial=0.0)),
-        bool(converged.all()),
-        iterations,
-        rnorm,
-        converged,
-    )
-
-
-class _DescentRows:
-    """The L-BFGS state of the rows still descending, one entry per row.
-
-    ``index`` maps the rows to the batch.  ``s``, ``y`` and ``rho`` hold up
-    to ``LBFGS_MEMORY`` curvature pairs per row, newest first; a row has
-    ``kept`` of them, and zeros after them.
-    """
-
-    def __init__(self, x, f, g, target):
-        batch, n = x.shape
+    def __init__(self, batch: int, **arrays: np.ndarray):
         self.index = np.arange(batch)
-        self.x, self.f, self.g = x, f, g
-        self.best_x, self.best_f = x.copy(), f.copy()
-        self.target = target
-        self.s = np.zeros((batch, LBFGS_MEMORY, n))
-        self.y = np.zeros((batch, LBFGS_MEMORY, n))
-        self.rho = np.zeros((batch, LBFGS_MEMORY))
-        self.kept = np.zeros(batch, dtype=int)
+        vars(self).update(arrays)
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the rows outside ``mask``."""
         for name, value in list(vars(self).items()):
             setattr(self, name, value[mask])
+
+
+class _Outcome:
+    """Each row's iterate, iteration count, gradient norm and flag, recorded as it stops."""
+
+    def __init__(self, shape: tuple[int, int]):
+        batch = shape[0]
+        # Allocated when the first row stops, not while every row still runs
+        # and the solve's temporaries peak (an empty batch has it at once).
+        self.x = None if batch else np.empty(shape)
+        self.iterations = np.zeros(batch, dtype=int)
+        self.norms = np.zeros(batch)
+        self.converged = np.zeros(batch, dtype=bool)
+
+    def stop(
+        self, rows: _Rows, mask: np.ndarray, x: np.ndarray, k: int, norms: np.ndarray, ok: bool
+    ) -> None:
+        """Record the rows of ``rows`` under ``mask`` and drop them from ``rows``.
+
+        ``x`` and ``norms`` hold the iterates and gradient norms of ``rows``;
+        ``k`` is the iteration count and ``ok`` the flag of every row stopping.
+        """
+        at = rows.index[mask]
+        if not at.size:
+            return
+        if self.x is None:
+            self.x = np.empty((len(self.converged), x.shape[1]))
+        self.x[at] = x[mask]
+        self.iterations[at], self.norms[at], self.converged[at] = k, norms[mask], ok
+        rows.keep(~mask)
+
+    def result(self) -> MinimizeResult:
+        return MinimizeResult(
+            self.x, int(self.iterations.sum()), self.iterations, self.norms, self.converged
+        )
+
+
+def cg_quadratic(
+    apply_hessian: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    g0: np.ndarray,
+    tol: float,
+    max_iters: int,
+    project: Callable[[np.ndarray], np.ndarray] | None = None,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> MinimizeResult:
+    """Minimize 0.5 x^T H x + g0^T x from x = 0 by (preconditioned) conjugate gradients.
+
+    ``g0`` holds B independent loads, shape (B, n).  ``apply_hessian(v,
+    rows)`` takes the directions ``v`` (b, n) of the rows whose batch indices
+    are ``rows`` (b,) and returns their Hessian actions (b, n), each row
+    computed alone; ``project`` and ``precondition`` map any stack of rows
+    (b, n) to (b, n), row by row.  ``project`` (when given) restricts iterates
+    to a subspace orthogonal to a known null space of H, e.g. constant shifts
+    under periodic boundary conditions.  ``precondition`` applies a symmetric
+    positive semidefinite ``P`` (identity when None) that is positive definite
+    on that subspace and maps into it; it changes the search directions only.
+    The stopping test and the reported gradient norms use the unpreconditioned
+    residual ``r = -(g0 + H x)``: a row stops once ``|r_b| <= tol * (1 +
+    |g0_b|)``.  Residuals are recomputed from scratch every
+    ``RECOMPUTE_EVERY`` iterations to keep round-off in check.
+
+    Every row has its own step length, ``beta``, target and stop flag.  A row
+    that meets its target, or whose curvature ``d^T H d`` is lost, stops with
+    its iterate and residual norm as they were, and is never passed again.
+    Row dot products and norms are ``np.vecdot`` over the rows, with the bits
+    of ``a[b] @ c[b]`` and ``np.linalg.norm``: each row's iterates are
+    bit-identical to a solve of that row alone.
+    """
+    proj = project or (lambda v: v)
+    apply_p = precondition or (lambda v: v)
+    out = _Outcome(g0.shape)
+    target = tol * (1.0 + np.sqrt(np.vecdot(g0, g0)))
+    rows = _Rows(len(g0), x=np.zeros_like(g0), r=proj(-g0), target=target)
+    rows.rnorm = np.sqrt(np.vecdot(rows.r, rows.r))
+    out.stop(rows, rows.rnorm <= rows.target, rows.x, 0, rows.rnorm, True)
+    if len(rows.index):
+        rows.d = apply_p(rows.r)
+        rows.delta = np.vecdot(rows.r, rows.d)
+    for k in range(1, max_iters + 1):
+        if not len(rows.index):
+            break
+        hd = proj(apply_hessian(rows.d, rows.index))
+        dhd = np.vecdot(rows.d, hd)
+        # Curvature lost to round-off (or not a number): the current iterate
+        # is the row's best answer.
+        lost = ~(dhd > 0.0)
+        if lost.any():
+            out.stop(rows, lost, rows.x, k, rows.rnorm, False)
+            hd, dhd = hd[~lost], dhd[~lost]
+            if not len(rows.index):
+                break
+        step = (rows.delta / dhd)[:, None]
+        rows.x += step * rows.d
+        if k % RECOMPUTE_EVERY == 0:
+            rows.r = proj(-(g0[rows.index] + apply_hessian(rows.x, rows.index)))
+        else:
+            rows.r = rows.r - step * hd
+        rows.rnorm = np.sqrt(np.vecdot(rows.r, rows.r))
+        out.stop(rows, rows.rnorm <= rows.target, rows.x, k, rows.rnorm, True)
+        if not len(rows.index):
+            break
+        z = apply_p(rows.r)
+        delta = np.vecdot(rows.r, z)
+        rows.d = z + (delta / rows.delta)[:, None] * rows.d
+        rows.delta = delta
+    out.stop(rows, np.ones(len(rows.index), dtype=bool), rows.x, max_iters, rows.rnorm, False)
+    return out.result()
 
 
 def lbfgs(
@@ -211,27 +198,23 @@ def lbfgs(
     searching.  Row dot products and norms are ``np.vecdot`` over the rows,
     with the bits of ``a[b] @ c[b]`` and ``np.linalg.norm``: each row's
     iterates and evaluations are bit-identical to a descent of that row
-    alone.  Results aggregate over the rows as in ``cg_quadratic``.
+    alone.
     """
     apply_p = precondition or (lambda v: v)
     x = np.array(x0, dtype=float)
     batch, n = x.shape
     f, g = value_and_grad(x, np.arange(batch)) if start is None else start
     # Own copies: rows are updated in place.
-    rows = _DescentRows(
-        x, np.array(f, dtype=float), np.array(g, dtype=float),
-        np.broadcast_to(np.asarray(target, dtype=float), (batch,)),
+    f = np.array(f, dtype=float)
+    rows = _Rows(
+        batch, x=x, f=f, g=np.array(g, dtype=float), best_x=x.copy(), best_f=f.copy(),
+        target=np.broadcast_to(np.asarray(target, dtype=float), (batch,)),
+        # Up to LBFGS_MEMORY curvature pairs per row, newest first; a row has
+        # ``kept`` of them, and zeros after them.
+        s=np.zeros((batch, LBFGS_MEMORY, n)), y=np.zeros((batch, LBFGS_MEMORY, n)),
+        rho=np.zeros((batch, LBFGS_MEMORY)), kept=np.zeros(batch, dtype=int),
     )
-
-    best_x = np.empty((batch, n))
-    iterations = np.zeros(batch, dtype=int)
-    gnorm = np.zeros(batch)
-    converged = np.zeros(batch, dtype=bool)
-
-    def stop(mask, k, norms, ok):
-        at = rows.index[mask]
-        best_x[at], iterations[at], gnorm[at], converged[at] = rows.best_x[mask], k, norms[mask], ok
-        rows.keep(~mask)
+    out = _Outcome(x.shape)
 
     for k in range(1, max_iters + 1):
         g = rows.g
@@ -239,7 +222,7 @@ def lbfgs(
         gn = np.sqrt(np.vecdot(g, pg))
         done = gn <= rows.target
         if done.any():
-            stop(done, k - 1, gn, True)
+            out.stop(rows, done, rows.best_x, k - 1, gn, True)
             g, pg, gn = rows.g, pg[~done], gn[~done]
             if not len(g):
                 break
@@ -297,7 +280,7 @@ def lbfgs(
             f_new[at[ok]], g_new[at[ok]] = f_try[ok], g_try[ok]
             searching[at[ok]] = False
         if searching.any():
-            stop(searching, k, gn, False)
+            out.stop(rows, searching, rows.best_x, k, gn, False)
             x_try, f_new, g_new = x_try[~searching], f_new[~searching], g_new[~searching]
             if not len(x_try):
                 break
@@ -322,14 +305,6 @@ def lbfgs(
             rows.kept = np.minimum(rows.kept + curved, LBFGS_MEMORY)
     if len(rows.index):  # out of iterations
         g = rows.g
-        stop(np.ones(len(g), dtype=bool), max_iters, np.sqrt(np.vecdot(g, apply_p(g))), False)
-
-    return MinimizeResult(
-        best_x,
-        int(iterations.sum()),
-        float(np.max(gnorm, initial=0.0)),
-        bool(converged.all()),
-        iterations,
-        gnorm,
-        converged,
-    )
+        gn = np.sqrt(np.vecdot(g, apply_p(g)))
+        out.stop(rows, np.ones(len(g), dtype=bool), rows.best_x, max_iters, gn, False)
+    return out.result()

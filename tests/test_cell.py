@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tanhom import cell
+from tanhom import cell, optim
 from tanhom.cell import (
     CellBatch,
     CellBatchResult,
@@ -157,9 +157,9 @@ def test_solver_determinism(s1, laminate2, north, xi_harmonic):
 
 
 def test_cg_stops_on_nan_curvature():
-    res = cg_quadratic(lambda v: np.full_like(v, np.nan), np.ones((1, 3)), 1e-8, 50)
+    res = cg_quadratic(lambda v, rows: np.full_like(v, np.nan), np.ones((1, 3)), 1e-8, 50)
     assert res.iterations == 1
-    assert not res.converged
+    assert not res.row_converged[0]
     np.testing.assert_array_equal(res.x, 0.0)
 
 
@@ -169,14 +169,15 @@ def test_cg_preconditioned_matches_plain():
     H = a @ a.T + 12.0 * np.eye(12)
     g0 = rng.standard_normal((1, 12))
     tol = 1e-10
-    plain = cg_quadratic(lambda v: v @ H, g0, tol, 100)
+    plain = cg_quadratic(lambda v, rows: v @ H, g0, tol, 100)
     diag = 1.0 / np.diag(H)
-    pre = cg_quadratic(lambda v: v @ H, g0, tol, 100, precondition=lambda v: diag * v)
-    assert plain.converged and pre.converged
+    pre = cg_quadratic(lambda v, rows: v @ H, g0, tol, 100, precondition=lambda v: diag * v)
+    assert plain.row_converged[0] and pre.row_converged[0]
     target = tol * (1.0 + np.linalg.norm(g0))
     np.testing.assert_allclose(pre.x, plain.x, atol=10 * target)
-    assert pre.grad_norm == pytest.approx(np.linalg.norm(g0 + pre.x @ H), rel=1e-6, abs=1e-15)
-    assert pre.grad_norm <= target
+    grad_norm = pre.row_grad_norms[0]
+    assert grad_norm == pytest.approx(np.linalg.norm(g0 + pre.x @ H), rel=1e-6, abs=1e-15)
+    assert grad_norm <= target
 
 
 def _kernel(grid: UniformGrid) -> list[np.ndarray]:
@@ -597,37 +598,57 @@ def test_vecdot_rows_equal_row_dot_products(n, batch):
     assert _bits(norms) == _bits([np.linalg.norm(row) for row in a])
 
 
-def test_cg_batch_freezes_finished_rows():
+def test_cg_batch_freezes_finished_rows(monkeypatch):
+    monkeypatch.setattr(optim, "RECOMPUTE_EVERY", 3)
     rng = np.random.default_rng(5)
     a = rng.standard_normal((12, 12))
     H = a @ a.T + 12.0 * np.eye(12)
+    q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
     diag = 1.0 / np.diag(H)
-    g_healthy = rng.standard_normal(12)
-    # Rows: healthy, zero load (stops at iteration 0), NaN curvature.
-    g0 = np.stack([g_healthy, np.zeros(12), rng.standard_normal(12)])
+    # Rows: runs to max_iters (stiff), zero load (stops at iteration 0),
+    # loses curvature (indefinite), converges early.
+    hessians = [(q * np.logspace(0, 4, 12)) @ q.T, H, np.diag([1.0] * 11 + [-3.0]), H]
+    g0 = np.stack([rng.standard_normal(12), np.zeros(12), [1.0] * 11 + [0.3], rng.standard_normal(12)])
 
-    def row_hessian(V):
-        return np.stack([H @ row for row in V])
+    def recording(hessians, calls):
+        """The Hessian of row ``b`` is ``hessians[b]``; each call appends its row indices and points."""
 
-    def batch_hessian(V):
-        out = row_hessian(V)
-        out[2] = np.nan
-        return out
+        def apply_hessian(V, rows):
+            calls.append([(int(b), _bits(v)) for b, v in zip(rows, V)])
+            return np.stack([hessians[b] @ v for b, v in zip(rows, V)])
 
-    kwargs = dict(recompute_every=3, precondition=lambda v: diag * v)
-    res = cg_quadratic(batch_hessian, g0, 1e-12, 100, **kwargs)
-    alone = cg_quadratic(row_hessian, g_healthy[None], 1e-12, 100, **kwargs)
-    assert alone.converged and alone.iterations > 3  # the recompute branch ran
-    assert _bits(res.x[0]) == _bits(alone.x[0])
-    assert res.row_iterations.tolist() == [alone.iterations, 0, 1]
-    assert res.row_converged.tolist() == [True, True, False]
-    assert _bits(res.row_grad_norms[0]) == _bits(alone.grad_norm)
+        return apply_hessian
+
+    def precondition(v):
+        return diag * v
+
+    calls = []
+    res = cg_quadratic(recording(hessians, calls), g0, 1e-12, 16, precondition=precondition)
+    assert res.row_iterations.tolist() == [16, 0, 2, 12]
+    assert res.row_converged.tolist() == [False, True, False, True]
+    for b in range(len(g0)):
+        lone_calls = []
+        lone = recording(hessians[b : b + 1], lone_calls)
+        alone = cg_quadratic(lone, g0[b : b + 1], 1e-12, 16, precondition=precondition)
+        # Row b is passed at exactly the points of its lone solve, in order:
+        # never once it has stopped.
+        seen = [x for call in calls for row, x in call if row == b]
+        assert seen == [x for call in lone_calls for _, x in call]
+        assert _bits(res.x[b]) == _bits(alone.x[0])
+        assert res.row_iterations[b] == alone.row_iterations[0]
+        assert _bits(res.row_grad_norms[b]) == _bits(alone.row_grad_norms[0])
+        assert res.row_converged[b] == alone.row_converged[0]
+    # Iteration k passes exactly the rows still running, in batch order, once
+    # for the direction and, every third iteration, once more for the residual.
+    running = [[b for b in range(len(g0)) if res.row_iterations[b] >= k] for k in range(1, 17)]
+    expected = [rows for k, rows in enumerate(running, 1) for _ in range(1 + (k % 3 == 0))]
+    assert [[b for b, _ in call] for call in calls] == expected
     assert res.row_grad_norms[1] == 0.0
-    assert res.row_grad_norms[2] == np.linalg.norm(g0[2])
-    # Frozen rows keep the zero start: finite, and +0.0 rather than -0.0.
-    assert _bits(res.x[1:]) == _bits(np.zeros((2, 12)))
-    assert isinstance(res.iterations, int) and res.iterations == alone.iterations + 1
-    assert not res.converged
+    # The row that lost curvature keeps the iterate and residual it had.
+    assert res.row_grad_norms[2] == pytest.approx(np.linalg.norm(g0[2] + hessians[2] @ res.x[2]))
+    # The zero-load row keeps the zero start: +0.0 rather than -0.0.
+    assert _bits(res.x[1]) == _bits(np.zeros(12))
+    assert isinstance(res.iterations, int) and res.iterations == 16 + 2 + 12
 
 
 def _bare(f):

@@ -467,20 +467,33 @@ def test_tf_keys_are_the_tf_options_fields():
     assert set(TF_KEYS) == {f.name for f in dataclasses.fields(TfOptions)}
 
 
+SPHERE_3 = {"kind": "sphere", "d": 3}
+ISOTROPIC_3 = {"kind": "isotropic_quadratic", "N": 1, "d": 3}
+# An integrand of each test manifold's ambient dimension, by the sphere's d.
+ON_MANIFOLD = {2: {**LAMINATE, "N": 1}, 3: ISOTROPIC_3}
+# Each case: command, manifold, section; its id names the command and the position.
+INVALID_VALUES = [
+    ("gamma", SPHERE, {"epsilons": [0.3]}),
+    ("density", SPHERE, {"s_count": 4, "lattice": {"min": 1.0, "max": -1.0, "count": 3}}),
+    ("cell", SPHERE, {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "n": 1}),
+    ("density", SPHERE, {"s_count": 0, "lattice": {"min": -1.0, "max": 1.0, "count": 3}}),
+    ("gamma", SPHERE, {"epsilons": [0.5], "table": {"s_count": 0}}),
+    ("cell", SPHERE, {"s": {"theta": "north"}, "xi_coeffs": [[1.0]]}),
+    ("density", SPHERE, {"s_count": 4, "lattice": {"min": -1.0, "max": 1.0, "count": 2.5}}),
+    ("cell", SPHERE, {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "n": float("inf")}),
+    # Density tables live on the circle only.
+    ("density", SPHERE_3, {"s_count": 4, "lattice": {"min": -1.0, "max": 1.0, "count": 3}}),
+]
+
+
 @pytest.mark.parametrize(
-    "command, section",
-    [
-        ("gamma", {"epsilons": [0.3]}),
-        ("density", {"s_count": 4, "lattice": {"min": 1.0, "max": -1.0, "count": 3}}),
-        ("cell", {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "n": 1}),
-        ("density", {"s_count": 0, "lattice": {"min": -1.0, "max": 1.0, "count": 3}}),
-        ("gamma", {"epsilons": [0.5], "table": {"s_count": 0}}),
-        ("cell", {"s": {"theta": "north"}, "xi_coeffs": [[1.0]]}),
-        ("density", {"s_count": 4, "lattice": {"min": -1.0, "max": 1.0, "count": 2.5}}),
-        ("cell", {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "n": float("inf")}),
-    ],
+    "command, manifold, section",
+    INVALID_VALUES,
+    ids=[f"{command}-section{k}" for k, (command, _, _) in enumerate(INVALID_VALUES)],
 )
-def test_invalid_values_exit_1_before_solving(tmp_path, capsys, monkeypatch, command, section):
+def test_invalid_values_exit_1_before_solving(
+    tmp_path, capsys, monkeypatch, command, manifold, section
+):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve started before the config was validated")
 
@@ -488,8 +501,8 @@ def test_invalid_values_exit_1_before_solving(tmp_path, capsys, monkeypatch, com
     monkeypatch.setattr(cli, "solve_cell", no_solve)
     config = {
         "command": command,
-        "manifold": SPHERE,
-        "integrand": {**LAMINATE, "N": 1},
+        "manifold": manifold,
+        "integrand": ON_MANIFOLD[manifold["d"]],
         command: section,
     }
     code, _ = run_cli(tmp_path, config)
@@ -543,6 +556,11 @@ CELL_LOAD = {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]]}
         ("gamma", {"epsilons": [0.25], "optimizer": {"max_iters": 0}}, "max_iters"),
         ("gamma", {"epsilons": [1e12]}, "epsilon"),
         ("gamma", {"epsilons": [float("inf")]}, "epsilon"),
+        ("density", {"s_count": 1, "lattice": {"min": float("nan"), "max": 1, "count": 2}}, "lattice"),
+        ("density", {"s_count": 1, "lattice": {"min": 0, "max": float("inf"), "count": 2}}, "lattice"),
+        ("density", {**MINIMAL_SECTIONS["density"], "rel_tol": float("nan")}, "rel_tol"),
+        ("gamma", {"epsilons": [0.25], "theta0": float("nan")}, "theta0"),
+        ("gamma", {"epsilons": [0.25], "theta1": float("inf")}, "theta1"),
     ],
 )
 def test_out_of_range_settings_exit_1_naming_the_key(tmp_path, capsys, monkeypatch, command, section, key):
@@ -561,6 +579,43 @@ def test_out_of_range_settings_exit_1_naming_the_key(tmp_path, capsys, monkeypat
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}") and key in err
+
+
+@pytest.mark.parametrize(
+    "command, manifold, integrand, section",
+    [
+        ("density", SPHERE, ISOTROPIC_3, MINIMAL_SECTIONS["density"]),
+        ("verify", SPHERE_3, {**LAMINATE, "N": 1}, {"suites": ["hypotheses", "equivalence"]}),
+    ],
+)
+def test_integrand_off_the_manifold_dimension_exits_1(
+    tmp_path, capsys, monkeypatch, command, manifold, integrand, section
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started before the config was validated")
+
+    for name in ("build_density_table", "verify_hypotheses", "verify_equivalence_fbar"):
+        monkeypatch.setattr(cli, name, no_solve)
+    config = {"command": command, "manifold": manifold, "integrand": integrand, command: section}
+    code, out = run_cli(tmp_path, config)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: integrand: d = ")
+    assert not out.exists()
+
+
+def test_point_off_the_manifold_names_its_key(tmp_path, capsys):
+    # 5e-8 off the circle: beyond the on-manifold tolerance every cell solve checks.
+    config = {
+        "command": "cell",
+        "manifold": SPHERE,
+        "integrand": {**LAMINATE, "N": 1},
+        "cell": {"s": {"point": [1.0 + 5e-8, 0.0]}, "xi_coeffs": [[1.0]]},
+    }
+    with pytest.raises(ConfigError, match=r"^cell\.s\.point: point violates the sphere constraint"):
+        parse_run_config(config)
+    code, _ = run_cli(tmp_path, config)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cell.s.point")
 
 
 @pytest.mark.parametrize("seed", ["seven", 1.5, True])

@@ -46,6 +46,12 @@ def test_step_profile_validation():
         StepProfile((0.5,), (1.0,))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_step_profile_refuses_non_finite_values(value):
+    with pytest.raises(InvalidProfile, match="finite"):
+        StepProfile((0.5,), (1.0, value))
+
+
 def test_laminate_examples(profile_a, profile_b):
     iso = make_laminate_quadratic(StepProfile.constant(1.0), StepProfile.constant(1.0), 2)
     rng = np.random.default_rng(0)

@@ -114,8 +114,8 @@ def test_lbfgs_rows_equal_lone_descents(preconditioned):
         assert _bits(res.x[b]) == _bits(alone.x[0])
         assert _bits(fn(res.x[b])[0]) == _bits(fn(alone.x[0])[0])
         assert res.row_iterations[b] == alone.iterations
-        assert _bits(res.row_grad_norms[b]) == _bits(alone.grad_norm)
-        assert res.row_converged[b] == alone.converged
+        assert _bits(res.row_grad_norms[b]) == _bits(alone.row_grad_norms[0])
+        assert res.row_converged[b] == alone.row_converged[0]
     its, ok = res.row_iterations, res.row_converged
     assert its[0] == MAX_ITERS and not ok[0]
     assert its[0] > LBFGS_MEMORY  # the oldest pairs were dropped
@@ -123,8 +123,7 @@ def test_lbfgs_rows_equal_lone_descents(preconditioned):
     assert its[3] == 0 and ok[3]
     assert ok[1] and ok[4:].all()
     assert len(set(its[ok])) > 3  # converged rows stop at their own iterations
-    assert res.iterations == its.sum() and not res.converged
-    assert res.grad_norm == res.row_grad_norms.max()
+    assert isinstance(res.iterations, int) and res.iterations == its.sum()
     # Row indices arrive in order, and the last calls pass the capped row alone.
     assert all([b for b, _ in call] == sorted({b for b, _ in call}) for call in calls)
     assert len(calls[0]) == len(fns) and len(calls[-1]) == 1
