@@ -16,10 +16,11 @@ coefficient contrast, not the grid.  A row stops once its plain gradient norm
 is at most ``tol_grad * (1 + |g0|)``, ``g0`` the gradient at the zero
 corrector.  Every other density runs quasi-Newton descent under the same
 preconditioner ``P`` in every smoothing stage, measuring the gradient as
-``sqrt(g^T P g)`` against the same target.  Each objective samples the
-density's coefficients once (``Integrand.sample``); a conjugate-gradient step
-costs one Hessian action ``grad(d) - g0`` on the rows still running, and the
-density itself is evaluated once per solve, for the reported value.
+``sqrt(g^T P g)`` against the same target.  A solve samples the density's
+coefficients once (``Integrand.sample``), for the forms of every stage; a
+conjugate-gradient step costs one Hessian action ``grad(d) - g0`` on the rows
+still running, and the exact density is evaluated once per solve, for the
+reported value.
 
 Problems that share a manifold, a grid and solver settings form a
 ``CellBatch``: base points (B, d) and loads (B, d, N), validated once by
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
@@ -242,25 +243,26 @@ class CellBatchResult:
 
 
 class _CellObjective:
-    """Discrete cell energies and assembled gradients of a batch of problems.
+    """Discrete cell energies and assembled gradients of a batch of problems of density ``f``.
 
     Row ``b`` has the tangent basis ``bases[b]`` (m x d) and the load
     ``loads[b]`` (d x N; the batch's loads when None) on ``batch``'s grid.
     An extended density's forms take base points as well: ``points`` (B, d)
     gives row ``b`` the point ``points[b]``.  Packed unknowns are (b, n): the
     rows ``rows`` of the batch, given by their indices or a slice (every row
-    by default), each computed as it would be alone.  The forms see
-    ``sample(centers)``, taken once here (raw centers when ``sample`` is None).
+    by default), each computed as it would be alone.  The density's
+    coefficients are sampled at the element centers once, here
+    (``f.sample``).  ``value_and_grad`` and ``grad`` take the (value,
+    gradient) ``forms`` of a solver stage (``f.solver_forms(mu)``);
+    ``energies`` evaluates the exact density ``f.eval``.
     """
 
     def __init__(
         self,
         batch: CellBatch,
         bases: np.ndarray,
-        eval_fn: Callable,
-        grad_fn: Callable | None,
+        f: Integrand | ExtendedIntegrand,
         loads: np.ndarray | None = None,
-        sample: Callable | None = None,
         points: np.ndarray | None = None,
     ):
         self.grid = batch.grid()
@@ -272,10 +274,8 @@ class _CellObjective:
         lead = (self.batch,) + (1,) * batch.ndim
         self.loads = loads.reshape(lead + loads.shape[-2:])
         self.points = None if points is None else points.reshape(lead + points.shape[-1:])
-        self.eval_fn = eval_fn
-        self.grad_fn = grad_fn
-        centers = self.grid.centers()
-        self.y = centers if sample is None else sample(centers)
+        self.f = f
+        self.y = f.sample(self.grid.centers())
         self.node_shape = self.grid.node_shape
         self.dirichlet = batch.boundary == DIRICHLET
         if self.dirichlet:
@@ -315,12 +315,9 @@ class _CellObjective:
         amb += self.loads[rows]
         return amb
 
-    def energies(self, V: np.ndarray, eval_fn: Callable | None = None) -> np.ndarray:
-        """Cell average of each row's density at the nodal fields ``V`` of every row, shape (B,).
-
-        ``eval_fn`` defaults to the solver's density.
-        """
-        vals = (eval_fn or self.eval_fn)(*self._forms_args(slice(None)), self.ambient_gradient(V))
+    def energies(self, V: np.ndarray) -> np.ndarray:
+        """Cell average of each row's exact density at the nodal fields ``V``, shape (B,)."""
+        vals = self.f.eval(*self._forms_args(slice(None)), self.ambient_gradient(V))
         return vals.reshape(len(V), -1).mean(axis=1)
 
     def _assembled(self, df: np.ndarray, rows) -> np.ndarray:
@@ -330,16 +327,18 @@ class _CellObjective:
         W /= self.grid.n_elements
         return self.pack(self.grid.center_gradient_adjoint(W))
 
-    def value_and_grad(self, x: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_grad(self, forms: tuple, x: np.ndarray, rows=slice(None)) -> tuple:
+        """Energies and gradients at the packed unknowns ``x`` of ``rows``, under ``forms``."""
+        ev, gr = forms
         args = self._forms_args(rows)
         amb = self.ambient_gradient(self.unpack(x), rows)
-        energies = self.eval_fn(*args, amb).reshape(len(x), -1).mean(axis=1)
-        return energies, self._assembled(self.grad_fn(*args, amb), rows)
+        energies = ev(*args, amb).reshape(len(x), -1).mean(axis=1)
+        return energies, self._assembled(gr(*args, amb), rows)
 
-    def grad(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """``value_and_grad(x, rows)[1]`` without evaluating the density."""
+    def grad(self, forms: tuple, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """``value_and_grad(forms, x, rows)[1]`` without evaluating the density."""
         amb = self.ambient_gradient(self.unpack(x), rows)
-        return self._assembled(self.grad_fn(*self._forms_args(rows), amb), rows)
+        return self._assembled(forms[1](*self._forms_args(rows), amb), rows)
 
 
 def _continuation_schedule(mu_target: float) -> list[float]:
@@ -362,28 +361,25 @@ def _check_dims(batch: CellBatch, dims: tuple[int, int]) -> None:
         raise ShapeMismatch(f"loads have shape {batch.loads.shape[1:]}, integrand expects {(d, N)}")
 
 
-def _run_solver(
-    batch: CellBatch,
-    make_objective: Callable[[float], _CellObjective],
-    quadratic: bool,
-    smoothing: bool,
-    exact_eval: Callable,
-) -> CellBatchResult:
-    """Minimize ``make_objective(huber_mu)`` from the zero corrector, one row per problem.
+def _run_solver(batch: CellBatch, objective: _CellObjective) -> CellBatchResult:
+    """Minimize the cell energy of ``objective.f`` from the zero corrector, one row per problem.
 
     Every row stops on its own target, ``tol_grad * (1 + |g0|)`` for its
-    gradient ``g0`` at the zero corrector of the final objective, and is no
-    longer evaluated while the other rows go on.  Quadratic densities run all
-    rows in one preconditioned conjugate-gradient solve, whose Hessian action
-    ``grad(v, rows) - g0[rows]`` covers the rows still running.  Everything
-    else runs them as the rows of quasi-Newton descents under the same
-    preconditioner; with ``smoothing`` (linear growth) the rows first solve
-    ``make_objective(mu)`` for decreasing mu, warm started, each to its own
-    looser stage target.  Values are exact energies under ``exact_eval``.
+    gradient ``g0`` at the zero corrector under the final forms
+    ``f.solver_forms(huber_mu)``, and is no longer evaluated while the other
+    rows go on.  A quadratic density runs all rows in one preconditioned
+    conjugate-gradient solve, whose Hessian action ``grad(v, rows) -
+    g0[rows]`` covers the rows still running.  Every other density runs them
+    as the rows of quasi-Newton descents under the same preconditioner; at
+    linear growth (p = 1) the rows first solve the forms of decreasing mu,
+    warm started, each to its own looser stage target.  Correctors come back
+    gauge fixed (``project_gauge``), with their exact energies.
     """
-    objective = make_objective(batch.huber_mu)
+    f = objective.f
+    forms = f.solver_forms(batch.huber_mu)
     x = np.zeros((objective.batch, objective.n_unknowns))
-    g0 = objective.grad(x)
+    g0 = objective.grad(forms, x)
+    target = batch.tol_grad * (1.0 + np.sqrt(np.vecdot(g0, g0)))
     # Precondition each channel by the unit-coefficient stiffness, for any
     # stack of rows: iterations then track the contrast, not n.
     inverse = objective.grid.stiffness_inverse()
@@ -392,39 +388,35 @@ def _run_solver(
     def precondition(v):
         return inverse(v.reshape(channels)).reshape(v.shape)
 
-    if quadratic:
+    if f.quadratic:
         max_iters = batch.max_iters or max(1000, 2 * objective.n_unknowns)
 
         def apply_h(v, rows):
-            return objective.grad(v, rows) - g0[rows]
+            return objective.grad(forms, v, rows) - g0[rows]
 
         project = None if objective.dirichlet else objective.project_gauge
         res = cg_quadratic(
-            apply_h, g0, batch.tol_grad, max_iters, project=project, precondition=precondition
+            apply_h, g0, target, max_iters, project=project, precondition=precondition
         )
         iterations = res.row_iterations
     else:
         max_iters = batch.max_iters or 5000
-        final_target = batch.tol_grad * (1.0 + np.sqrt(np.vecdot(g0, g0)))
-        stage_target = np.maximum(100.0 * final_target, 1e-6)
-        stages = _continuation_schedule(batch.huber_mu)[:-1] if smoothing else []
+        stage_target = np.maximum(100.0 * target, 1e-6)
+        stages = _continuation_schedule(batch.huber_mu)[:-1] if f.p == 1 else []
         iterations = 0
         for mu in stages:
             stage_res = lbfgs(
-                make_objective(mu).value_and_grad, x, stage_target, min(800, max_iters),
-                precondition,
+                partial(objective.value_and_grad, f.solver_forms(mu)), x, stage_target,
+                min(800, max_iters), precondition,
             )
             x = stage_res.x
             iterations += stage_res.row_iterations
-        res = lbfgs(objective.value_and_grad, x, final_target, max_iters, precondition)
+        res = lbfgs(partial(objective.value_and_grad, forms), x, target, max_iters, precondition)
         iterations += res.row_iterations
 
-    V = objective.unpack(res.x)
-    if not objective.dirichlet:
-        # Gauge fix: periodic correctors are reported with zero nodal mean.
-        V = V - V.mean(axis=tuple(range(2, V.ndim)), keepdims=True)
+    V = objective.unpack(objective.project_gauge(res.x))
     return CellBatchResult(
-        values=objective.energies(V, exact_eval),
+        values=objective.energies(V),
         iterations=iterations,
         grad_norms=res.row_grad_norms,
         solver_converged=res.row_converged,
@@ -452,7 +444,7 @@ def energy_of_fields(
         raise ShapeMismatch("corrector bases do not live in the ambient space")
     if batch.boundary == DIRICHLET and np.any(coeffs[:, :, grid.boundary_mask()]):
         raise ShapeMismatch("zero-boundary corrector has nonzero boundary values")
-    return _CellObjective(batch, bases, f.eval, None, sample=f.sample).energies(coeffs)
+    return _CellObjective(batch, bases, f).energies(coeffs)
 
 
 def energy_of_field(f: Integrand, spec: CellProblemSpec, phi: CorrectorField) -> float:
@@ -476,19 +468,9 @@ def _solve_in_parts(
     parts = []
     for k in range(0, len(batch), size):
         rows = slice(k, k + size)
-        part_bases, loads = bases[rows], batch.loads[rows]
         part_points = None if points is None else points[rows]
-        parts.append(
-            _run_solver(
-                batch,
-                lambda mu: _CellObjective(
-                    batch, part_bases, *f.solver_forms(mu), loads, f.sample, part_points
-                ),
-                quadratic=f.quadratic,
-                smoothing=f.p == 1,
-                exact_eval=f.eval,
-            )
-        )
+        objective = _CellObjective(batch, bases[rows], f, batch.loads[rows], part_points)
+        parts.append(_run_solver(batch, objective))
     if len(parts) == 1:
         return parts[0]
     return CellBatchResult(

@@ -5,8 +5,10 @@ after the command; unknown keys anywhere are rejected with the offending key
 path so batch scripts fail loudly instead of silently ignoring typos.  Each
 section builds the library objects its command runs.  A key the config leaves
 out takes the default of the dataclass it sets, and the dataclasses validate
-the values: a ``ValueError`` from a key's conversion or from a constructor
-becomes a ``ConfigError`` that names the section, before any solve starts.
+the values: a bad value met by a key's conversion or by a constructor becomes
+a ``ConfigError`` that names the key or the section (``errors.config_value``,
+which the ``manifold`` and ``integrand`` builders use too), before any solve
+starts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .cell import PERIODIC, CellProblemSpec
 from .density import CoefficientLattice, TfOptions, check_angle_count, check_circle
-from .errors import ConfigError, DegeneratePoint, check_keys
+from .errors import ConfigError, DegeneratePoint, as_integer, check_keys, config_value
 from .gamma import GammaExperimentConfig, OptimizerOptions
 from .integrand import Integrand, integrand_from_config
 from .manifold import EmbeddedManifold, circle_point, manifold_from_config
@@ -35,75 +37,56 @@ def _tuple_of(convert: Callable) -> Callable:
     return lambda values: tuple(convert(v) for v in values)
 
 
-def _integer(value: Any) -> int:
-    """``value`` as an int, refusing what ``int`` would truncate or parse."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _float_array(value: Any) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
 # Config key -> conversion, for the keys that set a TfOptions field of the same name.
 TF_KEYS = {
-    "t_list": _tuple_of(_integer),
-    "n": _integer,
+    "t_list": _tuple_of(as_integer),
+    "n": as_integer,
     "boundary": str,
     "rel_tol": float,
     "tol_grad": float,
-    "max_iters": _optional(_integer),
+    "max_iters": _optional(as_integer),
     "huber_mu": float,
 }
 # Density sweeps (density, verify, gamma.table) default to one periodic cube.
 SWEEP_DEFAULTS = {"t_list": (1,), "boundary": PERIODIC}
 # The cell section sets one cube side ``t``; ``n`` is CellProblemSpec.nodes_per_period.
 CELL_KEYS = {
-    "t": _integer,
+    "t": as_integer,
     **{key: TF_KEYS[key] for key in ("n", "boundary", "tol_grad", "max_iters", "huber_mu")},
 }
 VERIFY_KEYS = {
     "suites": tuple,
-    "sample_count": _integer,
-    "pair_count": _integer,
-    "trial_count": _integer,
-    "sample_points": _integer,
+    "sample_count": as_integer,
+    "pair_count": as_integer,
+    "trial_count": as_integer,
+    "sample_points": as_integer,
     "coeff_radius": float,
     "equivalence_tol": _optional(float),
     "delta0": float,
 }
 GAMMA_KEYS = {
-    "dim": _integer,
-    "mesh_nodes": _integer,
+    "dim": as_integer,
+    "mesh_nodes": as_integer,
     "theta0": float,
     "theta1": float,
     "epsilons": _tuple_of(float),
     "run_dp": bool,
 }
-OPTIMIZER_KEYS = {"max_iters": _integer, "tol": float}
-LATTICE_KEYS = {"min": float, "max": float, "count": _integer}
+OPTIMIZER_KEYS = {"max_iters": as_integer, "tol": float}
+LATTICE_KEYS = {"min": float, "max": float, "count": as_integer}
 
 
 def _values(section: dict, path: str, conversions: dict[str, Callable]) -> dict:
     """The keys of ``section`` named in ``conversions``, each converted."""
-    out = {}
-    for key, convert in conversions.items():
-        if key in section:
-            try:
-                out[key] = convert(section[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                where = f"{path}.{key}" if path else key
-                raise ConfigError(f"{where}: {exc}") from None
-    return out
-
-
-def _build(path: str, make: Callable, *args, **kwargs):
-    """``make(*args, **kwargs)``, its ``ValueError`` raised as a ``ConfigError`` naming ``path``."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return {
+        key: config_value(f"{path}.{key}" if path else key, convert, section[key])
+        for key, convert in conversions.items()
+        if key in section
+    }
 
 
 def _parse_point(M: EmbeddedManifold, cfg: Any, path: str) -> np.ndarray:
@@ -126,12 +109,12 @@ def _parse_point(M: EmbeddedManifold, cfg: Any, path: str) -> np.ndarray:
 def _parse_lattice(cfg: Any, path: str) -> CoefficientLattice:
     check_keys(cfg, path, set(LATTICE_KEYS), set())
     v = _values(cfg, path, LATTICE_KEYS)
-    return _build(path, CoefficientLattice, v["min"], v["max"], v["count"])
+    return config_value(path, CoefficientLattice, v["min"], v["max"], v["count"])
 
 
 def _parse_tf_options(cfg: dict, path: str) -> TfOptions:
     """Sweep TfOptions from the TF_KEYS of an already key-checked section."""
-    return _build(path, TfOptions, **{**SWEEP_DEFAULTS, **_values(cfg, path, TF_KEYS)})
+    return config_value(path, TfOptions, **{**SWEEP_DEFAULTS, **_values(cfg, path, TF_KEYS)})
 
 
 @dataclass
@@ -210,7 +193,7 @@ def parse_run_config(raw: Any) -> RunConfig:
             f"integrand: d = {f.dims[1]} does not match the manifold's ambient dimension "
             f"{M.ambient_dim}"
         )
-    seed = _values(raw, "", {"seed": _integer}).get("seed", 0)
+    seed = _values(raw, "", {"seed": as_integer}).get("seed", 0)
 
     cfg = RunConfig(command=command, manifold=M, integrand=f, seed=seed)
     section = raw.get(command, {})
@@ -240,24 +223,24 @@ def _parse_cell(section: Any, M: EmbeddedManifold, f: Integrand) -> CellProblemS
     if "n" in values:
         values["nodes_per_period"] = values.pop("n")
     xi = M.tangent_from_coeffs(s, coeffs)
-    return _build("cell", CellProblemSpec, manifold=M, s=s, xi=xi, **values)
+    return config_value("cell", CellProblemSpec, manifold=M, s=s, xi=xi, **values)
 
 
 def _parse_density(section: Any, M: EmbeddedManifold) -> DensitySection:
     check_keys(section, "density", {"s_count", "lattice"}, set(TF_KEYS))
-    _build("density", check_circle, M)
-    return _build(
+    config_value("density", check_circle, M)
+    return config_value(
         "density",
         DensitySection,
         lattice=_parse_lattice(section["lattice"], "density.lattice"),
         options=_parse_tf_options(section, "density"),
-        **_values(section, "density", {"s_count": _integer}),
+        **_values(section, "density", {"s_count": as_integer}),
     )
 
 
 def _parse_verify(section: Any) -> VerifySection:
     check_keys(section, "verify", {"suites"}, set(VERIFY_KEYS) | set(TF_KEYS))
-    return _build(
+    return config_value(
         "verify",
         VerifySection,
         options=_parse_tf_options(section, "verify"),
@@ -273,10 +256,10 @@ def _parse_gamma(section: Any, M: EmbeddedManifold, f: Integrand) -> GammaSectio
         kind = f.describe.get("kind", "this integrand")
         raise ConfigError(f"gamma: {kind} is not quadratic, so its table has no tensor")
     opt_cfg = check_keys(section.get("optimizer", {}), "gamma.optimizer", set(), set(OPTIMIZER_KEYS))
-    optimizer = _build(
+    optimizer = config_value(
         "gamma.optimizer", OptimizerOptions, **_values(opt_cfg, "gamma.optimizer", OPTIMIZER_KEYS)
     )
-    experiment = _build(
+    experiment = config_value(
         "gamma",
         GammaExperimentConfig,
         manifold=M,
@@ -290,10 +273,10 @@ def _parse_gamma(section: Any, M: EmbeddedManifold, f: Integrand) -> GammaSectio
     )
     if "path" in table_cfg and len(table_cfg) > 1:
         raise ConfigError("gamma.table.path excludes inline table options")
-    source = _values(table_cfg, "gamma.table", {"path": str, "s_count": _integer})
+    source = _values(table_cfg, "gamma.table", {"path": str, "s_count": as_integer})
     if "lattice" in table_cfg:
         source["lattice"] = _parse_lattice(table_cfg["lattice"], "gamma.table.lattice")
-    return _build(
+    return config_value(
         "gamma.table",
         GammaSection,
         experiment=experiment,

@@ -39,6 +39,11 @@ from .grid import UniformGrid
 from .integrand import Integrand, StepProfile, make_fbar, make_g_extension
 from .manifold import EmbeddedManifold, Sphere, circle_point
 
+# Quasiconvexity trials: elements per side of their grid on the unit cube, and
+# the residual tolerance relative to 1 + |xi|^2.
+TRIAL_GRID = 4
+QUASICONVEXITY_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class TfOptions:
@@ -266,23 +271,23 @@ def check_tangential_quasiconvexity(
     trial_count: int,
     seed: int,
     opts: TfOptions | None = None,
-    trial_grid: int = 4,
-    tolerance_scale: float = 1e-3,
 ) -> QuasiconvexityReport:
     """Jensen-type test of the homogenized density against trial fields.
 
     Draws compactly supported piecewise-multilinear tangent-valued trials on
-    the unit cube (interior nodal coordinates uniform in [-1, 1]), evaluates
-    the reference and every trial's element-center gradients in one
-    ``tf_hom_batch``, and reports each residual reference - average.
-    Nonpositive residuals (up to solver noise) certify the inequality; the
-    zero trial gives residual exactly zero.
+    a ``TRIAL_GRID`` grid of the unit cube (interior nodal coordinates uniform
+    in [-1, 1]), evaluates the reference and every trial's element-center
+    gradients in one ``tf_hom_batch``, and reports each residual reference -
+    average.
+    Nonpositive residuals, up to ``QUASICONVEXITY_TOL * (1 + |xi|^2)`` of
+    solver noise, certify the inequality; the zero trial gives residual
+    exactly zero.
     """
     opts = opts or TfOptions()
     s = M.check_point(s)
     xi = np.asarray(xi, dtype=float)
     basis = M.tangent_basis(s)
-    grid = UniformGrid(xi.shape[1], trial_grid, 1.0 / trial_grid, periodic=False)
+    grid = UniformGrid(xi.shape[1], TRIAL_GRID, 1.0 / TRIAL_GRID, periodic=False)
     rng = np.random.default_rng(seed)
 
     # Trial 0 stays zero, an exact identity check; the others draw in trial order.
@@ -295,7 +300,7 @@ def check_tangential_quasiconvexity(
     values = np.array([res.value for res in tf_hom_batch(f, M, points, loads, opts)])
     reference = float(values[0])
     residuals = reference - values[1:].reshape(trial_count, grid.n_elements).mean(axis=1)
-    tol = tolerance_scale * (1.0 + float(np.sum(xi * xi)))
+    tol = QUASICONVEXITY_TOL * (1.0 + float(np.sum(xi * xi)))
     return QuasiconvexityReport(s, xi, reference, residuals, tol)
 
 
@@ -663,9 +668,9 @@ def check_angle_count(s_count: int) -> None:
 
 
 def check_circle(M: EmbeddedManifold) -> None:
-    """Raise ``ValueError`` unless ``M`` is the circle S^1, where density tables live."""
+    """Raise ``ValueError`` unless ``M`` is the circle S^1, where tables and experiments live."""
     if not isinstance(M, Sphere) or M.ambient_dim != 2:
-        raise ValueError("density tables are defined on the circle S^1 (sphere, d = 2)")
+        raise ValueError("density tables and experiments live on the circle S^1 (sphere, d = 2)")
 
 
 def _column_energies(

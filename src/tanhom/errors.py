@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the config key check."""
+"""Exception types shared across the package, and the config checks every section shares."""
 
-from typing import Any
+from typing import Any, Callable
 
 
 class TanhomError(Exception):
@@ -76,3 +76,22 @@ def check_keys(obj: Any, path: str, required: set[str], optional: set[str]) -> d
         where = f"{path}.{key}" if path else key
         raise ConfigError(f"missing required key {where!r}")
     return obj
+
+
+def as_integer(value: Any) -> int:
+    """``value`` as an int, refusing what ``int`` would truncate or parse."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def config_value(path: str, make: Callable, *args, **kwargs):
+    """``make(*args, **kwargs)``: a conversion or a constructor of the config value at ``path``.
+
+    A ``TypeError``, ``ValueError``, ``OverflowError`` or ``InvalidProfile``
+    it raises, a bad value, is raised as a ``ConfigError`` naming ``path``.
+    """
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError, InvalidProfile) as exc:
+        raise ConfigError(f"{path}: {exc}") from None

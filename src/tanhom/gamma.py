@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import read_csv, write_columns
-from .density import DensityTable
+from .density import DensityTable, check_circle
 from .errors import ShapeMismatch, UnsupportedGrowth
 from .grid import UniformGrid
 from .integrand import Integrand
-from .manifold import EmbeddedManifold, Sphere
+from .manifold import EmbeddedManifold
 from .optim import lbfgs
 
 
@@ -77,8 +77,7 @@ class GammaExperimentConfig:
     run_dp: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.manifold, Sphere) and self.manifold.ambient_dim == 2):
-            raise ValueError("the experiment drives circle-valued fields (sphere, d=2)")
+        check_circle(self.manifold)
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         if not (math.isfinite(self.theta0) and math.isfinite(self.theta1)):

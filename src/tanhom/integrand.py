@@ -36,7 +36,9 @@ from .errors import (
     HypothesisViolated,
     InvalidProfile,
     UnsupportedGrowth,
+    as_integer,
     check_keys,
+    config_value,
 )
 from .manifold import EmbeddedManifold
 
@@ -149,6 +151,8 @@ class Integrand:
     coefficients: Callable | None = None
 
     def __post_init__(self):
+        if min(self.dims) < 1:
+            raise ValueError(f"dims (N, d) must be at least 1, got {self.dims}")
         if self.p < 1:
             raise UnsupportedGrowth("growth exponent must satisfy p >= 1")
         if self.alpha <= 0 or self.beta < self.alpha:
@@ -225,8 +229,6 @@ def make_laminate_quadratic(a: StepProfile, b: StepProfile, N: int) -> Integrand
     classical setting where harmonic and arithmetic means give the effective
     behavior in closed form.
     """
-    if N < 1:
-        raise ValueError("need at least one gradient column")
 
     def coefficients(y):
         return a(y[..., 0]), b(y[..., 0])
@@ -662,15 +664,20 @@ def integrand_from_config(cfg: dict) -> Integrand:
 
     def profile(key):
         sub = check_keys(cfg[key], f"integrand.{key}", {"values"}, {"breaks"})
-        return StepProfile(tuple(sub.get("breaks", ())), tuple(sub["values"]))
+        return config_value(f"integrand.{key}", StepProfile, sub.get("breaks", ()), sub["values"])
+
+    def size(key, default):
+        return config_value(f"integrand.{key}", as_integer, cfg.get(key, default))
 
     if kind == "laminate":
         check_keys(cfg, "integrand", {"kind", "a", "b"}, {"N"})
-        return make_laminate_quadratic(profile("a"), profile("b"), int(cfg.get("N", 1)))
-    if kind == "isotropic_quadratic":
+        make, args = make_laminate_quadratic, (profile("a"), profile("b"), size("N", 1))
+    elif kind == "isotropic_quadratic":
         check_keys(cfg, "integrand", {"kind"}, {"N", "d"})
-        return make_isotropic_quadratic(int(cfg.get("N", 1)), int(cfg.get("d", 2)))
-    if kind == "norm_linear":
+        make, args = make_isotropic_quadratic, (size("N", 1), size("d", 2))
+    elif kind == "norm_linear":
         check_keys(cfg, "integrand", {"kind", "c"}, {"N", "d"})
-        return make_norm_linear(profile("c"), int(cfg.get("N", 1)), int(cfg.get("d", 2)))
-    raise ConfigError(f"unknown integrand kind {kind!r}")
+        make, args = make_norm_linear, (profile("c"), size("N", 1), size("d", 2))
+    else:
+        raise ConfigError(f"unknown integrand kind {kind!r}")
+    return config_value("integrand", make, *args)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePoint, check_keys
+from .errors import ConfigError, DegeneratePoint, as_integer, check_keys, config_value
 
 # Tolerance for "this point lies on the manifold" checks: far above solver
 # round-off, far below any discretization error we produce.
@@ -268,8 +268,8 @@ def manifold_from_config(cfg: dict) -> EmbeddedManifold:
     kind = check_keys(cfg, "manifold", {"kind"}, {"d", "k"})["kind"]
     if kind == "sphere":
         check_keys(cfg, "manifold", {"kind", "d"}, set())
-        return Sphere(int(cfg["d"]))
+        return config_value("manifold.d", lambda d: Sphere(as_integer(d)), cfg["d"])
     if kind == "circle_product":
         check_keys(cfg, "manifold", {"kind", "k"}, set())
-        return CircleProduct(int(cfg["k"]))
+        return config_value("manifold.k", lambda k: CircleProduct(as_integer(k)), cfg["k"])
     raise ConfigError(f"unknown manifold kind {kind!r}")

@@ -1,9 +1,8 @@
 """Matrix-free minimizers used by the cell solver and the angle descents.
 
-Both stop when the gradient norm falls below a target: ``cg_quadratic``
-takes tol * (1 + initial gradient norm), ``lbfgs`` an absolute target per
-row that the caller anchors (the cell solver anchors it the same way, at the
-zero corrector).  Both take an optional preconditioner.  The
+Both stop once the gradient norm is at most an absolute target, one per row,
+that the caller anchors (the cell solver at ``tol * (1 + |g0|)``, ``g0`` the
+gradient at the zero corrector).  Both take an optional preconditioner.  The
 conjugate-gradient path assumes the objective is an exact quadratic so that
 the Hessian action can be read off from gradient differences; its
 preconditioner only shapes the search directions, and the stopping test stays
@@ -98,7 +97,7 @@ class _Outcome:
 def cg_quadratic(
     apply_hessian: Callable[[np.ndarray, np.ndarray], np.ndarray],
     g0: np.ndarray,
-    tol: float,
+    target: float | np.ndarray,
     max_iters: int,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -115,9 +114,10 @@ def cg_quadratic(
     positive semidefinite ``P`` (identity when None) that is positive definite
     on that subspace and maps into it; it changes the search directions only.
     The stopping test and the reported gradient norms use the unpreconditioned
-    residual ``r = -(g0 + H x)``: a row stops once ``|r_b| <= tol * (1 +
-    |g0_b|)``.  Residuals are recomputed from scratch every
-    ``RECOMPUTE_EVERY`` iterations to keep round-off in check.
+    residual ``r = -(g0 + H x)``: a row stops once ``|r_b|`` is at most its
+    target, ``target`` being one absolute target or one per row.  Residuals
+    are recomputed from scratch every ``RECOMPUTE_EVERY`` iterations to keep
+    round-off in check.
 
     Every row has its own step length, ``beta``, target and stop flag.  A row
     that meets its target, or whose curvature ``d^T H d`` is lost, stops with
@@ -129,7 +129,7 @@ def cg_quadratic(
     proj = project or (lambda v: v)
     apply_p = precondition or (lambda v: v)
     out = _Outcome(g0.shape)
-    target = tol * (1.0 + np.sqrt(np.vecdot(g0, g0)))
+    target = np.broadcast_to(np.asarray(target, dtype=float), (len(g0),))
     rows = _Rows(len(g0), x=np.zeros_like(g0), r=proj(-g0), target=target)
     rows.rnorm = np.sqrt(np.vecdot(rows.r, rows.r))
     out.stop(rows, rows.rnorm <= rows.target, rows.x, 0, rows.rnorm, True)

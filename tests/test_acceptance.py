@@ -338,23 +338,21 @@ def test_criterion_9_gradient_correctness():
         xi = S1.tangent_from_coeffs(s, rng.uniform(-2, 2, size=(1, ndim)))
         spec = CellProblemSpec(S1, s, xi, t=1, nodes_per_period=4, boundary=boundary)
         if fbar is None:
-            obj = _CellObjective(spec.batch, S1.tangent_basis(s), f.eval, f.grad_xi)
+            obj = _CellObjective(spec.batch, S1.tangent_basis(s), f)
+            forms = (f.eval, f.grad_xi)
         else:
-            sc = spec.s
-            obj = _CellObjective(
-                spec.batch,
-                np.eye(2),
-                lambda y, a: fbar.eval(y, sc, a),
-                lambda y, a: fbar.grad_xi(y, sc, a),
-            )
+            obj = _CellObjective(spec.batch, np.eye(2), fbar, points=spec.s[None])
+            forms = (fbar.eval, fbar.grad_xi)
         x = rng.standard_normal((1, obj.n_unknowns))
-        _, g = obj.value_and_grad(x)
+        _, g = obj.value_and_grad(forms, x)
         gfd = np.zeros_like(g)
         h = 1e-6
         for i in range(x.size):
             e = np.zeros_like(x)
             e[0, i] = h
-            gfd[0, i] = (obj.value_and_grad(x + e)[0][0] - obj.value_and_grad(x - e)[0][0]) / (2.0 * h)
+            gfd[0, i] = (
+                obj.value_and_grad(forms, x + e)[0][0] - obj.value_and_grad(forms, x - e)[0][0]
+            ) / (2.0 * h)
         worst = max(worst, np.linalg.norm(g - gfd) / max(np.linalg.norm(gfd), 1e-12))
         checked += 1
     passed = worst <= 1e-5

@@ -23,6 +23,7 @@ from tanhom.density import TfOptions, laminate_oracle
 from tanhom.errors import DegeneratePoint, NotTangent, ShapeMismatch, UnsupportedBoundary
 from tanhom.grid import UniformGrid
 from tanhom.integrand import (
+    Integrand,
     StepProfile,
     make_fbar,
     make_g_extension,
@@ -168,12 +169,11 @@ def test_cg_preconditioned_matches_plain():
     a = rng.standard_normal((12, 12))
     H = a @ a.T + 12.0 * np.eye(12)
     g0 = rng.standard_normal((1, 12))
-    tol = 1e-10
-    plain = cg_quadratic(lambda v, rows: v @ H, g0, tol, 100)
+    target = 1e-10 * (1.0 + np.linalg.norm(g0))
+    plain = cg_quadratic(lambda v, rows: v @ H, g0, target, 100)
     diag = 1.0 / np.diag(H)
-    pre = cg_quadratic(lambda v, rows: v @ H, g0, tol, 100, precondition=lambda v: diag * v)
+    pre = cg_quadratic(lambda v, rows: v @ H, g0, target, 100, precondition=lambda v: diag * v)
     assert plain.row_converged[0] and pre.row_converged[0]
-    target = tol * (1.0 + np.linalg.norm(g0))
     np.testing.assert_allclose(pre.x, plain.x, atol=10 * target)
     grad_norm = pre.row_grad_norms[0]
     assert grad_norm == pytest.approx(np.linalg.norm(g0 + pre.x @ H), rel=1e-6, abs=1e-15)
@@ -354,16 +354,19 @@ def test_assembled_gradient_matches_fd(s1, boundary, ndim, profile_a, profile_b)
     spec = CellProblemSpec(
         s1, s, xi, t=1, nodes_per_period=4, boundary=boundary
     )
-    obj = _CellObjective(spec.batch, s1.tangent_basis(s), f.eval, f.grad_xi)
+    obj = _CellObjective(spec.batch, s1.tangent_basis(s), f)
+    forms = (f.eval, f.grad_xi)
     rng = np.random.default_rng(42 + ndim)
     x = rng.standard_normal((1, obj.n_unknowns))
-    _, g = obj.value_and_grad(x)
+    _, g = obj.value_and_grad(forms, x)
     h = 1e-6
     gfd = np.zeros_like(g)
     for i in range(x.size):
         e = np.zeros_like(x)
         e[0, i] = h
-        gfd[0, i] = (obj.value_and_grad(x + e)[0][0] - obj.value_and_grad(x - e)[0][0]) / (2 * h)
+        gfd[0, i] = (
+            obj.value_and_grad(forms, x + e)[0][0] - obj.value_and_grad(forms, x - e)[0][0]
+        ) / (2 * h)
     assert np.linalg.norm(g - gfd) <= 1e-5 * max(np.linalg.norm(gfd), 1e-12)
 
 
@@ -623,13 +626,14 @@ def test_cg_batch_freezes_finished_rows(monkeypatch):
         return diag * v
 
     calls = []
-    res = cg_quadratic(recording(hessians, calls), g0, 1e-12, 16, precondition=precondition)
+    target = 1e-12 * (1.0 + np.sqrt(np.vecdot(g0, g0)))
+    res = cg_quadratic(recording(hessians, calls), g0, target, 16, precondition=precondition)
     assert res.row_iterations.tolist() == [16, 0, 2, 12]
     assert res.row_converged.tolist() == [False, True, False, True]
     for b in range(len(g0)):
         lone_calls = []
         lone = recording(hessians[b : b + 1], lone_calls)
-        alone = cg_quadratic(lone, g0[b : b + 1], 1e-12, 16, precondition=precondition)
+        alone = cg_quadratic(lone, g0[b : b + 1], target[b], 16, precondition=precondition)
         # Row b is passed at exactly the points of its lone solve, in order:
         # never once it has stopped.
         seen = [x for call in calls for row, x in call if row == b]
@@ -649,6 +653,48 @@ def test_cg_batch_freezes_finished_rows(monkeypatch):
     # The zero-load row keeps the zero start: +0.0 rather than -0.0.
     assert _bits(res.x[1]) == _bits(np.zeros(12))
     assert isinstance(res.iterations, int) and res.iterations == 16 + 2 + 12
+
+
+def test_cg_rows_take_one_target_each():
+    rng = np.random.default_rng(8)
+    q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    H = (q * np.logspace(0, 3, 12)) @ q.T
+    g0 = np.stack([rng.standard_normal(12)] * 2)
+
+    def apply_hessian(v, rows):  # row by row: a matrix product may round each row differently
+        return np.stack([H @ row for row in v])
+
+    res = cg_quadratic(apply_hessian, g0, np.array([1e-2, 1e-10]), 100)
+    loose = cg_quadratic(apply_hessian, g0[:1], 1e-2, 100)
+    tight = cg_quadratic(apply_hessian, g0[:1], 1e-10, 100)
+    assert res.row_iterations.tolist() == [loose.iterations, tight.iterations]
+    assert loose.iterations < tight.iterations
+    assert res.row_converged.all()
+    assert _bits(res.x) == _bits(np.concatenate([loose.x, tight.x]))
+    assert _bits(res.row_grad_norms) == _bits([loose.row_grad_norms[0], tight.row_grad_norms[0]])
+
+
+def test_non_quadratic_parts_sample_the_density_once(monkeypatch, s1, profile_a):
+    # At the default huber_mu every part runs five smoothing stages; each
+    # stage used to build its own objective and sample the coefficients again.
+    assert len(cell._continuation_schedule(CellBatch.huber_mu)) == 5
+    f = make_norm_linear(profile_a, 1)
+    specs = []
+    for theta, coeff in ((0.3, 1.0), (2.0, -0.5), (4.5, 0.25)):
+        s = circle_point(theta)
+        specs.append(spec_for(s1, s, s1.tangent_from_coeffs(s, [[coeff]]), tol_grad=1e-6))
+    monkeypatch.setattr(cell, "BATCH_ELEMENTS", 2 * specs[0].grid().n_elements)
+    samples = []
+    sample = Integrand.sample
+
+    def counted(self, y):
+        samples.append(len(y))
+        return sample(self, y)
+
+    monkeypatch.setattr(Integrand, "sample", counted)
+    rows = solve_cell_batch(f, _batch_of(specs))
+    assert len(samples) == 2  # parts of two rows and one row
+    assert rows.converged.all()
 
 
 def _bare(f):
@@ -673,9 +719,9 @@ def test_objective_grad_equals_value_and_grad(s1, profile_a, boundary, kind):
     loads = np.stack([spec.xi for spec in specs])
     rng = np.random.default_rng(3)
     for rows in (2, 1):
-        obj = _CellObjective(specs[0].batch, np.stack(bases[:rows]), *forms, loads[:rows], f.sample)
+        obj = _CellObjective(specs[0].batch, np.stack(bases[:rows]), f, loads[:rows])
         x = rng.standard_normal((obj.batch, obj.n_unknowns))
-        assert np.array_equal(obj.grad(x), obj.value_and_grad(x)[1])
+        assert np.array_equal(obj.grad(forms, x), obj.value_and_grad(forms, x)[1])
 
 
 def test_sampled_solves_match_bare_callable_solves(s1, profile_a):

@@ -510,6 +510,48 @@ def test_invalid_values_exit_1_before_solving(
     assert capsys.readouterr().err.startswith(f"error: {command}")
 
 
+# Each case: command, manifold, integrand, and the key its error names.
+INVALID_MODEL_VALUES = [
+    ("density", SPHERE, {**LAMINATE, "N": "2"}, "integrand.N"),
+    ("density", SPHERE, {**LAMINATE, "N": 2.5}, "integrand.N"),
+    ("cell", SPHERE, {**LAMINATE, "N": True}, "integrand.N"),
+    ("density", SPHERE, {**LAMINATE, "N": 0}, "integrand"),
+    ("cell", SPHERE, {"kind": "norm_linear", "c": {"values": [1]}, "N": 0}, "integrand"),
+    ("cell", {"kind": "sphere", "d": 2.5}, {**LAMINATE, "N": 1}, "manifold.d"),
+    ("cell", SPHERE_3, {**ISOTROPIC_3, "d": "3"}, "integrand.d"),
+    ("cell", {"kind": "circle_product", "k": 0}, {**LAMINATE, "N": 1}, "manifold.k"),
+    ("cell", {"kind": "sphere", "d": 1}, {**LAMINATE, "N": 1}, "manifold.d"),
+    ("density", SPHERE, {**LAMINATE, "a": {"breaks": [0.5], "values": [1, float("nan")]}}, "integrand.a"),
+    ("density", SPHERE, {**LAMINATE, "b": {"values": 3}}, "integrand.b"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, manifold, integrand, key",
+    INVALID_MODEL_VALUES,
+    ids=[f"{key}-case{k}" for k, (*_, key) in enumerate(INVALID_MODEL_VALUES)],
+)
+def test_invalid_integrand_or_manifold_exits_1_naming_the_key(
+    tmp_path, capsys, monkeypatch, command, manifold, integrand, key
+):
+    # These used to run as N = 2, 2 or 1 and d = 2, or end in a traceback.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started before the config was validated")
+
+    monkeypatch.setattr(cli, "build_density_table", no_solve)
+    monkeypatch.setattr(cli, "solve_cell", no_solve)
+    config = {
+        "command": command,
+        "manifold": manifold,
+        "integrand": integrand,
+        command: MINIMAL_SECTIONS[command],
+    }
+    code, out = run_cli(tmp_path, config)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, section",
     [

@@ -7,6 +7,7 @@ import pytest
 from tanhom import density
 from tanhom.cell import solve_cell_batch, solve_cell_unconstrained
 from tanhom.density import (
+    TRIAL_GRID,
     CoefficientLattice,
     DensityTable,
     TfOptions,
@@ -236,11 +237,11 @@ def test_tf_hom_batch_non_quadratic_and_empty(s1, profile_a):
         tf_hom_batch(f, s1, points, loads[:2], opts)
 
 
-def _quasiconvexity_by_gradient(f, M, s, xi, trial_count, seed, opts, trial_grid=4):
+def _quasiconvexity_by_gradient(f, M, s, xi, trial_count, seed, opts):
     """(reference, residuals) of the quasiconvexity check from one ``tf_hom`` per
     gradient, the trial fields drawn one trial at a time."""
     basis = M.tangent_basis(s)
-    grid = UniformGrid(xi.shape[1], trial_grid, 1.0 / trial_grid, periodic=False)
+    grid = UniformGrid(xi.shape[1], TRIAL_GRID, 1.0 / TRIAL_GRID, periodic=False)
     interior = (slice(None),) + grid.interior()
     rng = np.random.default_rng(seed)
     reference = tf_hom(f, M, s, xi, opts).value

@@ -60,6 +60,10 @@ def test_config_validation(s1, laminate1):
     with pytest.raises(ShapeMismatch):  # dims mismatch for a 1D run
         GammaExperimentConfig(manifold=s1, integrand=make_isotropic_quadratic(2, 2),
                               epsilons=(0.25,), dim=1, mesh_nodes=129)
+    # One circle rule for tables and experiments (density.check_circle).
+    with pytest.raises(ValueError, match=r"circle S\^1 \(sphere, d = 2\)"):
+        GammaExperimentConfig(manifold=Sphere(3), integrand=make_isotropic_quadratic(1, 3),
+                              epsilons=(0.25,), mesh_nodes=129)
 
 
 @pytest.mark.parametrize("eps", [1e12, np.inf])
