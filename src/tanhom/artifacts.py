@@ -8,11 +8,13 @@ sorted keys and a trailing newline.  Identical data therefore gives identical
 bytes.
 
 The writer formats each distinct value of a column once and builds the rows
-from those texts with numpy byte operations, ``BLOCK_ROWS`` rows at a time.
-Its bytes are those of one ``%.17g`` / ``%d`` per value.  Float columns are
-grouped by a sort of their bit patterns; an int or bool column whose value
-range is shorter than the column (grid indices, flags) is indexed by offset
-from its minimum, without a sort.
+from those texts, ``BLOCK_ROWS`` rows at a time, in one byte buffer per file:
+each column's texts are gathered straight into that column's fixed-width
+slot of the buffer's rows, and a block is written with its NUL padding
+deleted.  Its bytes are those of one ``%.17g`` / ``%d`` per value.  Float
+columns are grouped by a sort of their bit patterns; an int or bool column
+whose value range is shorter than the column (grid indices, flags) is
+indexed by offset from its minimum, without a sort.
 """
 
 from __future__ import annotations
@@ -79,15 +81,23 @@ def write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
     rows = len(columns[0]) if columns else 0
     ends = [","] * (len(columns) - 1) + ["\n"]
     texts = [_distinct_texts(col, end) for col, end in zip(columns, ends)]
+    # One fixed-width byte row per CSV row: each column's texts fill their own
+    # slot of it, and the NUL padding of the shorter texts is dropped on write.
+    edges = np.cumsum([0] + [table.itemsize for table, _ in texts])
+    buf = np.empty((min(rows, BLOCK_ROWS), edges[-1]), dtype=np.uint8)
+    slots = [
+        buf[:, lo:hi].view(table.dtype)[:, 0]
+        for (table, _), lo, hi in zip(texts, edges, edges[1:])
+    ]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, rows, BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            # take: [] with a uint8/uint16 index is several times slower
-            fields = [table.take(index[block]) for table, index in texts]
-            # one fixed-width byte row per CSV row; the NUL padding is then dropped
-            buf = np.concatenate([f.view(np.uint8).reshape(len(f), -1) for f in fields], axis=1)
-            fh.write(buf[buf != 0].tobytes())
+            n = min(BLOCK_ROWS, rows - start)
+            for (table, index), slot in zip(texts, slots):
+                # take, not []: [] with a uint8/uint16 index is several times slower;
+                # every index is in range, so "clip" only skips the bounds check
+                table.take(index[start : start + n], out=slot[:n], mode="clip")
+            fh.write(buf[:n].tobytes().translate(None, b"\0"))
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cell import PERIODIC, CellProblemSpec
 from .density import CoefficientLattice, TfOptions, check_angle_count, check_circle
-from .errors import ConfigError, DegeneratePoint, as_integer, check_keys, config_value
+from .errors import ConfigError, DegeneratePoint, as_integer, as_list, check_keys, config_value
 from .gamma import GammaExperimentConfig, OptimizerOptions
 from .integrand import Integrand, integrand_from_config
 from .manifold import EmbeddedManifold, circle_point, manifold_from_config
@@ -34,7 +34,7 @@ def _optional(convert: Callable) -> Callable:
 
 
 def _tuple_of(convert: Callable) -> Callable:
-    return lambda values: tuple(convert(v) for v in values)
+    return lambda values: as_list(values, convert)
 
 
 def _float_array(value: Any) -> np.ndarray:

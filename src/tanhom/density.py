@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -512,22 +513,27 @@ class DensityTable:
             out += vals
         return out
 
-    def quadratic_form(self, theta, z):
-        """``z^T A(theta) z`` for ``theta`` (...), ``z`` (..., N), and its derivatives in both.
-
-        Exact in ``z``; ``A`` is the trigonometric interpolant of ``tensor``
-        (``np.fft.rfft`` of the samples), summed mode by mode, so no
-        points x modes array is formed.
-        """
-        theta = np.asarray(theta, dtype=float)
-        z = np.asarray(z, dtype=float)
+    @cached_property
+    def _tensor_modes(self) -> np.ndarray:
+        """Fourier coefficients of ``tensor`` over the angles, one per mode, computed once."""
         S = len(self.thetas)
         modes = np.fft.rfft(self.tensor, axis=0) / S
         # Modes 1 .. ceil(S/2) - 1 stand for conjugate pairs; an even S's Nyquist mode does not.
         modes[1 : (S + 1) // 2] *= 2.0
+        return modes
+
+    def quadratic_form(self, theta, z):
+        """``z^T A(theta) z`` for ``theta`` (...), ``z`` (..., N), and its derivatives in both.
+
+        Exact in ``z``; ``A`` is the trigonometric interpolant of ``tensor``
+        (``np.fft.rfft`` of the samples, taken once per table), summed mode
+        by mode, so no points x modes array is formed.
+        """
+        theta = np.asarray(theta, dtype=float)
+        z = np.asarray(z, dtype=float)
         A = np.zeros(theta.shape + self.tensor.shape[1:])
         dA = np.zeros_like(A)
-        for k, mode in enumerate(modes):
+        for k, mode in enumerate(self._tensor_modes):
             cos = np.cos(k * theta)[..., None, None]
             sin = np.sin(k * theta)[..., None, None]
             A += mode.real * cos - mode.imag * sin

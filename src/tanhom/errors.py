@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the config checks every section shares."""
 
+import numbers
 from typing import Any, Callable
 
 
@@ -83,6 +84,20 @@ def as_integer(value: Any) -> int:
     if isinstance(value, bool) or int(value) != value:
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def as_number(value: Any) -> float:
+    """A JSON number as a float, refusing the strings and booleans ``float`` would take."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def as_list(value: Any, convert: Callable) -> tuple:
+    """A JSON list, each entry converted; a string, an object or a number is refused, not iterated."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON list, got {value!r}")
+    return tuple(map(convert, value))
 
 
 def config_value(path: str, make: Callable, *args, **kwargs):

@@ -37,6 +37,8 @@ from .errors import (
     InvalidProfile,
     UnsupportedGrowth,
     as_integer,
+    as_list,
+    as_number,
     check_keys,
     config_value,
 )
@@ -663,8 +665,13 @@ def integrand_from_config(cfg: dict) -> Integrand:
     kind = check_keys(cfg, "integrand", {"kind"}, {"a", "b", "c", "N", "d"})["kind"]
 
     def profile(key):
-        sub = check_keys(cfg[key], f"integrand.{key}", {"values"}, {"breaks"})
-        return config_value(f"integrand.{key}", StepProfile, sub.get("breaks", ()), sub["values"])
+        path = f"integrand.{key}"
+        sub = check_keys(cfg[key], path, {"values"}, {"breaks"})
+        breaks, values = (
+            config_value(path, as_list, sub.get(name, []), as_number)
+            for name in ("breaks", "values")
+        )
+        return config_value(path, StepProfile, breaks, values)
 
     def size(key, default):
         return config_value(f"integrand.{key}", as_integer, cfg.get(key, default))

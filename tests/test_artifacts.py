@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tanhom.artifacts import BLOCK_ROWS, read_csv, write_columns, write_json
-from tanhom.cell import CellProblemSpec, solve_cell, write_corrector_csv
+from tanhom.cell import CellProblemSpec, CorrectorField, solve_cell, write_corrector_csv
 from tanhom.density import CoefficientLattice, DensityTable, TfOptions, build_density_table
 from tanhom.errors import MalformedArtifact, ShapeMismatch
 from tanhom.manifold import circle_point
@@ -148,6 +148,26 @@ def test_corrector_csv_matches_per_node_writer(tmp_path, s1, laminate2):
         assert path.read_text() == per_node_corrector_csv(phi)
     # the laminate varies along y1 only, so the periodic corrector repeats along y2
     assert np.all(phi.coeffs == phi.coeffs[:, :, :1])
+
+
+def test_corrector_csv_of_a_general_field_matches_per_node_writer(tmp_path):
+    # Laminate correctors hold a few hundred distinct values; this field varies
+    # in both directions, repeats some values, holds both zeros and texts of
+    # every width, over a row count that ends inside a block.
+    rng = np.random.default_rng(5)
+    nodes = (37, 41)
+    assert (nodes[0] * nodes[1]) % BLOCK_ROWS != 0 and nodes[0] * nodes[1] > BLOCK_ROWS
+    coeffs = rng.standard_normal((2,) + nodes) * 10.0 ** rng.integers(-300, 300, (2,) + nodes)
+    pool = np.array([-0.0, 0.0, 0.5, -1.0, 1.0 / 3.0, 5e-324, 1e300, 7.0])
+    repeated = rng.random(coeffs.shape) < 0.4
+    coeffs[repeated] = rng.choice(pool, size=int(repeated.sum()))
+    phi = CorrectorField(coeffs, np.eye(2), "periodic", 1, nodes[0])
+    assert len(np.unique(coeffs.view(np.uint64))) > BLOCK_ROWS
+    negative_zeros = np.signbit(coeffs[coeffs == 0.0])
+    assert negative_zeros.any() and not negative_zeros.all()
+    path = tmp_path / "corrector.csv"
+    write_corrector_csv(phi, path)
+    assert path.read_text() == per_node_corrector_csv(phi)
 
 
 def test_rewrite_with_shorter_content_leaves_only_new_bytes(tmp_path):

@@ -724,6 +724,94 @@ def test_objective_grad_equals_value_and_grad(s1, profile_a, boundary, kind):
         assert np.array_equal(obj.grad(forms, x), obj.value_and_grad(forms, x)[1])
 
 
+def _zero_gradient_cases(s1, profile_a):
+    """(label, batch, bases, density, forms, points) of the zero-corrector gradient test.
+
+    Every batch has a row whose tangent basis is negative, with a -0.0 load
+    entry, a row at a generic negative basis and an all -0.0 load row.
+    """
+    s2 = Sphere(3)
+    circle = np.array([[-1.0, 0.0], circle_point(3 * np.pi / 4), circle_point(2.0)])
+    sphere = np.array([[0.0, -0.6, -0.8], [-0.48, 0.6, -0.64], [0.0, 0.0, -1.0]])
+    cases = []
+    for boundary in ("periodic", "dirichlet0"):
+        for N in (1, 2):
+            coeffs = np.array([[[1.5, 0.7]], [[-0.4, 1.2]], [[0.0, 0.0]]])[:, :, :N]
+            loads = np.einsum("bmd,bmn->bdn", s1.tangent_bases(circle), coeffs)
+            loads[0, 0] = -0.0  # tangent (-0.0, -1) at (-1, 0): the normal row is zero
+            loads[2] = -0.0
+            batch = CellBatch(s1, circle, loads, nodes_per_period=16, boundary=boundary)
+            f = make_laminate_quadratic(FOUR_PHASE, profile_a, N)
+            forms = f.solver_forms(1e-4)
+            cases.append((f"laminate-N{N}-{boundary}", batch, batch.bases, f, forms, None))
+            if N == 1:
+                linear = make_norm_linear(FOUR_PHASE, 1)
+                for mu in (1.0, 1e-2):
+                    label = f"norm_linear-mu{mu}-{boundary}"
+                    cases.append((label, batch, batch.bases, linear, linear.solver_forms(mu), None))
+                fbar = make_fbar(f, s1)
+                eye = np.broadcast_to(np.eye(2), (3, 2, 2))
+                cases.append((f"fbar-{boundary}", batch, eye, fbar, fbar.solver_forms(1e-4), circle))
+            # m = 2 on the 2-sphere, negative coefficients; a y-dependent density,
+            # as a constant one has no gradient at the zero corrector
+            coeffs = np.array([[[-1.0, 0.5]] * 2, [[0.3, -0.9]] * 2, [[0.0, 0.0]] * 2])[:, :, :N]
+            bases = s2.tangent_bases(sphere)
+            loads = np.einsum("bmd,bmn->bdn", bases, coeffs)
+            loads[2] = -0.0
+            batch = CellBatch(s2, sphere, loads, nodes_per_period=8, boundary=boundary)
+            linear = make_norm_linear(FOUR_PHASE, N, 3)
+            cases.append((f"norm_linear-m2-N{N}-{boundary}", batch, batch.bases, linear,
+                          linear.solver_forms(1e-2), None))
+    return cases
+
+
+def test_load_gradient_equals_grad_at_zero_bit_for_bit(s1, profile_a):
+    for label, batch, bases, f, forms, points in _zero_gradient_cases(s1, profile_a):
+        assert np.any(batch.bases < 0.0), label
+        zero_loads = batch.loads[batch.loads == 0.0]
+        assert np.signbit(zero_loads).any(), label
+        seen = []
+
+        def gradient_seen(*args, _gr=forms[1]):
+            seen.append(args[-1])
+            return _gr(*args)
+
+        recording = (forms[0], gradient_seen)
+        obj = _CellObjective(batch, bases, f, batch.loads, points)
+        expected = obj.grad(recording, np.zeros((obj.batch, obj.n_unknowns)))
+        got = obj.load_gradient(recording)
+        assert got.shape == expected.shape and _bits(got) == _bits(expected), label
+        assert np.any(got != 0.0), label
+        # The forms see the same ambient gradient, -0.0 loads read as +0.0, in a
+        # read-only view whose new arrays are laid out planar, (b, d, N, *elements),
+        # as the computed ambient gradient is on 2-D grids.
+        computed, view = seen
+        assert view.shape == computed.shape and _bits(view) == _bits(computed), label
+        assert not np.signbit(view[view == 0.0]).any(), label
+        assert not view.flags.writeable, label
+        layouts = [np.moveaxis(np.empty_like(a), (-2, -1), (1, 2)) for a in (computed, view)]
+        assert layouts[1].flags.c_contiguous, label
+        assert layouts[0].flags.c_contiguous or batch.ndim == 1, label
+
+
+def test_one_iteration_quadratic_solve_evaluates_two_field_gradients(monkeypatch, s1, profile_a):
+    calls = []
+    gradient = UniformGrid.center_gradient
+
+    def counted(grid, values):
+        calls.append(values.shape)
+        return gradient(grid, values)
+
+    monkeypatch.setattr(UniformGrid, "center_gradient", counted)
+    laminate = make_laminate_quadratic(profile_a, StepProfile.constant(1.0), 2)
+    s = circle_point(np.pi / 4)
+    spec = spec_for(s1, s, s1.tangent_from_coeffs(s, [[1.5, 0.3]]), nodes_per_period=64)
+    res = solve_cell(laminate, spec)
+    assert res.converged and res.iterations == 1
+    # One Hessian action and the exact energy; g0 is read from the load.
+    assert len(calls) == 2
+
+
 def test_sampled_solves_match_bare_callable_solves(s1, profile_a):
     s = circle_point(0.9)
     laminate = make_laminate_quadratic(FOUR_PHASE, profile_a, 2)

@@ -483,6 +483,8 @@ INVALID_VALUES = [
     ("cell", SPHERE, {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "n": float("inf")}),
     # Density tables live on the circle only.
     ("density", SPHERE_3, {"s_count": 4, "lattice": {"min": -1.0, "max": 1.0, "count": 3}}),
+    # A string is not iterated: "1" used to run as the epsilons (1.0,).
+    ("gamma", SPHERE, {"epsilons": "1"}),
 ]
 
 
@@ -523,6 +525,18 @@ INVALID_MODEL_VALUES = [
     ("cell", {"kind": "sphere", "d": 1}, {**LAMINATE, "N": 1}, "manifold.d"),
     ("density", SPHERE, {**LAMINATE, "a": {"breaks": [0.5], "values": [1, float("nan")]}}, "integrand.a"),
     ("density", SPHERE, {**LAMINATE, "b": {"values": 3}}, "integrand.b"),
+    # A profile's breaks and values are JSON lists of numbers; a string used to
+    # be iterated ("12" ran as the values (1.0, 2.0)).
+    ("cell", SPHERE, {**LAMINATE, "a": {"breaks": [0.5], "values": "12"}}, "integrand.a"),
+    ("density", SPHERE, {**LAMINATE, "a": {"breaks": "5", "values": [1, 2]}}, "integrand.a"),
+    ("cell", SPHERE, {**LAMINATE, "a": {"breaks": [0.5], "values": ["1", "2"]}}, "integrand.a"),
+    ("cell", SPHERE, {**LAMINATE, "b": {"values": {"0": 1}}}, "integrand.b"),
+    ("cell", SPHERE, {**LAMINATE, "b": {"breaks": 0.5, "values": [1, 2]}}, "integrand.b"),
+    ("density", SPHERE, {**LAMINATE, "b": {"values": [True]}}, "integrand.b"),
+    ("cell", SPHERE, {"kind": "norm_linear", "c": {"values": "3"}}, "integrand.c"),
+    ("cell", SPHERE, {"kind": "norm_linear", "c": {"values": 3}}, "integrand.c"),
+    ("density", SPHERE, {"kind": "norm_linear", "c": {"breaks": {"at": 0.5}, "values": [1, 2]}},
+     "integrand.c"),
 ]
 
 
