@@ -20,6 +20,7 @@ indexed by offset from its minimum, without a sort.
 from __future__ import annotations
 
 import json
+from typing import Callable
 
 import numpy as np
 
@@ -120,6 +121,29 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     if data.shape[1] != len(header):
         raise MalformedArtifact(f"{path}: {data.shape[1]} columns under {len(header)} names")
     return header, data
+
+
+def read_json(path) -> dict:
+    """The JSON object at ``path``; text that is not one raises ``MalformedArtifact`` naming the file."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise MalformedArtifact(f"{path}: malformed JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise MalformedArtifact(f"{path}: not a JSON object")
+    return obj
+
+
+def json_field(path, obj: dict, key: str, convert: Callable):
+    """``convert(obj[key])`` of the object read from ``path``; a missing key, or a value
+    ``convert`` refuses, raises ``MalformedArtifact`` naming the file and the key."""
+    if key not in obj:
+        raise MalformedArtifact(f"{path}: no {key!r} key")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedArtifact(f"{path}: {key!r}: {exc}") from None
 
 
 def write_json(path, payload: dict) -> None:

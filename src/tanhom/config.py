@@ -20,7 +20,9 @@ import numpy as np
 
 from .cell import PERIODIC, CellProblemSpec
 from .density import CoefficientLattice, TfOptions, check_angle_count, check_circle
-from .errors import ConfigError, DegeneratePoint, as_integer, as_list, check_keys, config_value
+from .errors import (
+    ConfigError, DegeneratePoint, as_bool, as_integer, as_list, as_number, as_text, check_keys, config_value
+)
 from .gamma import GammaExperimentConfig, OptimizerOptions
 from .integrand import Integrand, integrand_from_config
 from .manifold import EmbeddedManifold, circle_point, manifold_from_config
@@ -45,11 +47,11 @@ def _float_array(value: Any) -> np.ndarray:
 TF_KEYS = {
     "t_list": _tuple_of(as_integer),
     "n": as_integer,
-    "boundary": str,
-    "rel_tol": float,
-    "tol_grad": float,
+    "boundary": as_text,
+    "rel_tol": as_number,
+    "tol_grad": as_number,
     "max_iters": _optional(as_integer),
-    "huber_mu": float,
+    "huber_mu": as_number,
 }
 # Density sweeps (density, verify, gamma.table) default to one periodic cube.
 SWEEP_DEFAULTS = {"t_list": (1,), "boundary": PERIODIC}
@@ -59,25 +61,22 @@ CELL_KEYS = {
     **{key: TF_KEYS[key] for key in ("n", "boundary", "tol_grad", "max_iters", "huber_mu")},
 }
 VERIFY_KEYS = {
-    "suites": tuple,
+    "suites": _tuple_of(as_text),
     "sample_count": as_integer,
     "pair_count": as_integer,
     "trial_count": as_integer,
     "sample_points": as_integer,
-    "coeff_radius": float,
-    "equivalence_tol": _optional(float),
-    "delta0": float,
 }
 GAMMA_KEYS = {
     "dim": as_integer,
     "mesh_nodes": as_integer,
-    "theta0": float,
-    "theta1": float,
-    "epsilons": _tuple_of(float),
-    "run_dp": bool,
+    "theta0": as_number,
+    "theta1": as_number,
+    "epsilons": _tuple_of(as_number),
+    "run_dp": as_bool,
 }
-OPTIMIZER_KEYS = {"max_iters": as_integer, "tol": float}
-LATTICE_KEYS = {"min": float, "max": float, "count": as_integer}
+OPTIMIZER_KEYS = {"max_iters": as_integer, "tol": as_number}
+LATTICE_KEYS = {"min": as_number, "max": as_number, "count": as_integer}
 
 
 def _values(section: dict, path: str, conversions: dict[str, Callable]) -> dict:
@@ -93,7 +92,7 @@ def _parse_point(M: EmbeddedManifold, cfg: Any, path: str) -> np.ndarray:
     check_keys(cfg, path, set(), {"theta", "point"})
     if "theta" in cfg and "point" in cfg:
         raise ConfigError(f"{path}: give either 'theta' or 'point', not both")
-    v = _values(cfg, path, {"theta": float, "point": _float_array})
+    v = _values(cfg, path, {"theta": as_number, "point": _float_array})
     if "theta" in v:
         if M.ambient_dim != 2:
             raise ConfigError(f"{path}.theta only makes sense on the circle")
@@ -134,9 +133,6 @@ class VerifySection:
     pair_count: int = 50
     trial_count: int = 20
     sample_points: int = 3
-    coeff_radius: float = 5.0
-    equivalence_tol: float | None = None
-    delta0: float = 0.5
     options: TfOptions = TfOptions(**SWEEP_DEFAULTS)
 
     def __post_init__(self):
@@ -145,6 +141,9 @@ class VerifySection:
         for suite in self.suites:
             if suite not in VERIFY_SUITES:
                 raise ValueError(f"unknown verify suite {suite!r}")
+        for key in ("sample_count", "pair_count", "trial_count", "sample_points"):
+            if getattr(self, key) < 1:  # with nothing sampled, a suite passes vacuously
+                raise ValueError(f"{key} must be at least 1")
 
 
 @dataclass
@@ -273,7 +272,7 @@ def _parse_gamma(section: Any, M: EmbeddedManifold, f: Integrand) -> GammaSectio
     )
     if "path" in table_cfg and len(table_cfg) > 1:
         raise ConfigError("gamma.table.path excludes inline table options")
-    source = _values(table_cfg, "gamma.table", {"path": str, "s_count": as_integer})
+    source = _values(table_cfg, "gamma.table", {"path": as_text, "s_count": as_integer})
     if "lattice" in table_cfg:
         source["lattice"] = _parse_lattice(table_cfg["lattice"], "gamma.table.lattice")
     return config_value(
@@ -282,5 +281,5 @@ def _parse_gamma(section: Any, M: EmbeddedManifold, f: Integrand) -> GammaSectio
         experiment=experiment,
         table_options=_parse_tf_options(table_cfg, "gamma.table"),
         **{f"table_{key}": value for key, value in source.items()},
-        **_values(section, "gamma", {"dump_fields": bool}),
+        **_values(section, "gamma", {"dump_fields": as_bool}),
     )

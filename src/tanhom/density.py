@@ -16,15 +16,14 @@ the effective tensor per angle; every other density's table is one
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable
 
 import numpy as np
 
-from .artifacts import read_csv, write_columns, write_json
+from .artifacts import json_field, read_csv, read_json, write_columns, write_json
 from .cell import (
     DIRICHLET,
     PERIODIC,
@@ -35,9 +34,11 @@ from .cell import (
     solve_cell_batch,
     solve_cell_unconstrained,
 )
-from .errors import GrowthViolation, MalformedArtifact, ShapeMismatch
+from .errors import (
+    GrowthViolation, MalformedArtifact, ShapeMismatch, as_integer, as_list, as_number, as_text, of_json_type
+)
 from .grid import UniformGrid
-from .integrand import Integrand, StepProfile, make_fbar, make_g_extension
+from .integrand import Integrand, StepProfile, growth_gaps, make_fbar, make_g_extension
 from .manifold import EmbeddedManifold, Sphere, circle_point
 
 # Quasiconvexity trials: elements per side of their grid on the unit cube, and
@@ -314,11 +315,6 @@ class GrowthLipschitzReport:
     sandwich_upper_margin: float
 
 
-def _rounding(bound):
-    """How far a value may sit outside a growth ``bound`` by the last digits of its arithmetic."""
-    return 1e-12 * (1.0 + np.abs(bound))
-
-
 def check_growth_lipschitz(
     f: Integrand,
     M: EmbeddedManifold,
@@ -329,33 +325,20 @@ def check_growth_lipschitz(
 ) -> GrowthLipschitzReport:
     """Sandwich and Lipschitz-in-xi diagnostics of the homogenized density.
 
-    Every sampled value must satisfy alpha |xi|^p <= value <= beta (1+|xi|^p)
-    as declared, up to the rounding allowance of ``DensityTable.check_sandwich``;
-    violations raise ``GrowthViolation`` since they can only come from a
-    solver defect, and so does a NaN value.  The reported margins are the raw
-    gaps, without the allowance.  For pairs at a shared base point the
-    ratio |dv| / ((1 + |xi|^{p-1} + |xi'|^{p-1}) |xi - xi'|) is collected and
-    its maximum reported as the fitted constant.  Samples are drawn one at a
+    Every sampled value must lie in the declared growth sandwich, as
+    ``integrand.growth_gaps`` decides it (rounding allowance included, a NaN
+    value never inside); an escape raises ``GrowthViolation``, since it can
+    only come from a solver defect.  The reported margins are the raw gaps,
+    without the allowance.  For pairs at a shared base point the ratio
+    |dv| / ((1 + |xi|^{p-1} + |xi'|^{p-1}) |xi - xi'|) is collected and its
+    maximum reported as the fitted constant.  Samples are drawn one at a
     time, so a longer run extends a shorter one with the same seed; one
-    ``tf_hom_batch`` evaluates them all, and the first that escapes raises.
+    ``tf_hom_batch`` evaluates them all, and the first escaping load in row
+    order (pair by pair) raises.
     """
     opts = opts or TfOptions()
     rng = np.random.default_rng(seed)
     shape = (M.intrinsic_dim, f.dims[0])
-
-    ratios = []
-    lower_margin = -np.inf
-    upper_margin = -np.inf
-
-    def sandwich(v: float, norm: float, s, xi) -> tuple[float, float]:
-        lower, upper = f.alpha * norm**f.p, f.beta * (1.0 + norm**f.p)
-        lo, hi = lower - v, v - upper
-        if not (lo <= _rounding(lower) and hi <= _rounding(upper)):  # a NaN value fails too
-            raise GrowthViolation(
-                f"homogenized value {v:.6g} escapes the sandwich at |xi| = {norm:.4g}",
-                sample=(s, xi),
-            )
-        return lo, hi
 
     samples = []
     for _ in range(sample_count):
@@ -371,32 +354,32 @@ def check_growth_lipschitz(
     points = np.repeat([s for s, _, _ in samples], 2, axis=0).reshape(-1, M.ambient_dim)
     coeffs = np.array([pair for _, *pair in samples]).reshape((-1,) + shape)
     loads = np.matmul(M.tangent_bases(points).transpose(0, 2, 1), coeffs)
-    values = [res.value for res in tf_hom_batch(f, M, points, loads, opts)]
-    for s, xi, xi2, v1, v2 in zip(points[0::2], loads[0::2], loads[1::2], values[0::2], values[1::2]):
-        n1 = float(np.linalg.norm(xi))
-        n2 = float(np.linalg.norm(xi2))
-        lo1, hi1 = sandwich(v1, n1, s, xi)
-        lo2, hi2 = sandwich(v2, n2, s, xi2)
-        lower_margin = max(lower_margin, lo1, lo2)
-        upper_margin = max(upper_margin, hi1, hi2)
+    values = np.array([res.value for res in tf_hom_batch(f, M, points, loads, opts)])
+    # Norms and powers one load at a time: an array power may round differently.
+    norms = np.array([float(np.linalg.norm(xi)) for xi in loads])
+    lower_gap, upper_gap, within = growth_gaps(f, [n**f.p for n in norms.tolist()], values)
+    if not within.all():
+        first = int(np.argmin(within))
+        raise GrowthViolation(
+            f"homogenized value {values[first]:.6g} escapes the sandwich at |xi| = {norms[first]:.4g}",
+            sample=(points[first], loads[first]),
+        )
 
-        dist = float(np.linalg.norm(xi - xi2))
-        if dist > 0.0:
-            denom = (1.0 + n1 ** (f.p - 1.0) + n2 ** (f.p - 1.0)) * dist
-            ratios.append(abs(v1 - v2) / denom)
-
-    ratios = np.asarray(ratios)
+    dist = np.array([float(np.linalg.norm(step)) for step in loads[0::2] - loads[1::2]])
+    growth = np.array([n ** (f.p - 1.0) for n in norms.tolist()])
+    moved = dist > 0.0
+    denom = (1.0 + growth[0::2] + growth[1::2]) * dist
+    ratios = np.abs(values[0::2] - values[1::2])[moved] / denom[moved]
     return GrowthLipschitzReport(
         samples=sample_count,
-        fitted_constant=float(np.max(ratios)) if ratios.size else 0.0,
+        fitted_constant=float(np.max(ratios, initial=0.0)),
         ratios=ratios,
-        sandwich_lower_margin=lower_margin,
-        sandwich_upper_margin=upper_margin,
+        sandwich_lower_margin=float(np.max(lower_gap, initial=-np.inf)),
+        sandwich_upper_margin=float(np.max(upper_gap, initial=-np.inf)),
     )
 
 
 # -- density tables -----------------------------------------------------------
-
 
 @dataclass(frozen=True)
 class CoefficientLattice:
@@ -544,7 +527,7 @@ class DensityTable:
         return value, d_theta, 2.0 * Az
 
     def check_sandwich(self) -> tuple[bool, float, float]:
-        """Sandwich check on every entry, up to rounding.
+        """Sandwich check on every entry, as ``integrand.growth_gaps`` decides it.
 
         An entry passes when it lies within ``1e-12 * (1 + |bound|)`` of the
         inside of both bounds, which absorbs the last-digit error of the
@@ -552,22 +535,11 @@ class DensityTable:
         lower margin, worst upper margin) over the finite entries; positive
         margins mean an entry lies outside a bound.
         """
-        grids = np.meshgrid(*self.coeff_axes, indexing="ij") if self.coeff_axes else []
-        if grids:
-            norm = np.sqrt(np.sum([g**2 for g in grids], axis=0))
-        else:
-            norm = np.zeros(())
-        norm_p = norm**self.p
-        lower = self.alpha * norm_p
-        upper = self.beta * (1.0 + norm_p)
-        lo = lower[None, ...] - self.values
-        hi = self.values - upper[None, ...]
-        # A NaN margin compares False and an infinite entry leaves a bound by
-        # an infinite margin, so every non-finite entry fails here.
-        within = (lo <= _rounding(lower)) & (hi <= _rounding(upper))
+        norm = np.sqrt(np.sum([g**2 for g in np.meshgrid(*self.coeff_axes, indexing="ij")], axis=0))
+        lo, hi, within = growth_gaps(self, norm**self.p, self.values)
         finite = np.isfinite(self.values)
-        lo_m = float(np.max(lo[finite])) if finite.any() else -np.inf
-        hi_m = float(np.max(hi[finite])) if finite.any() else -np.inf
+        lo_m = float(np.max(lo[finite], initial=-np.inf))
+        hi_m = float(np.max(hi[finite], initial=-np.inf))
         return bool(np.all(within)), lo_m, hi_m
 
     # -- serialization --------------------------------------------------------
@@ -609,16 +581,16 @@ class DensityTable:
     def load(cls, csv_path, json_path) -> "DensityTable":
         """Read a saved table back, checking every CSV row against the metadata grid.
 
-        Raises ``MalformedArtifact`` when the row count, the column count or
-        any ``s0, s1, z*`` coordinate (to 1e-12) disagrees with the grid, when
-        the metadata lack the ``tensor`` key, or when a finite value is off the
+        Raises ``MalformedArtifact`` when the metadata are not JSON, lack a
+        key that ``metadata`` writes or hold it with another JSON type, when
+        the row count, the column count or any ``s0, s1, z*`` coordinate (to
+        1e-12) disagrees with the grid, or when a finite value is off the
         tensor's form by more than ``1e-12 |z|^T |A| |z|``.  Metadata keep
         their JSON types, so load then save reproduces the bytes.
         """
-        with open(json_path) as fh:
-            meta = json.load(fh)
-        axes = tuple(np.asarray(ax, dtype=float) for ax in meta["coeff_axes"])
-        s_count = int(meta["s_count"])
+        read = partial(json_field, json_path, read_json(json_path))
+        axes = read("coeff_axes", lambda axes: as_list(axes, lambda ax: np.array(as_list(ax, as_number))))
+        s_count = read("s_count", as_integer)
         shape = (s_count,) + tuple(len(ax) for ax in axes)
         thetas = 2.0 * np.pi * np.arange(s_count) / s_count
         grids = [g.ravel() for g in np.meshgrid(thetas, *axes, indexing="ij")]
@@ -635,11 +607,8 @@ class DensityTable:
                 f"{csv_path}: row {int(np.argmax(off_grid)) + 1} is not at its grid point"
             )
         values = np.ascontiguousarray(data[:, -2].reshape(shape))
-        if "tensor" not in meta:
-            raise MalformedArtifact(f"{json_path}: no 'tensor' key")
-        tensor = meta["tensor"]
+        tensor = read("tensor", lambda tensor: None if tensor is None else np.asarray(tensor, dtype=float))
         if tensor is not None:
-            tensor = np.asarray(tensor, dtype=float)
             if tensor.shape != (s_count, len(axes), len(axes)):
                 raise MalformedArtifact(f"{json_path}: tensor shape {tensor.shape} off the grid")
             Z = np.stack(np.meshgrid(*axes, indexing="ij"))
@@ -653,16 +622,16 @@ class DensityTable:
             coeff_axes=axes,
             values=values,
             converged=(data[:, -1] == 1.0).reshape(shape),
-            rel_changes=np.full(shape, float(meta.get("max_rel_change", 0.0))),
-            p=meta["p"],
-            alpha=float(meta["alpha"]),
-            beta=float(meta["beta"]),
-            integrand_config=meta.get("integrand", {}),
-            manifold_config=meta.get("manifold", {}),
-            t_list=tuple(meta.get("t_list", [1])),
-            nodes_per_period=int(meta.get("nodes_per_period", 16)),
-            boundary=meta.get("boundary", PERIODIC),
-            entry_errors=list(meta.get("entry_errors", [])),
+            rel_changes=np.full(shape, read("max_rel_change", as_number)),
+            p=read("p", of_json_type((int, float), "a number")),
+            alpha=read("alpha", as_number),
+            beta=read("beta", as_number),
+            integrand_config=read("integrand", of_json_type(dict, "a JSON object")),
+            manifold_config=read("manifold", of_json_type(dict, "a JSON object")),
+            t_list=read("t_list", lambda ts: as_list(ts, as_integer)),
+            nodes_per_period=read("nodes_per_period", as_integer),
+            boundary=read("boundary", as_text),
+            entry_errors=list(read("entry_errors", lambda errors: as_list(errors, as_text))),
             tensor=tensor,
         )
 

@@ -31,12 +31,8 @@ class HypothesisViolated(TanhomError):
         self.sample = sample
 
 
-class GrowthViolation(TanhomError):
+class GrowthViolation(HypothesisViolated):
     """A computed homogenized value escaped its declared growth sandwich."""
-
-    def __init__(self, message, sample=None):
-        super().__init__(message)
-        self.sample = sample
 
 
 class NotTangent(TanhomError):
@@ -91,6 +87,21 @@ def as_number(value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def of_json_type(kind, name: str) -> Callable:
+    """A check that a JSON value is a ``kind``, giving it back as it is; only ``bool`` takes true or false."""
+
+    def check(value):
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise TypeError(f"expected {name}, got {value!r}")
+        return value
+
+    return check
+
+
+as_bool = of_json_type(bool, "true or false")  # bool() would take any number or string
+as_text = of_json_type(str, "a string")  # str() would take anything
 
 
 def as_list(value: Any, convert: Callable) -> tuple:

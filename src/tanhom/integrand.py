@@ -495,6 +495,22 @@ class HypothesisReport:
     lipschitz_margin: float | None
 
 
+def growth_gaps(f, norm_p, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gaps of ``values`` to the growth sandwich alpha |xi|^p <= value <= beta (1 + |xi|^p).
+
+    ``f`` has ``alpha`` and ``beta`` (an integrand, an extension or a table);
+    ``norm_p`` is the caller's |xi|^p of each value.  Returns the lower gap
+    ``alpha |xi|^p - value``, the upper gap ``value - beta (1 + |xi|^p)`` and
+    ``within``: both gaps at most ``1e-12 (1 + |bound|)``, the last digits of
+    the arithmetic.  A NaN value is never within; an infinite one is outside.
+    """
+    norm_p = np.asarray(norm_p, dtype=float)
+    lower, upper = f.alpha * norm_p, f.beta * (1.0 + norm_p)
+    lower_gap, upper_gap = lower - values, values - upper
+    within = (lower_gap <= 1e-12 * (1.0 + abs(lower))) & (upper_gap <= 1e-12 * (1.0 + abs(upper)))
+    return lower_gap, upper_gap, within
+
+
 def _require_finite(values, y, xi) -> np.ndarray:
     """``values`` as floats; a non-finite entry raises with its (y, xi) sample.
 
@@ -512,9 +528,9 @@ def _require_finite(values, y, xi) -> np.ndarray:
 def verify_hypotheses(f: Integrand, sample_count: int, seed: int) -> HypothesisReport:
     """Sampled check of periodicity, the growth sandwich and the Lipschitz bound.
 
-    Deterministic for a given seed.  Raises ``HypothesisViolated`` with the
-    worst offending (y, xi) pair if any declared property fails; otherwise
-    returns the worst-case residuals.
+    Deterministic for a given seed; the sandwich is ``growth_gaps``'s.  Raises
+    ``HypothesisViolated`` with the worst offending (y, xi) pair if any
+    declared property fails; otherwise returns the worst-case residuals.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -545,21 +561,20 @@ def verify_hypotheses(f: Integrand, sample_count: int, seed: int) -> HypothesisR
         )
 
     xi_p = np.sum(xi * xi, axis=(-2, -1)) ** (f.p / 2.0)
-    lower_gap = f.alpha * xi_p - vals
-    upper_gap = vals - f.beta * (1.0 + xi_p)
-    tol = 1e-12 * scale
-    if np.any(lower_gap > tol):
+    lower_gap, upper_gap, within = growth_gaps(f, xi_p, vals)
+    # beta >= alpha, so a failing value with a positive lower gap fails coercivity.
+    if np.any(lower_gap[~within] > 0.0):
         worst = int(np.argmax(lower_gap))
         raise HypothesisViolated(
             f"coercivity violated: f = {vals[worst]:.6g} < "
-            f"alpha |xi|^p = {f.alpha * xi_p[worst]:.6g}",
+            f"alpha |xi|^p = {vals[worst] + lower_gap[worst]:.6g}",
             sample=(y[worst], xi[worst]),
         )
-    if np.any(upper_gap > tol):
+    if not within.all():
         worst = int(np.argmax(upper_gap))
         raise HypothesisViolated(
             f"growth violated: f = {vals[worst]:.6g} > "
-            f"beta (1 + |xi|^p) = {f.beta * (1 + xi_p[worst]):.6g}",
+            f"beta (1 + |xi|^p) = {vals[worst] - upper_gap[worst]:.6g}",
             sample=(y[worst], xi[worst]),
         )
 
@@ -592,7 +607,8 @@ def verify_extension_bounds(
     ext: ExtendedIntegrand, sample_count: int, seed: int
 ) -> HypothesisReport:
     """Sampled check that an extension restricts to its base on tangent data,
-    satisfies its derived growth sandwich, and honors declared Lipschitz bounds.
+    satisfies its derived growth sandwich (``growth_gaps``'s), and honors
+    declared Lipschitz bounds.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -629,8 +645,9 @@ def verify_extension_bounds(
     sq = np.sum(xi * xi, axis=(1, 2))
     # Scalar powers: an array power may round differently (np.sqrt for 0.5).
     xi_p = np.array([q ** (ext.p / 2.0) for q in sq.tolist()])
-    growth_lo = float(np.max(ext.alpha * xi_p - v, initial=0.0))
-    growth_hi = float(np.max(v - ext.beta * (1.0 + xi_p), initial=0.0))
+    lower_gap, upper_gap, within = growth_gaps(ext, xi_p, v)
+    growth_lo = float(np.max(lower_gap, initial=0.0))
+    growth_hi = float(np.max(upper_gap, initial=0.0))
     lip_s = lip_xi = 0.0
     if ext.s_lipschitz is not None:
         bound = ext.s_lipschitz * norms(s2 - s) * np.sqrt(sq)
@@ -643,7 +660,7 @@ def verify_extension_bounds(
         raise HypothesisViolated(
             f"extension does not restrict to its base: residual {restriction:.3e}"
         )
-    if growth_lo > 1e-12 or growth_hi > 1e-12:
+    if not within.all():
         raise HypothesisViolated(
             f"extension growth sandwich violated (lo {growth_lo:.3e}, hi {growth_hi:.3e})"
         )

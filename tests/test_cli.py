@@ -203,9 +203,6 @@ def test_verify_misdeclared_alpha_exits_4(tmp_path):
             pair_count=4,
             trial_count=2,
             sample_points=1,
-            coeff_radius=3.0,
-            equivalence_tol=None,
-            delta0=0.5,
             options=TfOptions(t_list=(1,), n=4, boundary="periodic"),
         ),
     )
@@ -394,6 +391,41 @@ def test_gamma_partial_table_exits_3(tmp_path):
     assert any("1 failed entries" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda meta: meta.pop("p"), "no 'p' key"),
+        (lambda meta: meta.update(s_count="8"), "'s_count': expected an integer"),
+        (None, "malformed JSON"),
+    ],
+    ids=["no-p", "string-s_count", "not-json"],
+)
+def test_gamma_malformed_table_metadata_exits_1(tmp_path, capsys, damage, message):
+    # These used to end in a KeyError or JSONDecodeError traceback, or (s_count "8") run.
+    f = make_isotropic_quadratic(1, 2)
+    opts = TfOptions(t_list=(1,), n=4, boundary="periodic")
+    table = build_density_table(f, Sphere(2), 8, CoefficientLattice(-2.5, 2.5, 21), opts)
+    table.save(tmp_path / "table.csv", tmp_path / "table.json")
+    meta_path = tmp_path / "table.json"
+    if damage is None:
+        meta_path.write_text(meta_path.read_text()[:-5])
+    else:
+        meta = json.loads(meta_path.read_text())
+        damage(meta)
+        meta_path.write_text(json.dumps(meta))
+    config = {
+        "command": "gamma",
+        "manifold": SPHERE,
+        "integrand": {"kind": "isotropic_quadratic", "N": 1, "d": 2},
+        "gamma": {"dim": 1, "mesh_nodes": 33, "epsilons": [0.25], "table": {"path": "table"}},
+    }
+    code, out = run_cli(tmp_path, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "table.json" in err and message in err
+    assert not (out / "gamma_report.json").exists()
+
+
 def test_parse_run_config_rejects_mismatched_section():
     with pytest.raises(ConfigError):
         parse_run_config(
@@ -442,6 +474,9 @@ REMOVED_KEYS = [
     ("gamma", "dp_theta_count"),
     ("gamma", "dp_band"),
     ("gamma", "huber_mu"),
+    ("verify", "coeff_radius"),
+    ("verify", "delta0"),
+    ("verify", "equivalence_tol"),
 ]
 
 
@@ -471,30 +506,52 @@ SPHERE_3 = {"kind": "sphere", "d": 3}
 ISOTROPIC_3 = {"kind": "isotropic_quadratic", "N": 1, "d": 3}
 # An integrand of each test manifold's ambient dimension, by the sphere's d.
 ON_MANIFOLD = {2: {**LAMINATE, "N": 1}, 3: ISOTROPIC_3}
-# Each case: command, manifold, section; its id names the command and the position.
+# Each case: command, manifold, section, and the key path its error starts with;
+# its id names the command and the position.
 INVALID_VALUES = [
-    ("gamma", SPHERE, {"epsilons": [0.3]}),
-    ("density", SPHERE, {"s_count": 4, "lattice": {"min": 1.0, "max": -1.0, "count": 3}}),
-    ("cell", SPHERE, {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "n": 1}),
-    ("density", SPHERE, {"s_count": 0, "lattice": {"min": -1.0, "max": 1.0, "count": 3}}),
-    ("gamma", SPHERE, {"epsilons": [0.5], "table": {"s_count": 0}}),
-    ("cell", SPHERE, {"s": {"theta": "north"}, "xi_coeffs": [[1.0]]}),
-    ("density", SPHERE, {"s_count": 4, "lattice": {"min": -1.0, "max": 1.0, "count": 2.5}}),
-    ("cell", SPHERE, {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "n": float("inf")}),
+    ("gamma", SPHERE, {"epsilons": [0.3]}, "gamma"),
+    ("density", SPHERE, {"s_count": 4, "lattice": {"min": 1.0, "max": -1.0, "count": 3}}, "density.lattice"),
+    ("cell", SPHERE, {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "n": 1}, "cell"),
+    ("density", SPHERE, {"s_count": 0, "lattice": {"min": -1.0, "max": 1.0, "count": 3}}, "density"),
+    ("gamma", SPHERE, {"epsilons": [0.5], "table": {"s_count": 0}}, "gamma.table"),
+    ("cell", SPHERE, {"s": {"theta": "north"}, "xi_coeffs": [[1.0]]}, "cell.s.theta"),
+    ("density", SPHERE, {"s_count": 4, "lattice": {"min": -1.0, "max": 1.0, "count": 2.5}},
+     "density.lattice.count"),
+    ("cell", SPHERE, {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "n": float("inf")}, "cell.n"),
     # Density tables live on the circle only.
-    ("density", SPHERE_3, {"s_count": 4, "lattice": {"min": -1.0, "max": 1.0, "count": 3}}),
+    ("density", SPHERE_3, {"s_count": 4, "lattice": {"min": -1.0, "max": 1.0, "count": 3}}, "density"),
     # A string is not iterated: "1" used to run as the epsilons (1.0,).
-    ("gamma", SPHERE, {"epsilons": "1"}),
+    ("gamma", SPHERE, {"epsilons": "1"}, "gamma.epsilons"),
+    # JSON strings, booleans and numbers are refused where bool(), float() or
+    # str() would take them: "false" used to run the certificate, "no" to dump
+    # the fields, "1.0" and true to run at 1 rad, and "hypotheses" to be split
+    # into characters.
+    ("gamma", SPHERE, {"epsilons": [0.25], "run_dp": "false"}, "gamma.run_dp"),
+    ("gamma", SPHERE, {"epsilons": [0.25], "dump_fields": "no"}, "gamma.dump_fields"),
+    ("gamma", SPHERE, {"epsilons": [0.25], "theta1": "1.0"}, "gamma.theta1"),
+    ("gamma", SPHERE, {"epsilons": [0.25], "theta0": True}, "gamma.theta0"),
+    ("gamma", SPHERE, {"epsilons": ["0.25"]}, "gamma.epsilons"),
+    ("gamma", SPHERE, {"epsilons": [0.25], "optimizer": {"tol": "1e-6"}}, "gamma.optimizer.tol"),
+    ("gamma", SPHERE, {"epsilons": [0.25], "table": {"path": 7}}, "gamma.table.path"),
+    ("gamma", SPHERE, {"epsilons": [0.25], "table": {"huber_mu": True}}, "gamma.table.huber_mu"),
+    ("cell", SPHERE, {"s": {"theta": True}, "xi_coeffs": [[1.0]]}, "cell.s.theta"),
+    ("cell", SPHERE, {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "tol_grad": "1e-3"}, "cell.tol_grad"),
+    ("cell", SPHERE, {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]], "boundary": 1}, "cell.boundary"),
+    ("density", SPHERE, {"s_count": 4, "lattice": {"min": "-1", "max": 1.0, "count": 3}},
+     "density.lattice.min"),
+    ("density", SPHERE, {**MINIMAL_SECTIONS["density"], "rel_tol": "0.1"}, "density.rel_tol"),
+    ("verify", SPHERE, {"suites": "hypotheses"}, "verify.suites"),
+    ("verify", SPHERE, {"suites": ["hypotheses", 3]}, "verify.suites"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, manifold, section",
+    "command, manifold, section, key",
     INVALID_VALUES,
-    ids=[f"{command}-section{k}" for k, (command, _, _) in enumerate(INVALID_VALUES)],
+    ids=[f"{command}-section{k}" for k, (command, *_) in enumerate(INVALID_VALUES)],
 )
 def test_invalid_values_exit_1_before_solving(
-    tmp_path, capsys, monkeypatch, command, manifold, section
+    tmp_path, capsys, monkeypatch, command, manifold, section, key
 ):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve started before the config was validated")
@@ -509,7 +566,7 @@ def test_invalid_values_exit_1_before_solving(
     }
     code, _ = run_cli(tmp_path, config)
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: {command}")
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
 
 # Each case: command, manifold, integrand, and the key its error names.
@@ -617,6 +674,11 @@ CELL_LOAD = {"s": {"theta": 0.0}, "xi_coeffs": [[1.0]]}
         ("density", {**MINIMAL_SECTIONS["density"], "rel_tol": float("nan")}, "rel_tol"),
         ("gamma", {"epsilons": [0.25], "theta0": float("nan")}, "theta0"),
         ("gamma", {"epsilons": [0.25], "theta1": float("inf")}, "theta1"),
+        # With nothing sampled these suites used to pass, or end in a traceback.
+        ("verify", {"suites": ["hypotheses"], "sample_count": 0}, "sample_count"),
+        ("verify", {"suites": ["equivalence"], "sample_points": 0}, "sample_points"),
+        ("verify", {"suites": ["quasiconvexity"], "trial_count": 0}, "trial_count"),
+        ("verify", {"suites": ["growth_lipschitz"], "pair_count": 0}, "pair_count"),
     ],
 )
 def test_out_of_range_settings_exit_1_naming_the_key(tmp_path, capsys, monkeypatch, command, section, key):

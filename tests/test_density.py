@@ -170,6 +170,29 @@ def test_growth_violation_detected(s1):
         check_growth_lipschitz(overstated, s1, 5, seed=8, opts=TfOptions(t_list=(1,), n=4))
 
 
+@pytest.mark.parametrize("alpha, accepted", [(2.0, False), (1.0, True)], ids=["overstated", "declared"])
+def test_table_and_sampled_checks_share_the_sandwich(s1, alpha, accepted):
+    # |xi|^2 with alpha = 2 overstates its coercivity; with alpha = 1 it sits on
+    # the lower bound, which both checks accept up to the same rounding allowance.
+    square = Integrand(
+        eval=lambda y, xi: np.sum(np.asarray(xi) ** 2, axis=(-2, -1)),
+        grad_xi=lambda y, xi: 2.0 * np.asarray(xi),
+        p=2,
+        alpha=alpha,
+        beta=2.0,
+        dims=(1, 2),
+        quadratic=True,
+    )
+    opts = TfOptions(t_list=(1,), n=4, boundary="periodic")
+    table = build_density_table(square, s1, 4, CoefficientLattice(-2.0, 2.0, 5), opts)
+    assert table.check_sandwich()[0] is accepted
+    if accepted:
+        check_growth_lipschitz(square, s1, 5, seed=8, opts=opts)
+    else:
+        with pytest.raises(GrowthViolation):
+            check_growth_lipschitz(square, s1, 5, seed=8, opts=opts)
+
+
 def test_growth_lipschitz_rejects_nan(s1, nan_density):
     with pytest.raises(GrowthViolation):
         check_growth_lipschitz(nan_density, s1, 2, seed=8, opts=TfOptions(t_list=(1,), n=4))
@@ -682,7 +705,24 @@ def test_table_tensor_reproduces_csv_values(tmp_path, s1, laminate2):
     assert np.all(np.abs(value - rows[:, 4]) <= 1e-12 * (1.0 + np.abs(rows[:, 4])))
 
 
-@pytest.mark.parametrize("damage", ["truncated", "reordered", "no_tensor", "off_tensor"])
+# Metadata damage: a key that ``metadata`` writes dropped, or set to another JSON type.
+METADATA_DAMAGE = {
+    "no_tensor": ("tensor", None),
+    "no_p": ("p", None),
+    "no_boundary": ("boundary", None),
+    "string_s_count": ("s_count", "4"),
+    "bool_alpha": ("alpha", True),
+    "string_axis": ("coeff_axes", [["-1", "0", "1"]]),
+    "string_t_list": ("t_list", "1"),
+    "list_integrand": ("integrand", []),
+    "number_entry_errors": ("entry_errors", 0),
+    "string_max_rel_change": ("max_rel_change", "0"),
+}
+
+
+@pytest.mark.parametrize(
+    "damage", ["truncated", "reordered", "off_tensor", "not_json", "json_list", *METADATA_DAMAGE]
+)
 def test_table_load_rejects_malformed_rows(tmp_path, s1, laminate1, damage):
     table = build_density_table(
         laminate1, s1, 4, CoefficientLattice(-1.0, 1.0, 3), PERIODIC_1
@@ -695,16 +735,27 @@ def test_table_load_rejects_malformed_rows(tmp_path, s1, laminate1, damage):
         rows = rows[:-3]
     elif damage == "reordered":
         rows[1], rows[5] = rows[5], rows[1]
-    elif damage == "no_tensor":
-        meta = json.loads(json_path.read_text())
-        del meta["tensor"]
-        json_path.write_text(json.dumps(meta))
-    else:  # a value 1e-9 off the tensor's quadratic form
+    elif damage == "off_tensor":  # a value 1e-9 off the tensor's quadratic form
         cells = rows[2].split(",")
         cells[-2] = repr(float(cells[-2]) * (1.0 + 1e-9))
         rows[2] = ",".join(cells)
+    elif damage == "not_json":
+        json_path.write_text(json_path.read_text()[:-5])
+    elif damage == "json_list":
+        json_path.write_text("[]\n")
+    else:
+        key, value = METADATA_DAMAGE[damage]
+        meta = json.loads(json_path.read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        json_path.write_text(json.dumps(meta))
     csv_path.write_text("\n".join([header, *rows]) + "\n")
-    with pytest.raises(MalformedArtifact):
+    # Metadata faults name the file and, where one is at fault, the key.
+    path = "table.csv" if damage in ("truncated", "reordered", "off_tensor") else "table.json"
+    key = METADATA_DAMAGE.get(damage, ("",))[0]
+    with pytest.raises(MalformedArtifact, match=rf"{path}: .*{key}"):
         DensityTable.load(csv_path, json_path)
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from tanhom.integrand import (
     Integrand,
     StepProfile,
     finite_difference_grad,
+    growth_gaps,
     integrand_from_config,
     make_fbar,
     make_g_extension,
@@ -268,6 +271,56 @@ def test_verify_hypotheses_overstated_alpha():
     with pytest.raises(HypothesisViolated) as err:
         verify_hypotheses(bogus, 500, seed=3)
     assert err.value.sample is not None
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, message", [(2.0, 2.0, "coercivity violated"), (0.5, 0.5, "growth violated")]
+)
+def test_verify_hypotheses_names_the_violated_bound(alpha, beta, message):
+    square = Integrand(
+        eval=lambda y, xi: np.sum(np.asarray(xi) ** 2, axis=(-2, -1)),
+        p=2,
+        alpha=alpha,
+        beta=beta,
+        dims=(1, 2),
+    )
+    with pytest.raises(HypothesisViolated, match=message):
+        verify_hypotheses(square, 500, seed=3)
+
+
+# alpha |xi|^p = 4 and beta (1 + |xi|^p) = 10 at |xi|^p = 4; the allowances
+# 1e-12 (1 + |bound|) are 5e-12 and 1.1e-11.
+SANDWICH = SimpleNamespace(alpha=1.0, beta=2.0)
+
+
+@pytest.mark.parametrize(
+    "value, within",
+    [
+        (4.0, True),  # on the lower bound
+        (10.0, True),  # on the upper bound
+        (4.0 - 4e-12, True),
+        (4.0 - 6e-12, False),
+        (10.0 + 1e-11, True),
+        (10.0 + 1.2e-11, False),
+        (np.nan, False),
+        (np.inf, False),
+        (-np.inf, False),
+    ],
+)
+def test_growth_gaps_allowance(value, within):
+    lower_gap, upper_gap, inside = growth_gaps(SANDWICH, np.array([4.0]), np.array([value]))
+    assert inside.tolist() == [within]
+    # The gaps are the raw ones, without the allowance.
+    np.testing.assert_array_equal(lower_gap, [4.0 - value])
+    np.testing.assert_array_equal(upper_gap, [value - 10.0])
+
+
+def test_growth_gaps_empty_and_broadcast():
+    lower_gap, upper_gap, within = growth_gaps(SANDWICH, np.empty(0), np.empty(0))
+    assert lower_gap.shape == upper_gap.shape == within.shape == (0,)
+    # |xi|^p per coefficient broadcasts against a table's (angles, coefficients) values.
+    _, _, within = growth_gaps(SANDWICH, np.array([0.0, 4.0]), np.array([[0.0, 4.0], [2.0, 11.0]]))
+    assert within.tolist() == [[True, True], [True, False]]
 
 
 def test_verify_hypotheses_rejects_nan(nan_density):
